@@ -11,9 +11,14 @@ c y); using that branch keeps the whole line (including the blown-up
 points) iterable. Recurrence is detected by the projective cross-product
 distance against the starting point, sampled at the candidate return times.
 
+Every scalar kernel is built from one n-fold step (`_step`) and one
+squared-distance helper (`_dist2`), each defined once.
+
 Backend selection: the environment flag RSADYN_NO_NUMBA=1 forces the pure
-numpy path; otherwise numba is used when importable. Both backends follow
-the identical arithmetic per cell, and each is deterministic run-to-run and
+numpy path; otherwise numba is used when importable, and then compiles the
+scalar kernels. Blocks of cells run the compiled per-cell loop under numba
+and the vectorized lockstep loop under numpy. Both backends follow the
+identical arithmetic per cell, and each is deterministic run-to-run and
 across thread counts (cells are independent). `python -m rsadyn.bench`
 compares them.
 """
@@ -43,7 +48,75 @@ if not _numba_disabled():
         HAVE_NUMBA = False
 
 
-def _classify_cell_py(t, x, y, delta, c, n, candidates, eps2):
+def _jit(fn):
+    """Compile fn with numba when the backend is selected; else keep it."""
+    return _njit(cache=True, nogil=True)(fn) if HAVE_NUMBA else fn
+
+
+@_jit
+def _norm2(t, x, y):
+    """Squared norm |t|^2 + |x|^2 + |y|^2."""
+    return (t.real * t.real + t.imag * t.imag
+            + x.real * x.real + x.imag * x.imag
+            + y.real * y.real + y.imag * y.imag)
+
+
+@_jit
+def _step(t, x, y, delta, c, n):
+    """n map steps, each renormalized so the largest coordinate is 1.
+
+    Returns (t, x, y, alive); alive is False once an image vanishes (an
+    indeterminate hit), and the coordinates are then meaningless.
+    """
+    for _ in range(n):
+        if t == 0:
+            nt = 0j
+            nx = y
+            ny = -delta * x + c * y
+        else:
+            nt = t * y
+            nx = y * y
+            ny = -delta * x * y + c * y * y + t * t
+        a2t = nt.real * nt.real + nt.imag * nt.imag
+        a2x = nx.real * nx.real + nx.imag * nx.imag
+        a2y = ny.real * ny.real + ny.imag * ny.imag
+        m2 = a2t
+        if a2x > m2:
+            m2 = a2x
+        if a2y > m2:
+            m2 = a2y
+        if m2 < _TINY2:
+            return t, x, y, False
+        if a2t == m2:
+            piv = nt
+        elif a2x == m2:
+            piv = nx
+        else:
+            piv = ny
+        t = nt / piv
+        x = nx / piv
+        y = ny / piv
+    return t, x, y, True
+
+
+@_jit
+def _dist2(t, x, y, t0, x0, y0, den0):
+    """Squared projective distance to the start as (numerator, denominator).
+
+    The numerator is |p x p0|^2, the denominator |p|^2 den0 with
+    den0 = |p0|^2; callers compare num < eps^2 den without dividing.
+    """
+    c1 = x * y0 - y * x0
+    c2 = y * t0 - t * y0
+    c3 = t * x0 - x * t0
+    num = (c1.real * c1.real + c1.imag * c1.imag
+           + c2.real * c2.real + c2.imag * c2.imag
+           + c3.real * c3.real + c3.imag * c3.imag)
+    return num, _norm2(t, x, y) * den0
+
+
+@_jit
+def _classify_cell(t, x, y, delta, c, n, candidates, eps2):
     """Classify one start point; returns (class, recurrence step or -1)."""
     m2 = max(t.real * t.real + t.imag * t.imag,
              x.real * x.real + x.imag * x.imag,
@@ -51,125 +124,42 @@ def _classify_cell_py(t, x, y, delta, c, n, candidates, eps2):
     if m2 < _TINY2:
         return CLASS_INDETERMINATE, -1
     t0, x0, y0 = t, x, y
-    den0 = (t0.real * t0.real + t0.imag * t0.imag
-            + x0.real * x0.real + x0.imag * x0.imag
-            + y0.real * y0.real + y0.imag * y0.imag)
+    den0 = _norm2(t0, x0, y0)
     h = 0
     for ci in range(candidates.shape[0]):
         target = candidates[ci]
         while h < target:
-            for _ in range(n):
-                if t == 0:
-                    nt = 0j
-                    nx = y
-                    ny = -delta * x + c * y
-                else:
-                    nt = t * y
-                    nx = y * y
-                    ny = -delta * x * y + c * y * y + t * t
-                a2t = nt.real * nt.real + nt.imag * nt.imag
-                a2x = nx.real * nx.real + nx.imag * nx.imag
-                a2y = ny.real * ny.real + ny.imag * ny.imag
-                m2 = a2t
-                if a2x > m2:
-                    m2 = a2x
-                if a2y > m2:
-                    m2 = a2y
-                if m2 < _TINY2:
-                    return CLASS_INDETERMINATE, h
-                if a2t == m2:
-                    piv = nt
-                elif a2x == m2:
-                    piv = nx
-                else:
-                    piv = ny
-                t = nt / piv
-                x = nx / piv
-                y = ny / piv
+            t, x, y, alive = _step(t, x, y, delta, c, n)
+            if not alive:
+                return CLASS_INDETERMINATE, h
             h += 1
-        c1 = x * y0 - y * x0
-        c2 = y * t0 - t * y0
-        c3 = t * x0 - x * t0
-        num = (c1.real * c1.real + c1.imag * c1.imag
-               + c2.real * c2.real + c2.imag * c2.imag
-               + c3.real * c3.real + c3.imag * c3.imag)
-        den = (t.real * t.real + t.imag * t.imag
-               + x.real * x.real + x.imag * x.imag
-               + y.real * y.real + y.imag * y.imag) * den0
+        num, den = _dist2(t, x, y, t0, x0, y0, den0)
         if num < eps2 * den:
             return CLASS_RECURRENT, target
     return CLASS_NONRECURRENT, -1
 
 
-def _h_distances_py(t, x, y, delta, c, n, nsteps, out):
+@_jit
+def _h_distances(t, x, y, delta, c, n, nsteps, out):
     """Projective distance to the start after each n-fold iterate."""
     t0, x0, y0 = t, x, y
-    den0 = (t0.real * t0.real + t0.imag * t0.imag
-            + x0.real * x0.real + x0.imag * x0.imag
-            + y0.real * y0.real + y0.imag * y0.imag)
+    den0 = _norm2(t0, x0, y0)
     for h in range(nsteps):
-        for _ in range(n):
-            if t == 0:
-                nt = 0j
-                nx = y
-                ny = -delta * x + c * y
-            else:
-                nt = t * y
-                nx = y * y
-                ny = -delta * x * y + c * y * y + t * t
-            a2t = nt.real * nt.real + nt.imag * nt.imag
-            a2x = nx.real * nx.real + nx.imag * nx.imag
-            a2y = ny.real * ny.real + ny.imag * ny.imag
-            m2 = a2t
-            if a2x > m2:
-                m2 = a2x
-            if a2y > m2:
-                m2 = a2y
-            if m2 < _TINY2:
-                out[h:] = -1.0
-                return
-            if a2t == m2:
-                piv = nt
-            elif a2x == m2:
-                piv = nx
-            else:
-                piv = ny
-            t = nt / piv
-            x = nx / piv
-            y = ny / piv
-        c1 = x * y0 - y * x0
-        c2 = y * t0 - t * y0
-        c3 = t * x0 - x * t0
-        num = (c1.real * c1.real + c1.imag * c1.imag
-               + c2.real * c2.real + c2.imag * c2.imag
-               + c3.real * c3.real + c3.imag * c3.imag)
-        den = (t.real * t.real + t.imag * t.imag
-               + x.real * x.real + x.imag * x.imag
-               + y.real * y.real + y.imag * y.imag) * den0
+        t, x, y, alive = _step(t, x, y, delta, c, n)
+        if not alive:
+            out[h:] = -1.0
+            return
+        num, den = _dist2(t, x, y, t0, x0, y0, den0)
         out[h] = np.sqrt(num / den)
 
 
-def _classify_block_py(T, X, Y, delta, c, n, candidates, eps2, classes, steps):
+@_jit
+def _classify_cells(T, X, Y, delta, c, n, candidates, eps2, classes, steps):
     for i in range(T.shape[0]):
-        cl, st = _classify_cell_py(T[i], X[i], Y[i], delta, c, n,
-                                   candidates, eps2)
+        cl, st = _classify_cell(T[i], X[i], Y[i], delta, c, n, candidates,
+                                eps2)
         classes[i] = cl
         steps[i] = st
-
-
-if HAVE_NUMBA:
-    _classify_cell_nb = _njit(cache=True, nogil=True)(_classify_cell_py)
-
-    @_njit(cache=True, nogil=True)
-    def _classify_block_nb(T, X, Y, delta, c, n, candidates, eps2,
-                           classes, steps):
-        for i in range(T.shape[0]):
-            cl, st = _classify_cell_nb(T[i], X[i], Y[i], delta, c, n,
-                                       candidates, eps2)
-            classes[i] = cl
-            steps[i] = st
-
-    _h_distances_nb = _njit(cache=True, nogil=True)(_h_distances_py)
 
 
 def classify_block_numba(T, X, Y, delta, c, n, candidates, eps):
@@ -178,9 +168,9 @@ def classify_block_numba(T, X, Y, delta, c, n, candidates, eps):
         raise RuntimeError("numba backend unavailable")
     classes = np.zeros(T.shape[0], dtype=np.uint8)
     steps = np.full(T.shape[0], -1, dtype=np.int64)
-    _classify_block_nb(T, X, Y, complex(delta), complex(c), np.int64(n),
-                       candidates.astype(np.int64), float(eps) ** 2,
-                       classes, steps)
+    _classify_cells(T, X, Y, complex(delta), complex(c), np.int64(n),
+                    candidates.astype(np.int64), float(eps) ** 2,
+                    classes, steps)
     return classes, steps
 
 
@@ -260,20 +250,15 @@ def h_orbit_distances(t, x, y, delta, c, n, nsteps):
     Entries are -1 from the first indeterminate hit onward.
     """
     out = np.zeros(int(nsteps), dtype=np.float64)
-    if HAVE_NUMBA:
-        _h_distances_nb(complex(t), complex(x), complex(y), complex(delta),
-                        complex(c), np.int64(n), np.int64(nsteps), out)
-    else:
-        _h_distances_py(complex(t), complex(x), complex(y), complex(delta),
-                        complex(c), int(n), int(nsteps), out)
+    _h_distances(complex(t), complex(x), complex(y), complex(delta),
+                 complex(c), np.int64(n), np.int64(nsteps), out)
     return out
 
 
 def classify_point(t, x, y, delta, c, n, candidates, eps):
     """Single-point classification through the same cell logic."""
-    cell = _classify_cell_nb if HAVE_NUMBA else _classify_cell_py
-    cl, st = cell(complex(t), complex(x), complex(y),
-                  complex(delta), complex(c), np.int64(n),
-                  np.asarray(candidates, dtype=np.int64),
-                  float(eps) ** 2)
+    cl, st = _classify_cell(complex(t), complex(x), complex(y),
+                            complex(delta), complex(c), np.int64(n),
+                            np.asarray(candidates, dtype=np.int64),
+                            float(eps) ** 2)
     return int(cl), int(st)

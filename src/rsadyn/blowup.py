@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 
 from mpmath import mpc, mpf, workprec
 
-from . import salem
+from . import family, salem
 from .errors import (ChartEscapeError, ConsistencyError,
                      IndeterminatePointError, NumericFailureError,
                      PatternViolationError, ValidationError)
-from .numeric import check_precision, mpc_to_json, proj_distance, tolerance_for
+from .numeric import (check_precision, mat2_mul, mat2_pow, mpc_to_json,
+                      proj_distance, tolerance_for)
 
 
 # ---------------------------------------------------------------------------
@@ -51,31 +52,13 @@ def landing_condition(n, m, delta, precision_bits=256):
         d = mpc(delta)
         m1 = ((mpc(1), mpc(0)), (mpc(1), d))
         m2 = ((mpc(1), mpc(0)), (mpc(1), -d))
-        cycle = _mat_pow(m1, n - 2)
-        cycle = _mat_mul(cycle, _mat_mul(m2, m2))
-        total = _mat_pow(cycle, m)
+        cycle = mat2_pow(m1, n - 2)
+        cycle = mat2_mul(cycle, mat2_mul(m2, m2))
+        total = mat2_pow(cycle, m)
         v = (total[0][0], total[1][0])          # total @ (1, 0)^T
         if max(abs(v[0]), abs(v[1])) < tolerance_for(precision_bits):
             raise NumericFailureError("landing vector collapsed to zero")
         return proj_distance(v, (d, mpc(1)))
-
-
-def _mat_mul(a, b):
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
-
-
-def _mat_pow(m, k):
-    out = ((mpc(1), mpc(0)), (mpc(0), mpc(1)))
-    base = m
-    while k:
-        if k & 1:
-            out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
-        k >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +163,10 @@ def fiber_orbit_check(params, points_per_fiber=10, seed=0):
     cycles close after n steps, the level-1 on-fiber composite being
     multiplication by 1/lambda; (b) the exceptional curve {y=0} enters the
     level-2 cycle at fiber coordinate 1 and lands after nm steps on the
-    inverse-exceptional point (delta, 0) on fiber n-1; (c) the contracted
-    curve's first image direction matches delta * x / t; (d) the final step
-    onto the inverse-exceptional line has a nonvanishing Jacobian (local
+    inverse-exceptional point (delta, 0) on fiber n-1; (c) the map's image
+    of the contracted curve enters the level-2 chart along direction
+    delta * x / t; (d) the fiber_map_level2 step onto the inverse-exceptional
+    line has Jacobian determinant 1/delta, nonvanishing (local
     diffeomorphism).
     """
     import random
@@ -250,29 +234,45 @@ def fiber_orbit_check(params, points_per_fiber=10, seed=0):
                 "exceptional chain missed the inverse-exceptional point "
                 "(residual %s)" % salem.mp_str(landing_res), step=n * m - 1)
 
-        # (c) contracted-line image direction: for [1 : x : y], y -> 0, the
-        # level-2 entry point satisfies (xi - 1)/x2 -> delta x
+        # (c) contracted-line image direction: map [1 : x : y], y -> 0, and
+        # read the image in the level-1 chart over fiber 0 ([s1 : s1 e1 : 1])
+        # and then the level-2 chart ((s1, e1) = (xi x2, x2)); the entry
+        # point satisfies (xi - 1)/x2 -> delta x
         y = mpf(2) ** (-(params.precision_bits // 3))
         worst3 = mpf(0)
         for x in (mpf("0.5"), mpf(1), mpf(2)):
-            xi = 1 / (1 - d * x * y + c * y * y)
-            direction = (xi - 1) / y
-            worst3 = max(worst3, abs(direction - d * x))
+            img = family.map_homogeneous(params,
+                                         family.ProjectivePoint(1, x, y))
+            t_img, x_img, y_img = img.coords()
+            s1, e1 = t_img / y_img, x_img / t_img
+            xi, x2 = s1 / e1, e1
+            worst3 = max(worst3, abs((xi - 1) / x2 - d * x))
         report["entry_direction_residual"] = worst3
         if worst3 > mpf(2) ** (-(params.precision_bits // 4)):
             raise PatternViolationError("contracted-line entry direction "
                                         "mismatch")
 
-        # (d) last step to the inverse-exceptional line: in coordinates
-        # (u, v) = (1 - delta/xi + c x2^2, x2) around (delta, 0) the Jacobian
-        # determinant is 1/delta != 0
+        # (d) last step to the inverse-exceptional line: fiber_map_level2 on
+        # fiber n-1 read in (u, v) = (1/xi', x2') is smooth through (delta, 0)
+        # with Jacobian determinant 1/delta != 0; central difference
+        # quotients straddle the indeterminate point itself
         h = mpf(2) ** (-(params.precision_bits // 3))
-        du_dxi = (1 - d / (d + h)) / h      # u(delta, 0) = 0
-        jac = du_dxi                        # dv/dx2 = 1, off-diagonal vanishes
+
+        def last_step(xi, x2):
+            pt = fiber_map_level2(params, FiberChartPoint(
+                level=2, s=n - 1, coords=(xi, x2)))
+            return 1 / pt.coords[0], pt.coords[1]
+
+        (u_p, v_p), (u_m, v_m) = last_step(d + h, 0), last_step(d - h, 0)
+        (u_q, v_q), (u_r, v_r) = last_step(d + h, h), last_step(d + h, -h)
+        jac = ((u_p - u_m) * (v_q - v_r) - (u_q - u_r) * (v_p - v_m)) \
+            / (4 * h * h)
         report["last_step_jacobian"] = abs(jac)
-        report["last_step_jacobian_residual"] = abs(du_dxi - 1 / d)
+        report["last_step_jacobian_residual"] = abs(jac - 1 / d)
         if abs(jac) < check_tol:
             raise PatternViolationError("final step is not a local diffeomorphism")
+        if report["last_step_jacobian_residual"] > check_tol:
+            raise PatternViolationError("final step Jacobian is not 1/delta")
 
         return report
 
@@ -419,8 +419,8 @@ def cycle_moebius_invariants(params):
         m_minus = ((mpc(1), mpc(0)), (mpc(1), -d))   # xi -> xi/(xi - delta)
         m_plus = ((mpc(1), mpc(0)), (mpc(1), d))     # xi -> xi/(xi + delta)
         comp = m_minus                                # step s = 0
-        comp = _mat_mul(_mat_pow(m_plus, n - 2), comp)
-        comp = _mat_mul(m_minus, comp)                # step s = n-1
+        comp = mat2_mul(mat2_pow(m_plus, n - 2), comp)
+        comp = mat2_mul(m_minus, comp)                # step s = n-1
         tr = comp[0][0] + comp[1][1]
         det = comp[0][0] * comp[1][1] - comp[0][1] * comp[1][0]
         invariant = tr * tr / det

@@ -151,7 +151,8 @@ def cmd_verify(args):
             checks["fiber_orbit"] = {"pass": False, "error": str(exc)}
 
         chi = salem.salem_polynomial(args.n, args.m)
-        char = picard.charpoly(picard.t_action_matrix(args.n, args.m))
+        char = picard.berkowitz_charpoly(
+            picard.t_action_matrix(args.n, args.m))
         checks["charpoly_equal"] = (char == chi)
 
         fps = family.fixed_points(params)

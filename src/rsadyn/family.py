@@ -24,7 +24,7 @@ from . import salem
 from .errors import (ConsistencyError, DegenerateParameterError,
                      DivisionDegeneracyError, ExceptionalLocusError,
                      IndeterminatePointError, ValidationError)
-from .numeric import (check_precision, mpc_from_json, mpc_to_json,
+from .numeric import (check_precision, mat2_mul, mpc_from_json, mpc_to_json,
                       proj_distance, proj_normalize, tolerance_for)
 
 
@@ -254,7 +254,7 @@ def line_orbit(params):
         mat = ((mpc(0), -d), (mpc(1), c))
         power = ((mpc(1), mpc(0)), (mpc(0), mpc(1)))
         for _ in range(params.n):
-            power = _mat2_mul(power, mat)
+            power = mat2_mul(power, mat)
         off = max(abs(power[0][1]), abs(power[1][0]))
         diag_gap = abs(power[0][0] - power[1][1])
         nu = power[0][0]
@@ -280,13 +280,6 @@ def line_orbit(params):
             raise ConsistencyError(
                 "M^n is not a scalar matrix (off-diagonal %s)" % salem.mp_str(off))
         return params.orbit, report
-
-
-def _mat2_mul(a, b):
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
 
 
 def orbit_identities(params):

@@ -31,12 +31,6 @@ def dps_for(bits):
     return int(bits / 3.3219280948873626) + 5
 
 
-def to_mpc(x):
-    if isinstance(x, mpc):
-        return x
-    return mpc(x)
-
-
 def mpc_to_json(z, bits):
     """Serialize one complex value to {re, im} decimal strings."""
     d = dps_for(bits)
@@ -88,6 +82,26 @@ def proj_distance(p, q):
     nq2 = sum(abs(c) ** 2 for c in q)
     from mpmath import sqrt
     return sqrt(cross_sq / (np2 * nq2))
+
+
+def mat2_mul(a, b):
+    """Product of two 2x2 matrices given as nested row tuples."""
+    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
+             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
+             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
+
+
+def mat2_pow(m, k):
+    """m^k for k >= 0 by binary powering (mpc identity for k = 0)."""
+    out = ((mpc(1), mpc(0)), (mpc(0), mpc(1)))
+    base = m
+    while k:
+        if k & 1:
+            out = mat2_mul(out, base)
+        base = mat2_mul(base, base)
+        k >>= 1
+    return out
 
 
 def totient(k):

@@ -295,11 +295,6 @@ def pic_data(n, m):
     )
 
 
-def charpoly(matrix):
-    """Exact characteristic polynomial det(tI - M) of an integer matrix."""
-    return berkowitz_charpoly(matrix)
-
-
 def entropy(n, m, precision_bits=256):
     """log of the certified Salem root of the (n, m) family polynomial."""
     precision_bits = check_precision(precision_bits)
@@ -443,7 +438,6 @@ def quadratic_growth_fixture():
     if core.degree() != 0:
         raise FixtureMismatchError("an eigenvalue leaves the unit circle "
                                    "(non-cyclotomic factor %r)" % core)
-    spectral_radius = 1.0
 
     # gate 2: a size-3 Jordan block at eigenvalue 1, exactly
     ki = [[Fraction(x) for x in row] for row in k]
@@ -482,7 +476,6 @@ def quadratic_growth_fixture():
         "pushforward": k,
         "charpoly": char.to_json(),
         "cyclotomic_factors": cyc_factors,
-        "spectral_radius": spectral_radius,
         "jordan_ranks": ranks,
         "jordan_blocks_ge3": blocks_ge3,
         "growth_slope": slope,

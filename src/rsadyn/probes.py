@@ -17,109 +17,87 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice, takewhile
 
 import numpy as np
-from mpmath import arg, floor, mp, mpc, mpf, pi, workprec
+from mpmath import arg, floor, mpc, mpf, pi, workprec
 
 from . import _kernels, family
 from .errors import (ExceptionalLocusError, IndeterminatePointError,
                      NumericFailureError, ValidationError)
-from .numeric import as_complex, check_precision, proj_distance
+from .numeric import (as_complex, check_precision, proj_distance,
+                      proj_normalize)
 
 
 # ---------------------------------------------------------------------------
 # candidate return times
 # ---------------------------------------------------------------------------
 
-def _angle_fraction(lam, precision_bits):
+_MAX_CANDIDATES = 64   # candidate_times returns at most this many
+
+
+def _denominators(lam, precision_bits):
+    """Continued-fraction convergent denominators of arg(lam)/2pi, ascending.
+
+    These are the candidate near-identity return times: |lam^q - 1| tends to
+    0 along them. The generator stops where the angle is rational to working
+    precision (a root of unity, or precision_bits too low): a remainder below
+    2^(-3 bits/4) or a partial quotient above 2^(bits/2). mpmath work runs
+    under workprec between yields only, so consumers see their own context.
+    """
     with workprec(precision_bits):
         theta = arg(mpc(lam)) / (2 * pi)
-        theta = theta - floor(theta)
-        return theta
+        x = theta - floor(theta)
+        cutoff = mpf(2) ** (-(precision_bits * 3 // 4))
+        digit_cap = mpf(2) ** (precision_bits // 2)
+        if 1 - x < cutoff:      # just below a full turn: rational as well
+            return
+    q_prev, q_cur = 0, 1            # denominators k_{-1}, k_0
+    while True:
+        with workprec(precision_bits):
+            if x < cutoff:
+                return
+            a = int(floor(1 / x))
+            if a > digit_cap:
+                return
+            x = 1 / x - a
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        yield q_cur
 
 
 def return_times(lam, count, precision_bits=256):
-    """Continued-fraction convergent denominators of arg(lam)/2pi.
+    """The first `count` continued-fraction return times of lam.
 
-    These are the candidate near-identity return times: |lam^q - 1| tends to
-    0 along them. A rational angle (root of unity) violates the
-    precondition and raises ValidationError; running out of precision
-    before `count` denominators raises NumericFailureError.
+    A rational angle (root of unity), or precision too low for `count`
+    denominators, violates the precondition and raises ValidationError.
     """
     precision_bits = check_precision(precision_bits)
     if count < 1:
         raise ValidationError("count must be positive")
-    with workprec(precision_bits):
-        theta = _angle_fraction(lam, precision_bits)
-        cutoff = mpf(2) ** (-(precision_bits * 3 // 4))
-        digit_cap = mpf(2) ** (precision_bits // 2)
-        if theta < cutoff or 1 - theta < cutoff:
-            raise ValidationError("rational angle detected: multiplier is a "
-                                  "root of unity")
-        out = []
-        q_prev, q_cur = 0, 1            # denominators k_{-1}, k_0
-        x = theta
-        while len(out) < count:
-            # a vanishing remainder or an absurdly large partial quotient
-            # means the angle is rational to working precision: a root of
-            # unity, or precision_bits too low for this many candidates
-            if x < cutoff:
-                raise ValidationError(
-                    "angle is rational to working precision (root of "
-                    "unity), or precision_bits too low")
-            a = int(floor(1 / x))
-            if a > digit_cap:
-                raise ValidationError(
-                    "angle is rational to working precision (root of "
-                    "unity), or precision_bits too low")
-            x = 1 / x - a
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            if not out or q_cur > out[-1]:
-                out.append(q_cur)
-        return out[:count]
+    out = list(islice(_denominators(lam, precision_bits), count))
+    if len(out) < count:
+        raise ValidationError("angle is rational to working precision (root "
+                              "of unity), or precision_bits too low")
+    return out
 
 
-def candidate_times(lam, budget, precision_bits=256, max_count=64):
-    """All return-time candidates <= budget (ascending, deduplicated)."""
+def candidate_times(lam, budget, precision_bits=256):
+    """All return-time candidates <= budget (ascending, at most 64)."""
     if budget < 1:
         raise ValidationError("budget must be >= 1")
-    with workprec(precision_bits):
-        theta = _angle_fraction(lam, precision_bits)
-        cutoff = mpf(2) ** (-(precision_bits * 3 // 4))
-        out = []
-        q_prev, q_cur = 0, 1
-        x = theta
-        for _ in range(max_count):
-            if x < cutoff:
-                break
-            a = int(floor(1 / x))
-            x = 1 / x - a
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            if q_cur > budget:
-                break
-            if not out or q_cur > out[-1]:
-                out.append(q_cur)
-        if not out:
-            raise ValidationError("no return-time candidate within budget %r"
-                                  % (budget,))
-        return out
+    out = list(takewhile(lambda q: q <= budget,
+                         islice(_denominators(lam, precision_bits),
+                                _MAX_CANDIDATES)))
+    if not out:
+        raise ValidationError("no return-time candidate within budget %r"
+                              % (budget,))
+    return out
 
 
 def default_budget(lam, precision_bits=256, at_least=10 ** 4):
     """First return-time candidate >= at_least (the default raster budget)."""
-    with workprec(precision_bits):
-        theta = _angle_fraction(lam, precision_bits)
-        q_prev, q_cur = 0, 1
-        x = theta
-        for _ in range(256):
-            a = int(floor(1 / x))
-            x = 1 / x - a
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            if q_cur >= at_least:
-                return q_cur
-            if x == 0:
-                break
-        return at_least
+    return next((q for q in _denominators(lam, precision_bits)
+                 if q >= at_least), at_least)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +303,11 @@ def _advance_state(params, state, centers, guard):
             # invariant-line linear action (nonsingular through both
             # coordinate vertices)
             nx, ny = y, -d * x + c * y
-            return ("homog", _safe_norm((mpc(0), nx, ny)))
+            return ("homog", proj_normalize((mpc(0), nx, ny)))
         nt, nx, ny = t * y, y * y, -d * x * y + c * y * y + t * t
         if max(abs(nt), abs(nx), abs(ny)) == 0:
             return None
-        return ("homog", _safe_norm((nt, nx, ny)))
+        return ("homog", proj_normalize((nt, nx, ny)))
 
     if state[0] == "fiber1":
         _, s, (xi, t1) = state
@@ -346,7 +324,7 @@ def _advance_state(params, state, centers, guard):
         if abs(nt1) > 4 * guard:
             # left the fiber neighborhood along the line direction
             emb = _embed_homog(("fiber1", s2, (nxi, nt1)), params)
-            return ("homog", _safe_norm(emb))
+            return ("homog", proj_normalize(emb))
         return ("fiber1", s2, (nxi, nt1))
 
     _, s, (xi2, x2) = state
@@ -361,13 +339,6 @@ def _advance_state(params, state, centers, guard):
         # leave the level-2 chart back through level 1
         return ("fiber1", pt.s, (1 / nx2, nxi2 * nx2 * nx2))
     return ("fiber2", pt.s, (nxi2, nx2))
-
-
-def _safe_norm(coords):
-    mags = [abs(cc) for cc in coords]
-    best = max(range(3), key=lambda i: (mags[i], -i))
-    piv = coords[best]
-    return tuple(cc / piv for cc in coords)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +611,7 @@ def classify_point_mp(params, point, candidates, eps, precision_bits=None):
         t, x, y = (mpc(v) for v in point)
         d, c = mpc(params.delta), mpc(params.c)
         n = params.n
-        start = _safe_norm((t, x, y))
+        start = proj_normalize((t, x, y))
         t, x, y = start
         h = 0
         for target in candidates:
@@ -652,7 +623,7 @@ def classify_point_mp(params, point, candidates, eps, precision_bits=None):
                         nt, nx, ny = t * y, y * y, -d * x * y + c * y * y + t * t
                     if max(abs(nt), abs(nx), abs(ny)) < mpf(10) ** -60:
                         return _kernels.CLASS_INDETERMINATE, h
-                    t, x, y = _safe_norm((nt, nx, ny))
+                    t, x, y = proj_normalize((nt, nx, ny))
                 h += 1
             if proj_distance((t, x, y), start) < eps:
                 return _kernels.CLASS_RECURRENT, target

@@ -121,14 +121,6 @@ class BivariateSeries:
                                                          len(self.coeffs))
 
 
-def series_add(f, g):
-    return f + g
-
-
-def series_mul(f, g):
-    return f * g
-
-
 def inverse_unit(f):
     """1/f for a series with nonzero constant term, via geometric expansion.
 

@@ -7,7 +7,8 @@ from mpmath import log, mp, mpf, workprec
 
 from rsadyn import salem_polynomial
 from rsadyn.errors import ValidationError
-from rsadyn.picard import (bareiss_det, berkowitz_charpoly, charpoly, entropy,
+from rsadyn.numeric import totient
+from rsadyn.picard import (bareiss_det, berkowitz_charpoly, entropy,
                            faddeev_leverrier_charpoly, intersection_matrix_S,
                            is_negative_definite, leading_principal_minors,
                            pic_data, quadratic_growth_fixture, t_action_matrix)
@@ -96,7 +97,7 @@ def test_t_action_entries_and_closing_column(n, m):
 
 
 def test_charpoly_identity_41():
-    assert charpoly(t_action_matrix(4, 1)) == salem_polynomial(4, 1)
+    assert berkowitz_charpoly(t_action_matrix(4, 1)) == salem_polynomial(4, 1)
     # independent oracle on the same instance
     assert faddeev_leverrier_charpoly(t_action_matrix(4, 1)) \
         == salem_polynomial(4, 1)
@@ -170,7 +171,7 @@ def test_spectral_radius_matches_certified_root():
     # the certified value pins the spectral radius far below 1e-20
     from rsadyn import find_roots, salem_certificate
     for (n, m) in [(4, 1), (5, 2)]:
-        char = charpoly(t_action_matrix(n, m))
+        char = berkowitz_charpoly(t_action_matrix(n, m))
         roots = find_roots(char, 256)
         cert = salem_certificate(salem_polynomial(n, m), 256)
         with workprec(256):
@@ -190,10 +191,10 @@ def fixture_report():
 
 
 def test_fixture_spectrum_on_unit_circle(fixture_report):
-    assert fixture_report["spectral_radius"] == 1.0
-    # the characteristic polynomial is a pure product of cyclotomics
-    assert sum(mult * (1 if d == 1 else d // 2 if d == 2 else 2)
-               for d, mult in fixture_report["cyclotomic_factors"]) > 0
+    # Kronecker: every eigenvalue has modulus 1 iff the characteristic
+    # polynomial of the 11x11 push-forward is all cyclotomic factors
+    assert sum(totient(d) * mult
+               for d, mult in fixture_report["cyclotomic_factors"]) == 11
 
 
 def test_fixture_jordan_block(fixture_report):

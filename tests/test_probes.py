@@ -7,8 +7,9 @@ from mpmath import exp, mp, mpc, mpf, pi, sqrt, workprec
 from rsadyn import fixed_points
 from rsadyn.errors import ValidationError
 from rsadyn.probes import (birkhoff_linearize, candidate_times,
-                           classify_point_mp, iterate, near_identity_returns,
-                           return_times, siegel_raster, slice_radius)
+                           classify_point_mp, default_budget, iterate,
+                           near_identity_returns, return_times, siegel_raster,
+                           slice_radius)
 from rsadyn import _kernels
 
 
@@ -56,6 +57,40 @@ def test_candidate_times_bounded(params411):
     cands = candidate_times(params411.lam, 512)
     assert cands == sorted(set(cands))
     assert all(q <= 512 for q in cands)
+
+
+# the first 20 return times of the golden-mean rotation and of three family
+# members, pinned so that any move in the continued-fraction routine shows
+PINNED_RETURN_TIMES = {
+    "golden": [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987,
+               1597, 2584, 4181, 6765, 10946],
+    "params411": [4, 9, 22, 31, 5013, 180499, 366011, 546510, 5284601,
+                  5831111, 11115712, 239261063, 250376775, 489637838,
+                  740014613, 3449696290, 4189710903, 24398250805,
+                  77384463318, 333936104077],
+    "params511": [4, 5, 24, 125, 1274, 1399, 2673, 6745, 9418, 44417,
+                  1475179, 13321028, 14796207, 28117235, 99147912,
+                  127265147, 353678206, 834621559, 3692164442, 4526786001],
+    "params721": [5, 6, 11, 226, 915, 1141, 2056, 7309, 9365, 26039, 139560,
+                  165599, 305159, 1386235, 4463864, 28169419, 32633283,
+                  60802702, 93435985, 154238687],
+}
+
+
+@pytest.mark.parametrize("member", sorted(PINNED_RETURN_TIMES))
+def test_continued_fraction_consumers_agree(member, request):
+    if member == "golden":
+        with workprec(256):
+            lam = exp(2j * pi * (sqrt(5) - 1) / 2)
+    else:
+        lam = request.getfixturevalue(member).lam
+    qs = return_times(lam, 20)
+    assert qs == PINNED_RETURN_TIMES[member]
+    for budget in (8, 128, 2048, 10 ** 4):
+        assert candidate_times(lam, budget) == [q for q in qs if q <= budget]
+    for at_least in (1, 100, 2048, 10 ** 4):
+        assert default_budget(lam, at_least=at_least) == \
+            next(q for q in qs if q >= at_least)
 
 
 # -- near-identity returns -----------------------------------------------------
