@@ -10,13 +10,16 @@ import math
 
 from mpmath import mp, mpc, mpf, workprec
 
+from .errors import ValidationError
+
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
 
 
 def check_precision(bits):
     if bits < MIN_PRECISION:
-        raise ValueError("precision_bits must be >= %d, got %r" % (MIN_PRECISION, bits))
+        raise ValidationError("precision_bits must be >= %d, got %r"
+                              % (MIN_PRECISION, bits))
     return int(bits)
 
 

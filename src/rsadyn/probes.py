@@ -562,8 +562,12 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
     non-recurrent-within-budget -- an honest budgeted statement, no escape
     claim. Deterministic: same window, resolution, budget and eps give
     byte-identical rasters for any thread count (cells are independent pure
-    functions).
+    functions). eps must be positive and finite: only eps^2 reaches the
+    kernels, so a negative eps would silently act as |eps|.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError("eps must be positive and finite, got %r"
+                              % (eps,))
     if budget is None:
         budget = default_budget(params.lam, params.precision_bits)
     cands = np.array(candidate_times(params.lam, budget,

@@ -1,18 +1,24 @@
 """Truncated bivariate series, resonance bookkeeping, and linearization.
 
 Series are dicts (i, j) -> coefficient over arbitrary-precision complex
-numbers, truncated at a total degree; absent keys are zero. The return maps
-of the automorphism at its distinguished fixed points are built by
-composing the explicit fiber-chart maps with geometric-series expansion of
-every denominator; the conjugacy to the diagonal linear part is solved
-order by order, dividing each coefficient by eta1^i eta2^j - eta_k and
-treating exactly-resonant monomials by the vanishing-forcing/obstruction
+numbers, truncated at a total degree; absent keys are zero. Addition and
+multiplication walk the coefficient dicts in insertion order, skipping any
+pair whose total degree passes the truncation; only `to_json` sorts, so the
+report key order is by degree. 1/f of a unit is one pass of the coefficient
+recurrence g_k = -(1/f_0) sum_{0<a<=k} f_a g_(k-a) in degree order. The
+products H1^i H2^j are formed in one place, `_power_products`, which both
+composition and the linearization solver read.
+
+The return maps of the automorphism at its distinguished fixed points are
+built by composing the explicit fiber-chart maps, every denominator
+inverted as a unit series; the conjugacy to the diagonal linear part is
+solved order by order, dividing each coefficient by eta1^i eta2^j - eta_k
+and treating exactly-resonant monomials by the vanishing-forcing/obstruction
 dichotomy.
 """
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -36,10 +42,6 @@ class BivariateSeries:
                     self.coeffs[(i, j)] = mpc(v)
 
     @classmethod
-    def zero(cls, trunc):
-        return cls(trunc)
-
-    @classmethod
     def constant(cls, trunc, value):
         return cls(trunc, {(0, 0): mpc(value)})
 
@@ -51,10 +53,6 @@ class BivariateSeries:
     def __getitem__(self, key):
         return self.coeffs.get(key, mpc(0))
 
-    def items_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1],
-                                                           kv[0]))
-
     def copy(self):
         out = BivariateSeries(self.trunc)
         out.coeffs = dict(self.coeffs)
@@ -64,13 +62,12 @@ class BivariateSeries:
         if not isinstance(other, BivariateSeries):
             other = BivariateSeries.constant(self.trunc, other)
         out = BivariateSeries(min(self.trunc, other.trunc))
-        keys = set(self.coeffs) | set(other.coeffs)
-        for k in sorted(keys):
-            if k[0] + k[1] > out.trunc:
-                continue
-            v = self[k] + other[k]
-            if v != 0:
-                out.coeffs[k] = v
+        acc = {k: v for k, v in self.coeffs.items()
+               if k[0] + k[1] <= out.trunc}
+        for k, v in other.coeffs.items():
+            if k[0] + k[1] <= out.trunc:
+                acc[k] = acc[k] + v if k in acc else v
+        out.coeffs = {k: v for k, v in acc.items() if v != 0}
         return out
 
     def __neg__(self):
@@ -89,16 +86,16 @@ class BivariateSeries:
             return out
         out = BivariateSeries(min(self.trunc, other.trunc))
         acc = {}
-        for (i1, j1), v1 in self.items_sorted():
-            if i1 + j1 > out.trunc:
+        for (i1, j1), v1 in self.coeffs.items():
+            room = out.trunc - i1 - j1
+            if room < 0:
                 continue
-            for (i2, j2), v2 in other.items_sorted():
-                i, j = i1 + i2, j1 + j2
-                if i + j > out.trunc:
+            for (i2, j2), v2 in other.coeffs.items():
+                if i2 + j2 > room:
                     continue
-                key = (i, j)
-                acc[key] = acc.get(key, mpc(0)) + v1 * v2
-        out.coeffs = {k: v for k, v in sorted(acc.items()) if v != 0}
+                key = (i1 + i2, j1 + j2)
+                acc[key] = acc[key] + v1 * v2 if key in acc else v1 * v2
+        out.coeffs = {k: v for k, v in acc.items() if v != 0}
         return out
 
     __rmul__ = __mul__
@@ -106,15 +103,9 @@ class BivariateSeries:
     def max_abs(self):
         return max((abs(v) for v in self.coeffs.values()), default=mpf(0))
 
-    def drop_below(self, floor):
-        """Remove coefficients with |c| < floor (analytic-zero cleanup)."""
-        out = BivariateSeries(self.trunc)
-        out.coeffs = {k: v for k, v in self.coeffs.items() if abs(v) >= floor}
-        return out
-
     def to_json(self, bits):
-        return {"%d,%d" % k: mpc_to_json(v, bits)
-                for k, v in self.items_sorted()}
+        keys = sorted(self.coeffs, key=lambda k: (k[0] + k[1], k))
+        return {"%d,%d" % k: mpc_to_json(self.coeffs[k], bits) for k in keys}
 
     def __repr__(self):
         return "BivariateSeries(trunc=%d, nterms=%d)" % (self.trunc,
@@ -122,27 +113,49 @@ class BivariateSeries:
 
 
 def inverse_unit(f):
-    """1/f for a series with nonzero constant term, via geometric expansion.
+    """1/f for a series with nonzero constant term, by one recurrence pass.
 
-    1/(c(1 + u)) = (1/c) sum (-u)^k truncated at the series degree; purely
-    formal, no convergence claim.
+    With g = 1/f, the coefficient of x^i y^j in f g vanishes for i + j > 0,
+    so g_(0,0) = 1/f_(0,0) and, in degree order,
+    g_(i,j) = -(1/f_(0,0)) sum over (a, b) != (0, 0) of f_(a,b) g_(i-a,j-b).
+    Purely formal, no convergence claim.
     """
     c = f[(0, 0)]
     if c == 0:
         raise CompositionDomainError("cannot invert a series with zero "
                                      "constant term")
-    u = (f * (1 / c))
-    u.coeffs.pop((0, 0), None)
-    out = BivariateSeries.constant(f.trunc, 1)
-    term = BivariateSeries.constant(f.trunc, 1)
-    sign = -1
-    for _ in range(f.trunc):
-        term = term * u
-        if not term.coeffs:
-            break
-        out = out + term * mpc(sign)
-        sign = -sign
-    return out * (1 / c)
+    inv_c = 1 / c
+    rest = [(k, v) for k, v in f.coeffs.items() if k != (0, 0)]
+    g = {(0, 0): inv_c}
+    for deg in range(1, f.trunc + 1):
+        for i in range(deg + 1):
+            j = deg - i
+            total = 0
+            for (a, b), v in rest:
+                gk = g.get((i - a, j - b))
+                if gk is not None:
+                    total += v * gk
+            if total != 0:
+                g[(i, j)] = -inv_c * total
+    out = BivariateSeries(f.trunc)
+    out.coeffs = g
+    return out
+
+
+def _power_products(g1, g2, keys, trunc):
+    """{(i, j): g1^i g2^j} for the requested keys of total degree <= trunc.
+
+    The powers of each factor are built once, only as high as the keys
+    need; every series product H1^i H2^j in this module comes from here.
+    """
+    keys = [k for k in keys if k[0] + k[1] <= trunc]
+    pow1 = [BivariateSeries.constant(trunc, 1)]
+    pow2 = [BivariateSeries.constant(trunc, 1)]
+    for _ in range(max((i for i, _ in keys), default=0)):
+        pow1.append(pow1[-1] * g1)
+    for _ in range(max((j for _, j in keys), default=0)):
+        pow2.append(pow2[-1] * g2)
+    return {(i, j): pow1[i] * pow2[j] for i, j in keys}
 
 
 def series_compose(f, g_pair):
@@ -153,16 +166,9 @@ def series_compose(f, g_pair):
             raise CompositionDomainError(
                 "composition target has nonzero constant term")
     trunc = min(f.trunc, g1.trunc, g2.trunc)
-    pow1 = [BivariateSeries.constant(trunc, 1)]
-    pow2 = [BivariateSeries.constant(trunc, 1)]
-    for _ in range(trunc):
-        pow1.append(pow1[-1] * g1)
-        pow2.append(pow2[-1] * g2)
     out = BivariateSeries(trunc)
-    for (i, j), v in f.items_sorted():
-        if i + j > trunc:
-            continue
-        out = out + (pow1[i] * pow2[j]) * v
+    for key, mono in _power_products(g1, g2, f.coeffs, trunc).items():
+        out = out + mono * f.coeffs[key]
     return out
 
 
@@ -197,18 +203,11 @@ class ResonanceClass:
 
         With (a, b) primitive and the etas otherwise independent, the
         relation group is generated by (a, b); so the divisor vanishes
-        exactly when (i, j) - e_k is a positive multiple of (a, b).
+        exactly when (i, j) - e_k is a positive multiple of (a, b), which
+        for coprime a, b is a positive point on the line di b = dj a.
         """
-        if k == 1:
-            di, dj = i - 1, j
-        else:
-            di, dj = i, j - 1
-        if di < 0 or dj < 0:
-            return False
-        if di * self.b != dj * self.a:
-            return False
-        mult = di // self.a if self.a else dj // self.b
-        return mult >= 1 and (di, dj) == (mult * self.a, mult * self.b)
+        di, dj = (i - 1, j) if k == 1 else (i, j - 1)
+        return di >= 0 and dj > 0 and di * self.b == dj * self.a
 
 
 MONOMIAL_MAIN = "main"            # strictly above the resonant line
@@ -221,28 +220,22 @@ def classify_monomial(i, j, rc, k=1):
     """Place the monomial x^i y^j relative to the coordinate-k regions.
 
     For k = 1 (ratio r = a/b): main region i > r j + 1 strictly; upper
-    region i >= r (j - 1); resonant line i = r j + 1 with j >= 1. For k = 2
-    the roles of the exponents and of a, b swap.
+    region i >= r (j - 1); resonant line i = r j + 1 with j >= 1, which is
+    `rc.resonant_for`. For k = 2 the roles of the exponents and of a, b
+    swap.
     """
     if i < 0 or j < 0:
         raise ValidationError("exponents must be nonnegative")
-    if k == 1:
-        r = Fraction(rc.a, rc.b)
-        main = Fraction(i) > r * j + 1
-        upper = Fraction(i) >= r * (j - 1)
-        resonant = (Fraction(i) == r * j + 1) and j >= 1
-    elif k == 2:
-        r = Fraction(rc.b, rc.a)
-        main = Fraction(j) > r * i + 1
-        upper = Fraction(j) >= r * (i - 1)
-        resonant = (Fraction(j) == r * i + 1) and i >= 1
-    else:
+    if k not in (1, 2):
         raise ValidationError("k must be 1 or 2")
-    if resonant:
+    if rc.resonant_for(i, j, k):
         return MONOMIAL_RESONANT
-    if main:
+    a, b = rc.a, rc.b
+    if k == 2:
+        i, j, a, b = j, i, b, a
+    if (i - 1) * b > a * j:
         return MONOMIAL_MAIN
-    if upper:
+    if i * b >= a * (j - 1):
         return MONOMIAL_UPPER
     return MONOMIAL_OUTSIDE
 
@@ -253,30 +246,37 @@ def closure_property_check(rc, k=1, samples=200, seed=0, degree_cap=18):
     Checks on random monomials: products of p main-region elements satisfy
     the bound shifted by p; products of p upper-region elements satisfy the
     bound relaxed by p; and the binomial memberships of mixed powers
-    (x + main)^(j1) (y + upper)^(j2). Raises PropertyViolationError with a
-    witness on any failure.
+    (x + main)^(j1) (y + upper)^(j2). Region membership is read from
+    `classify_monomial`; only the p-shifted bounds are written out here.
+    Raises PropertyViolationError with a witness on any failure.
     """
     import random
     rng = random.Random(seed)
     if k != 1:
         raise ValidationError("closure check implemented on coordinate 1; "
                               "coordinate 2 is the mirror image")
-    r = Fraction(rc.a, rc.b)
+    a, b = rc.a, rc.b
+
+    def is_main(i, j):
+        return classify_monomial(i, j, rc, 1) == MONOMIAL_MAIN
+
+    def is_upper(i, j):
+        return classify_monomial(i, j, rc, 1) != MONOMIAL_OUTSIDE
 
     def sample_main():
         while True:
             j = rng.randrange(0, degree_cap)
-            lo = r * j + 1
-            i = rng.randrange(int(lo) + 1, int(lo) + 6)
-            if Fraction(i) > lo:
+            lo = a * j // b + 1                 # floor(r j + 1)
+            i = rng.randrange(lo + 1, lo + 6)
+            if is_main(i, j):
                 return (i, j)
 
     def sample_upper():
         while True:
             j = rng.randrange(0, degree_cap)
-            lo = r * (j - 1)
-            i = rng.randrange(max(0, math.ceil(lo)), max(1, math.ceil(lo)) + 6)
-            if Fraction(i) >= lo:
+            lo = -(-a * (j - 1) // b)           # ceil(r (j - 1))
+            i = rng.randrange(max(0, lo), max(1, lo) + 6)
+            if is_upper(i, j):
                 return (i, j)
 
     checked = {"main_power": 0, "upper_power": 0, "mixed_main": 0,
@@ -287,7 +287,7 @@ def closure_property_check(rc, k=1, samples=200, seed=0, degree_cap=18):
         for _ in range(p):
             mi, mj = sample_main()
             acc = (acc[0] + mi, acc[1] + mj)
-        if not Fraction(acc[0]) > r * acc[1] + p:
+        if not acc[0] * b > a * acc[1] + p * b:       # i > r j + p
             raise PropertyViolationError("main-region power bound failed",
                                          witness=(acc, p))
         checked["main_power"] += 1
@@ -296,7 +296,7 @@ def closure_property_check(rc, k=1, samples=200, seed=0, degree_cap=18):
         for _ in range(p):
             ui, uj = sample_upper()
             acc = (acc[0] + ui, acc[1] + uj)
-        if not Fraction(acc[0]) >= r * (acc[1] - p):
+        if not acc[0] * b >= a * (acc[1] - p):        # i >= r (j - p)
             raise PropertyViolationError("upper-region power bound failed",
                                          witness=(acc, p))
         checked["upper_power"] += 1
@@ -306,8 +306,8 @@ def closure_property_check(rc, k=1, samples=200, seed=0, degree_cap=18):
         j2 = rng.randrange(0, 7)
         s = sample_main()
         u = sample_upper()
-        in_main = Fraction(j1) > r * j2 + 1
-        in_upper = Fraction(j1) >= r * (j2 - 1)
+        in_main = is_main(j1, j2)
+        in_upper = is_upper(j1, j2)
         for alpha in range(j1 + 1):
             beta = j1 - alpha
             for gamma in range(j2 + 1):
@@ -315,13 +315,13 @@ def closure_property_check(rc, k=1, samples=200, seed=0, degree_cap=18):
                 i = alpha + beta * s[0] + delta * u[0]
                 j = gamma + beta * s[1] + delta * u[1]
                 if in_main:
-                    if not Fraction(i) > r * j + 1:
+                    if not is_main(i, j):
                         raise PropertyViolationError(
                             "mixed binomial left the main region",
                             witness=(j1, j2, s, u, (i, j)))
                     checked["mixed_main"] += 1
                 if in_upper:
-                    if not Fraction(i) >= r * (j - 1):
+                    if not is_upper(i, j):
                         raise PropertyViolationError(
                             "mixed binomial left the upper region",
                             witness=(j1, j2, s, u, (i, j)))
@@ -404,7 +404,7 @@ def corner_return_map(params, trunc, start=0, strict_linear=True):
         rc = ResonanceClass(1, 2).validate(ideal[0], ideal[1], check_tol)
         resonant_max = mpf(0)
         assert_floor = check_tol
-        for (i, j), v in h1.items_sorted():
+        for (i, j), v in h1.coeffs.items():
             if (i, j) in ((1, 0), (0, 1)):
                 continue
             cls = classify_monomial(i, j, rc, 1)
@@ -414,7 +414,7 @@ def corner_return_map(params, trunc, start=0, strict_linear=True):
                 raise StructureViolationError(
                     "first coordinate monomial %r of size %s outside "
                     "main+resonant" % ((i, j), mp.nstr(abs(v), 6)))
-        for (i, j), v in h2.items_sorted():
+        for (i, j), v in h2.coeffs.items():
             if (i, j) in ((1, 0), (0, 1)):
                 continue
             if classify_monomial(i, j, rc, 1) not in (MONOMIAL_MAIN,
@@ -486,10 +486,10 @@ def infinity_return_map(params, w, trunc):
         check_tol = tolerance_for(params.precision_bits // 2)
         mult_res = abs(h1[(1, 0)] - lam)
         low_res = mpf(0)
-        for (i, j), v in h1.items_sorted():
+        for (i, j), v in h1.coeffs.items():
             if i <= 1 and (i, j) != (1, 0):
                 low_res = max(low_res, abs(v))
-        for (i, j), v in h2.items_sorted():
+        for (i, j), v in h2.coeffs.items():
             if i <= 1 and (i, j) != (0, 1):
                 low_res = max(low_res, abs(v))
         id_res = abs(h2[(0, 1)] - 1)
@@ -573,16 +573,11 @@ def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
         if lin_gap > vanish_floor:
             raise ValidationError("linear part of H is not diag(eta1, eta2)")
 
-        # power table of H for reading off coefficients of phi o H
-        pow1 = [BivariateSeries.constant(trunc, 1)]
-        pow2 = [BivariateSeries.constant(trunc, 1)]
-        for _ in range(trunc):
-            pow1.append(pow1[-1] * h1)
-            pow2.append(pow2[-1] * h2)
-        table = {}
-        for i in range(trunc + 1):
-            for j in range(trunc + 1 - i):
-                table[(i, j)] = pow1[i] * pow2[j]
+        # H1^i H2^j for every monomial phi can carry (degree >= 2), for
+        # reading off the coefficients of phi o H
+        table = _power_products(h1, h2, [(i, deg - i)
+                                         for deg in range(2, trunc + 1)
+                                         for i in range(deg + 1)], trunc)
 
         etapow = {}
         for i in range(trunc + 1):

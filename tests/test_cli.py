@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "rsadyn.cli"]
 
 
@@ -112,6 +114,33 @@ def test_raster_bad_window_exit_2():
     out = run("raster", "--n", "4", "--m", "1", "--j", "1",
               "--window", "oops", "--res", "8x8", "--out", "/tmp/x.pgm")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["salem", "--n", "4", "--m", "1"],
+    ["verify", "--n", "4", "--m", "1", "--j", "1"],
+    ["linearize", "--n", "4", "--m", "1", "--j", "1", "--degree", "4"],
+    ["raster", "--n", "4", "--m", "1", "--j", "1", "--res", "4x4",
+     "--budget", "16"],
+], ids=lambda command: command[0])
+def test_low_precision_exit_2(command, tmp_path):
+    pgm = tmp_path / "x.pgm"
+    if command[0] == "raster":
+        command = command + ["--out", str(pgm)]
+    out = run(*command, "--precision", "32")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "precision" in out.stderr
+    assert not pgm.exists()
+
+
+def test_raster_negative_eps_exit_2(tmp_path):
+    pgm = tmp_path / "x.pgm"
+    out = run("raster", "--n", "4", "--m", "1", "--j", "1", "--res", "4x4",
+              "--budget", "16", "--eps", "-1", "--out", str(pgm))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert not pgm.exists()
 
 
 def test_reports_are_single_json_documents():

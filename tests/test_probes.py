@@ -202,6 +202,13 @@ def test_raster_fixed_point_cell_recurrent(params411):
     assert grid.classes[2][2] == _kernels.CLASS_RECURRENT
 
 
+@pytest.mark.parametrize("eps", [-1e-3, 0.0, float("nan"), float("inf")])
+def test_raster_rejects_bad_eps(params411, eps):
+    # only eps^2 reaches the kernels, so -eps would pass as eps unchecked
+    with pytest.raises(ValidationError):
+        siegel_raster(params411, "line", WINDOW, (4, 2), budget=16, eps=eps)
+
+
 def test_raster_budget_monotone(params411):
     g1 = siegel_raster(params411, "line", WINDOW, (32, 16), budget=64,
                        eps=1e-3)

@@ -1,8 +1,11 @@
 """Series ring operations, resonance classes, return maps, linearization."""
 
-import random
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import exp, mp, mpc, mpf, pi, sqrt, workprec
 
 from rsadyn import build_params, with_mismatched_c
@@ -18,30 +21,42 @@ from rsadyn.series import (MONOMIAL_MAIN, MONOMIAL_OUTSIDE, MONOMIAL_RESONANT,
 TOL = mpf(10) ** -70
 
 
-def rand_series(trunc, rng, nterms=6):
-    s = BivariateSeries(trunc)
-    for _ in range(nterms):
-        i, j = rng.randrange(0, trunc), rng.randrange(0, trunc)
-        if i + j <= trunc:
-            s.coeffs[(i, j)] = mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return s
+# Property tests run at 256 bits: rounding (about 1e-77 relative) times the
+# coefficient growth of these sparse, small-coefficient series through eight
+# powers stays far below the 1e-40 tolerance.
+PROP_BITS = 256
+PROP_TOL = mpf(10) ** -40
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+COEFF = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+
+
+@st.composite
+def sparse_series(draw, trunc=None, constant=True):
+    """A series with at most four terms, truncated at total degree <= 8."""
+    if trunc is None:
+        trunc = draw(st.integers(0, 8))
+    key = st.integers(0, trunc).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(0, trunc - i)))
+    coeffs = draw(st.dictionaries(key, COEFF, max_size=4))
+    if not constant:
+        coeffs.pop((0, 0), None)
+    return BivariateSeries(trunc, coeffs)
+
+
+def close(a, b):
+    return (a - b).max_abs() < PROP_TOL
 
 
 # -- ring laws ---------------------------------------------------------------
 
-def test_ring_laws_sampled():
-    rng = random.Random(3)
-    with workprec(128):
-        for _ in range(20):
-            a = rand_series(8, rng)
-            b = rand_series(8, rng)
-            c = rand_series(8, rng)
-            lhs = (a * b) * c
-            rhs = a * (b * c)
-            assert (lhs - rhs).max_abs() < mpf(10) ** -30
-            d1 = a * (b + c)
-            d2 = a * b + a * c
-            assert (d1 - d2).max_abs() < mpf(10) ** -30
+@PROPERTY
+@given(sparse_series(), sparse_series(), sparse_series())
+def test_ring_laws_sampled(a, b, c):
+    with workprec(PROP_BITS):
+        assert close(a * b, b * a)
+        assert close((a * b) * c, a * (b * c))
+        assert close(a * (b + c), a * b + a * c)
 
 
 def test_mul_by_zero():
@@ -51,13 +66,13 @@ def test_mul_by_zero():
         assert not (a * z).coeffs
 
 
-def test_compose_with_identity():
-    rng = random.Random(5)
-    with workprec(128):
-        f = rand_series(7, rng)
-        f.coeffs.pop((0, 0), None)
-        ident = (BivariateSeries.variable(7, 0), BivariateSeries.variable(7, 1))
-        assert (series_compose(f, ident) - f).max_abs() < mpf(10) ** -32
+@PROPERTY
+@given(sparse_series())
+def test_compose_with_identity(f):
+    with workprec(PROP_BITS):
+        ident = (BivariateSeries.variable(f.trunc, 0),
+                 BivariateSeries.variable(f.trunc, 1))
+        assert close(series_compose(f, ident), f)
 
 
 def test_compose_hand_example():
@@ -73,17 +88,15 @@ def test_compose_hand_example():
         assert len(out.coeffs) == 2
 
 
-def test_compose_associativity():
-    rng = random.Random(11)
-    with workprec(128):
-        f = rand_series(6, rng)
-        g = (rand_series(6, rng), rand_series(6, rng))
-        h = (rand_series(6, rng), rand_series(6, rng))
-        for s in (*g, *h):
-            s.coeffs.pop((0, 0), None)
-        lhs = series_compose(series_compose(f, g), h)
-        rhs = series_compose(f, compose_pair(g, h))
-        assert (lhs - rhs).max_abs() < mpf(10) ** -28
+@settings(PROPERTY, max_examples=20)
+@given(st.integers(0, 8).flatmap(lambda d: st.tuples(
+    sparse_series(d), *[sparse_series(d, constant=False)] * 4)))
+def test_compose_associativity(series):
+    f, g1, g2, h1, h2 = series
+    with workprec(PROP_BITS):
+        lhs = series_compose(series_compose(f, (g1, g2)), (h1, h2))
+        rhs = series_compose(f, compose_pair((g1, g2), (h1, h2)))
+        assert close(lhs, rhs)
 
 
 def test_compose_rejects_constant_term():
@@ -94,15 +107,27 @@ def test_compose_rejects_constant_term():
             series_compose(f, g)
 
 
-def test_inverse_unit():
-    rng = random.Random(7)
+UNIT = COEFF.filter(lambda z: abs(z) >= 0.5)
+
+
+@PROPERTY
+@given(st.integers(0, 8).flatmap(
+    lambda d: st.tuples(sparse_series(d), UNIT)))
+@example((BivariateSeries(0), 2 + 1j))
+@example((BivariateSeries(1, {(1, 0): 1, (0, 1): -1j}), -0.5))
+def test_inverse_unit(unit):
+    f, f0 = unit
+    with workprec(PROP_BITS):
+        f = f.copy()
+        f.coeffs[(0, 0)] = mpc(f0)
+        one = BivariateSeries.constant(f.trunc, 1)
+        assert close(f * inverse_unit(f), one)
+
+
+def test_inverse_unit_rejects_zero_constant():
     with workprec(128):
-        f = rand_series(8, rng)
-        f.coeffs[(0, 0)] = mpc(2, 1)
-        inv = inverse_unit(f)
-        prod = f * inv
-        one = BivariateSeries.constant(8, 1)
-        assert (prod - one).max_abs() < mpf(10) ** -30
+        with pytest.raises(CompositionDomainError):
+            inverse_unit(BivariateSeries(4, {(1, 0): 1}))
 
 
 # -- resonance classes ----------------------------------------------------------
@@ -136,6 +161,32 @@ def test_resonant_for_lattice_test():
     assert not rc.resonant_for(2, 1, 1)
     assert rc.resonant_for(1, 3, 2)          # (i, j-1) = (1, 2)
     assert not rc.resonant_for(1, 0, 1)      # the linear monomial itself
+
+
+COPRIME = st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(
+    lambda ab: math.gcd(*ab) == 1)
+
+
+@PROPERTY
+@given(COPRIME, st.integers(0, 30), st.integers(0, 30), st.sampled_from((1, 2)))
+def test_classify_matches_region_definitions(ab, i, j, k):
+    # reference: the docstring's rational inequalities, coordinate 2 mirrored
+    # explicitly, and the lattice definition of an exact resonance
+    a, b = ab
+    rc = ResonanceClass(a, b)
+    x, y, r = (i, j, Fraction(a, b)) if k == 1 else (j, i, Fraction(b, a))
+    if x == r * y + 1 and y >= 1:
+        expected = MONOMIAL_RESONANT
+    elif x > r * y + 1:
+        expected = MONOMIAL_MAIN
+    elif x >= r * (y - 1):
+        expected = MONOMIAL_UPPER
+    else:
+        expected = MONOMIAL_OUTSIDE
+    assert classify_monomial(i, j, rc, k) == expected
+    di, dj = (i - 1, j) if k == 1 else (i, j - 1)
+    multiple = any((di, dj) == (t * a, t * b) for t in range(1, 31))
+    assert rc.resonant_for(i, j, k) == multiple
 
 
 def test_resonance_class_validation():
@@ -192,7 +243,7 @@ def test_corner_first_chart_step_structure(params411):
         first = xi * inverse_unit(den)
         assert abs(first[(1, 0)] + 1 / p.delta) < TOL
         rc = ResonanceClass(1, 2)
-        for (i, j), v in first.items_sorted():
+        for (i, j), v in first.coeffs.items():
             if (i, j) == (1, 0) or abs(v) < mpf(10) ** -60:
                 continue
             assert classify_monomial(i, j, rc, 1) == MONOMIAL_MAIN
@@ -203,11 +254,11 @@ def test_corner_composition_structure_claim(corner411):
     _, (h, rep) = corner411
     rc = rep["resonance"]
     with workprec(256):
-        for (i, j), v in h[0].items_sorted():
+        for (i, j), v in h[0].coeffs.items():
             if (i, j) in ((1, 0), (0, 1)) or abs(v) < mpf(10) ** -60:
                 continue
             assert classify_monomial(i, j, rc, 1) == MONOMIAL_MAIN
-        for (i, j), v in h[1].items_sorted():
+        for (i, j), v in h[1].coeffs.items():
             if (i, j) in ((1, 0), (0, 1)) or abs(v) < mpf(10) ** -60:
                 continue
             assert classify_monomial(i, j, rc, 1) in (MONOMIAL_MAIN,
@@ -229,12 +280,12 @@ def test_pairwise_chart_composition_stays_in_class(params411):
         den3 = (bsq + BivariateSeries.constant(10, w)) * w
         f2 = (xi * inverse_unit(den2) * w, x * den2 * inverse_unit(den3))
         comp = compose_pair(f2, f1)
-        for (i, j), v in comp[0].items_sorted():
+        for (i, j), v in comp[0].coeffs.items():
             if (i, j) == (1, 0) or abs(v) < mpf(10) ** -55:
                 continue
             assert classify_monomial(i, j, rc, 1) in (MONOMIAL_MAIN,
                                                       MONOMIAL_RESONANT)
-        for (i, j), v in comp[1].items_sorted():
+        for (i, j), v in comp[1].coeffs.items():
             if (i, j) == (0, 1) or abs(v) < mpf(10) ** -55:
                 continue
             assert classify_monomial(i, j, rc, 1) in (MONOMIAL_MAIN,
