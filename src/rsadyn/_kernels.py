@@ -12,15 +12,16 @@ points) iterable. Recurrence is detected by the projective cross-product
 distance against the starting point, sampled at the candidate return times.
 
 Every scalar kernel is built from one n-fold step (`_step`) and one
-squared-distance helper (`_dist2`), each defined once.
+squared-distance helper (`_dist2`), each defined once. The step's plain
+Python body (`step_py`) also carries mpmath values, so the high-precision
+probes run the same step.
 
 Backend selection: the environment flag RSADYN_NO_NUMBA=1 forces the pure
 numpy path; otherwise numba is used when importable, and then compiles the
 scalar kernels. Blocks of cells run the compiled per-cell loop under numba
 and the vectorized lockstep loop under numpy. Both backends follow the
 identical arithmetic per cell, and each is deterministic run-to-run and
-across thread counts (cells are independent). `python -m rsadyn.bench`
-compares them.
+across thread counts (cells are independent).
 """
 
 import os
@@ -99,6 +100,12 @@ def _step(t, x, y, delta, c, n):
     return t, x, y, True
 
 
+# numba keeps the uncompiled function as py_func; the compiled step rejects
+# mpmath values, while this body calls no jitted function and takes any
+# complex-like type
+step_py = getattr(_step, "py_func", _step)
+
+
 @_jit
 def _dist2(t, x, y, t0, x0, y0, den0):
     """Squared projective distance to the start as (numerator, denominator).
@@ -117,7 +124,11 @@ def _dist2(t, x, y, t0, x0, y0, den0):
 
 @_jit
 def _classify_cell(t, x, y, delta, c, n, candidates, eps2):
-    """Classify one start point; returns (class, recurrence step or -1)."""
+    """Classify one start point; returns (class, step).
+
+    step is the return time for a recurrent cell, the n-fold step that hit
+    an indeterminate image, or -1 (non-recurrent, or dead at the start).
+    """
     m2 = max(t.real * t.real + t.imag * t.imag,
              x.real * x.real + x.imag * x.imag,
              y.real * y.real + y.imag * y.imag)
@@ -210,6 +221,7 @@ def classify_block_numpy(T, X, Y, delta, c, n, candidates, eps):
                     newly = active & (m2 < _TINY2)
                     if newly.any():
                         classes[newly] = CLASS_INDETERMINATE
+                        steps[newly] = h
                         active = active & ~newly
                     piv = np.where(a2t == m2, NT, np.where(a2x == m2, NX, NY))
                     safe = np.where(active, piv, 1.0)

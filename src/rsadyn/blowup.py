@@ -156,7 +156,10 @@ def fiber_map_level2(params, pt):
 # marked-orbit pattern verification
 # ---------------------------------------------------------------------------
 
-def fiber_orbit_check(params, points_per_fiber=10, seed=0):
+_POINTS_PER_FIBER = 10    # fiber_orbit_check: sampled points per cycle check
+
+
+def fiber_orbit_check(params, seed=0):
     """Track marked points through the charts and verify the orbit pattern.
 
     Checks, with residuals reported: (a) the level-1 and level-2 fiber
@@ -181,7 +184,7 @@ def fiber_orbit_check(params, points_per_fiber=10, seed=0):
         # (a) level-1 cycle: n steps return to the start fiber; on-fiber
         # coordinate is multiplied by 1/lambda
         worst = mpf(0)
-        for _ in range(points_per_fiber):
+        for _ in range(_POINTS_PER_FIBER):
             e = mpc(rng.uniform(0.25, 2.0), rng.uniform(-1.0, 1.0))
             pt = FiberChartPoint(level=1, s=0, coords=(mpc(0), e))
             for _ in range(n):
@@ -210,7 +213,7 @@ def fiber_orbit_check(params, points_per_fiber=10, seed=0):
             raise PatternViolationError("level-1 transverse factor is not lambda")
 
         # (a') level-2 cycle closes: on-fiber points return to the start fiber
-        for _ in range(points_per_fiber):
+        for _ in range(_POINTS_PER_FIBER):
             xi = mpc(rng.uniform(0.25, 2.0), rng.uniform(-1.0, 1.0))
             pt = FiberChartPoint(level=2, s=0, coords=(xi, mpc(0)))
             for _ in range(n):

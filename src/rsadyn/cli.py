@@ -4,12 +4,13 @@ One subcommand per verifiable claim cluster: `salem` (polynomial
 construction and certification), `verify` (orbit identities, landing
 criterion, fiber orbit pattern, push-forward characteristic polynomial,
 multiplier suite), `linearize` (return maps, conjugacy solve, residuals,
-Birkhoff curve), `raster` (recurrence rasters to PGM/CSV), `bench` (kernel
-backend comparison).
+Birkhoff curve), `raster` (recurrence rasters to PGM/CSV).
 
 Contract: a single JSON report on stdout, diagnostics on stderr. Exit
 codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
-failure, 5 linearization obstruction, 6 I/O failure.
+failure, 5 linearization obstruction, 6 I/O failure. A raster with a
+negative budget, fewer than one thread, or a non-finite window or base
+point is an argument error (exit 2).
 """
 
 import argparse
@@ -89,8 +90,6 @@ def build_parser():
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--basepoint", default=None,
                    help="re1,im1,re2,im2 base point for the affine chart")
-
-    sub.add_parser("bench", help="compare the numba and numpy kernels")
     return ap
 
 
@@ -317,7 +316,7 @@ def cmd_raster(args):
         except ValueError:
             _diag("invalid --basepoint")
             return EXIT_ARGS
-    budget = args.budget if args.budget > 0 else None
+    budget = args.budget or None      # 0 = default; negatives are rejected
     grid = probes.siegel_raster(params, args.chart, (x0, x1, y0, y1), (w, h),
                                 budget=budget, eps=args.eps,
                                 threads=args.threads, basepoint=basepoint)
@@ -351,9 +350,6 @@ def main(argv=None):
             return cmd_linearize(args)
         if args.command == "raster":
             return cmd_raster(args)
-        if args.command == "bench":
-            from . import bench
-            return bench.main()
     except NotSalemError as exc:
         _diag("not a Salem polynomial: %s" % exc.reason)
         _emit({"salem": False, "reason": exc.reason})

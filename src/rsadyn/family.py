@@ -92,8 +92,7 @@ def line_map(params, w):
     return params.c - params.delta / w
 
 
-def build_params(n, m, j, root_index=0, sqrt_branch=1, precision_bits=256,
-                 certificate=None):
+def build_params(n, m, j, root_index=0, sqrt_branch=1, precision_bits=256):
     """Construct and validate a FamilyParams.
 
     delta is chosen as nonunity_unit_roots[root_index] of the certified
@@ -114,9 +113,8 @@ def build_params(n, m, j, root_index=0, sqrt_branch=1, precision_bits=256,
     if sqrt_branch not in (1, -1):
         raise ValidationError("sqrt_branch must be +1 or -1")
 
-    if certificate is None:
-        certificate = salem.salem_certificate(
-            salem.salem_polynomial(n, m), precision_bits)
+    certificate = salem.salem_certificate(salem.salem_polynomial(n, m),
+                                          precision_bits)
     candidates = certificate.nonunity_unit_roots
     if not (0 <= root_index < len(candidates)):
         raise ValidationError(
@@ -187,7 +185,7 @@ class ProjectivePoint:
 
     __slots__ = ("t", "x", "y")
 
-    def __init__(self, t, x, y, tol=None):
+    def __init__(self, t, x, y):
         coords = (mpc(t), mpc(x), mpc(y))
         if all(abs(cc) == 0 for cc in coords):
             raise ValidationError("projective point needs a nonzero coordinate")
@@ -198,9 +196,6 @@ class ProjectivePoint:
 
     def distance(self, other):
         return proj_distance(self.coords(), other.coords())
-
-    def approx_equal(self, other, tol):
-        return self.distance(other) < tol
 
     def __repr__(self):
         return "ProjectivePoint[%s : %s : %s]" % (

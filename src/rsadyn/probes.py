@@ -13,6 +13,7 @@ parameter pack's precision, or plain complex where hardware precision
 demonstrably suffices (documented per function).
 """
 
+import cmath
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +28,9 @@ from .errors import (ExceptionalLocusError, IndeterminatePointError,
                      NumericFailureError, ValidationError)
 from .numeric import (as_complex, check_precision, proj_distance,
                       proj_normalize)
+
+_CHART_GUARD = 1e-2      # iterate: radius of the fiber-chart neighborhoods
+_ESCAPE_RADIUS = 1e9     # iterate, affine policy: escape threshold
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +188,16 @@ def _fiber1_step(params, s, xi, t1):
     return (xi, t1 / den)
 
 
-def iterate(params, z0, nsteps, policy="auto", eps=1e-3, guard=1e-2,
-            escape_radius=1e9):
+def iterate(params, z0, nsteps, policy="auto", eps=1e-3):
     """Iterate the map with chart awareness, recording returns.
 
     z0 may be an affine pair or a homogeneous triple. Policies:
-    "affine" (raw affine iteration, sets escaped past escape_radius),
+    "affine" (raw affine iteration, sets escaped past _ESCAPE_RADIUS),
     "homogeneous" (projective normalization, indeterminacy recorded
-    in-band), "auto" (homogeneous plus level-1 fiber charts within `guard`
-    of the blown-up line points, so orbits pass through the blowup
-    structure instead of dying at the indeterminacy point). Returns where
-    the projective distance to the start is below eps are recorded as
+    in-band), "auto" (homogeneous plus level-1 fiber charts within
+    _CHART_GUARD of the blown-up line points, so orbits pass through the
+    blowup structure instead of dying at the indeterminacy point). Returns
+    where the projective distance to the start is below eps are recorded as
     (iterate index, distance).
     """
     with workprec(params.precision_bits):
@@ -204,7 +207,7 @@ def iterate(params, z0, nsteps, policy="auto", eps=1e-3, guard=1e-2,
             start = tuple(mpc(v) for v in z0)
 
         if policy == "affine":
-            return _iterate_affine(params, start, nsteps, eps, escape_radius)
+            return _iterate_affine(params, start, nsteps, eps)
 
         centers = _blown_up_points(params) if policy == "auto" else []
         state = ("homog", start)
@@ -213,7 +216,7 @@ def iterate(params, z0, nsteps, policy="auto", eps=1e-3, guard=1e-2,
         events = []
         indet = False
         for k in range(1, nsteps + 1):
-            state = _advance_state(params, state, centers, guard)
+            state = _advance_state(params, state, centers)
             if state is None:
                 indet = True
                 break
@@ -242,7 +245,7 @@ def _state_coords(state):
     return tuple(state[2])
 
 
-def _iterate_affine(params, start, nsteps, eps, escape_radius):
+def _iterate_affine(params, start, nsteps, eps):
     t, x, y = start
     if abs(t) == 0:
         raise ValidationError("affine policy cannot start on the line at "
@@ -262,7 +265,7 @@ def _iterate_affine(params, start, nsteps, eps, escape_radius):
             break
         points.append(z)
         tags.append("affine")
-        if max(abs(z[0]), abs(z[1])) > escape_radius:
+        if max(abs(z[0]), abs(z[1])) > _ESCAPE_RADIUS:
             escaped = True
             break
         dist = max(abs(z[0] - z0[0]), abs(z[1] - z0[1]))
@@ -272,20 +275,19 @@ def _iterate_affine(params, start, nsteps, eps, escape_radius):
                        indeterminate_hit=indet, return_events=events)
 
 
-def _advance_state(params, state, centers, guard):
+def _advance_state(params, state, centers):
     """One map step with chart transitions; None signals an indeterminate hit.
 
-    Transitions carry hysteresis: a homogeneous point within `guard` of a
-    blown-up line point enters that fiber's level-1 chart; the level-1 chart
-    hands off to level 2 when the fiber coordinate exceeds 1/guard, and each
-    chart is left again only past a looser bound, so states do not flap.
+    Transitions carry hysteresis: a homogeneous point within _CHART_GUARD of
+    a blown-up line point enters that fiber's level-1 chart; the level-1
+    chart hands off to level 2 when the fiber coordinate exceeds
+    1/_CHART_GUARD, and each chart is left again only past a looser bound,
+    so states do not flap. Homogeneous points take the kernels' map step.
     """
-    d, c = params.delta, params.c
-    n = params.n
     if state[0] == "homog":
         t, x, y = state[1]
         for s, center in enumerate(centers):
-            if proj_distance((t, x, y), center) < guard:
+            if proj_distance((t, x, y), center) < _CHART_GUARD:
                 if s == 0:
                     if abs(y) == 0:
                         return None
@@ -298,30 +300,23 @@ def _advance_state(params, state, centers, guard):
                     t1 = y / x - w
                     xi = (t / x) / t1 if t1 != 0 else mpc(0)
                 return _advance_state(params, ("fiber1", s, (xi, t1)),
-                                      centers, guard)
-        if abs(t) == 0:
-            # invariant-line linear action (nonsingular through both
-            # coordinate vertices)
-            nx, ny = y, -d * x + c * y
-            return ("homog", proj_normalize((mpc(0), nx, ny)))
-        nt, nx, ny = t * y, y * y, -d * x * y + c * y * y + t * t
-        if max(abs(nt), abs(nx), abs(ny)) == 0:
-            return None
-        return ("homog", proj_normalize((nt, nx, ny)))
+                                      centers)
+        t, x, y, alive = _kernels.step_py(t, x, y, params.delta, params.c, 1)
+        return ("homog", (t, x, y)) if alive else None
 
     if state[0] == "fiber1":
         _, s, (xi, t1) = state
-        if abs(xi) > 1 / guard:
+        if abs(xi) > 1 / _CHART_GUARD:
             # approaching the level-2 center: transfer to the level-2 chart
             return _advance_state(params,
                                   ("fiber2", s, (t1 * xi * xi, 1 / xi)),
-                                  centers, guard)
+                                  centers)
         try:
             nxi, nt1 = _fiber1_step(params, s, xi, t1)
         except ZeroDivisionError:
             return None
-        s2 = (s + 1) % n
-        if abs(nt1) > 4 * guard:
+        s2 = (s + 1) % params.n
+        if abs(nt1) > 4 * _CHART_GUARD:
             # left the fiber neighborhood along the line direction
             emb = _embed_homog(("fiber1", s2, (nxi, nt1)), params)
             return ("homog", proj_normalize(emb))
@@ -335,7 +330,7 @@ def _advance_state(params, state, centers, guard):
     except IndeterminatePointError:
         return None
     nxi2, nx2 = pt.coords
-    if abs(nx2) > 2 * guard and nxi2 != 0:
+    if abs(nx2) > 2 * _CHART_GUARD and nxi2 != 0:
         # leave the level-2 chart back through level 1
         return ("fiber1", pt.s, (1 / nx2, nxi2 * nx2 * nx2))
     return ("fiber2", pt.s, (nxi2, nx2))
@@ -345,15 +340,17 @@ def _advance_state(params, state, centers, guard):
 # near-identity returns along the invariant line
 # ---------------------------------------------------------------------------
 
-def near_identity_returns(params, n_candidates=5, n_samples=100,
-                          t_scale=1e-6, seed=0):
+_NEAR_LINE_T = 1e-6     # near_identity_returns: transverse sample distance
+
+
+def near_identity_returns(params, n_candidates=5, n_samples=100, seed=0):
     """Sup over samples of the distance of the q-th return to the identity.
 
-    Samples sit at transverse distance ~ t_scale from the invariant line,
+    Samples sit at transverse distance _NEAR_LINE_T from the invariant line,
     spread along it away from the blown-up points; for each candidate
     return time q the sup over samples of dist(H^q z, z) is returned.
-    Hardware precision: the measured distances are >= t_scale * |lam^q - 1|
-    which stays far above rounding noise for the defaults. The sequence is
+    Hardware precision: the measured distances are >= _NEAR_LINE_T
+    |lam^q - 1|, which stays far above rounding noise. The sequence is
     expected to decrease along candidates (near-identity returns).
     """
     import random
@@ -370,7 +367,7 @@ def near_identity_returns(params, n_candidates=5, n_samples=100,
         if min(abs(w - wv) for wv in orbit_vals) < 0.05 or abs(w) < 0.05:
             continue
         phase = rng.uniform(0.0, 2.0 * math.pi)
-        t = t_scale * complex(math.cos(phase), math.sin(phase))
+        t = _NEAR_LINE_T * complex(math.cos(phase), math.sin(phase))
         samples.append((t, 1.0 + 0.0j, w))
 
     sups = []
@@ -484,7 +481,7 @@ class RasterGrid:
     eps: float
     candidates: tuple
     classes: object          # uint8 (height, width)
-    return_steps: object     # int64 (height, width)
+    return_steps: object     # int64 (height, width), as _classify_cell
 
     def counts(self):
         vals, cnts = np.unique(self.classes, return_counts=True)
@@ -563,11 +560,21 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
     claim. Deterministic: same window, resolution, budget and eps give
     byte-identical rasters for any thread count (cells are independent pure
     functions). eps must be positive and finite: only eps^2 reaches the
-    kernels, so a negative eps would silently act as |eps|.
+    kernels, so a negative eps would silently act as |eps|. The window and
+    base point must be finite, and threads at least 1.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError("eps must be positive and finite, got %r"
                               % (eps,))
+    if not all(math.isfinite(v) for v in window):
+        raise ValidationError("window must be finite, got %r" % (window,))
+    if basepoint is not None and not all(
+            cmath.isfinite(complex(v)) for v in basepoint):
+        raise ValidationError("basepoint must be finite, got %r"
+                              % (basepoint,))
+    threads = int(threads)
+    if threads < 1:
+        raise ValidationError("threads must be >= 1, got %r" % (threads,))
     if budget is None:
         budget = default_budget(params.lam, params.precision_bits)
     cands = np.array(candidate_times(params.lam, budget,
@@ -588,7 +595,6 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
         classes[r0:r1] = cl.reshape(r1 - r0, w)
         steps[r0:r1] = st.reshape(r1 - r0, w)
 
-    threads = max(1, int(threads))
     if threads == 1:
         run_rows(0, h)
     else:
@@ -607,27 +613,20 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
 def classify_point_mp(params, point, candidates, eps, precision_bits=None):
     """mpmath mirror of the kernel cell classifier (precision studies).
 
-    Same stepping and distance logic as the hardware kernel, at arbitrary
-    precision; used by the precision-doubling stability check.
+    Runs the hardware kernel's own map step at arbitrary precision, with the
+    same candidate schedule; used by the precision-doubling stability check.
     """
     bits = precision_bits or params.precision_bits
     with workprec(bits):
-        t, x, y = (mpc(v) for v in point)
-        d, c = mpc(params.delta), mpc(params.c)
-        n = params.n
-        start = proj_normalize((t, x, y))
+        start = tuple(mpc(v) for v in point)
         t, x, y = start
+        d, c = mpc(params.delta), mpc(params.c)
         h = 0
         for target in candidates:
             while h < target:
-                for _ in range(n):
-                    if abs(t) == 0:
-                        nt, nx, ny = mpc(0), y, -d * x + c * y
-                    else:
-                        nt, nx, ny = t * y, y * y, -d * x * y + c * y * y + t * t
-                    if max(abs(nt), abs(nx), abs(ny)) < mpf(10) ** -60:
-                        return _kernels.CLASS_INDETERMINATE, h
-                    t, x, y = proj_normalize((nt, nx, ny))
+                t, x, y, alive = _kernels.step_py(t, x, y, d, c, params.n)
+                if not alive:
+                    return _kernels.CLASS_INDETERMINATE, h
                 h += 1
             if proj_distance((t, x, y), start) < eps:
                 return _kernels.CLASS_RECURRENT, target
@@ -638,8 +637,12 @@ def classify_point_mp(params, point, candidates, eps, precision_bits=None):
 # slice radius along radial leaves
 # ---------------------------------------------------------------------------
 
-def slice_radius(params, w, budget=None, eps=1e-3, r_init=1e-3,
-                 max_doublings=40, bisections=30):
+_SLICE_R_INIT = 1e-3       # slice_radius: first probed radius
+_SLICE_DOUBLINGS = 40      # slice_radius: doubling steps before giving up
+_SLICE_BISECTIONS = 30     # slice_radius: geometric bisection steps
+
+
+def slice_radius(params, w, budget=None, eps=1e-3):
     """Bracket the recurrent radius along the radial leaf through [0:1:w].
 
     Probes points [r : 1 : w] for real r > 0 (the domain is circled in the
@@ -665,7 +668,7 @@ def slice_radius(params, w, budget=None, eps=1e-3, r_init=1e-3,
         cl, _ = _kernels.classify_point(r, 1.0, wc, delta, c, n, cands, eps)
         return cl == _kernels.CLASS_RECURRENT
 
-    r = float(r_init)
+    r = _SLICE_R_INIT
     shrink = 0
     while not recurrent(r):
         r /= 10.0
@@ -675,7 +678,7 @@ def slice_radius(params, w, budget=None, eps=1e-3, r_init=1e-3,
                     "probes": probes, "budget": int(budget)}
     r_lo = r
     r_hi = None
-    for _ in range(max_doublings):
+    for _ in range(_SLICE_DOUBLINGS):
         r *= 2.0
         if not recurrent(r):
             r_hi = r
@@ -684,7 +687,7 @@ def slice_radius(params, w, budget=None, eps=1e-3, r_init=1e-3,
     if r_hi is None:
         return {"r_lo": r_lo, "r_hi": float("inf"), "inconclusive": True,
                 "probes": probes, "budget": int(budget)}
-    for _ in range(bisections):
+    for _ in range(_SLICE_BISECTIONS):
         mid = math.sqrt(r_lo * r_hi)
         if recurrent(mid):
             r_lo = mid

@@ -244,21 +244,20 @@ def salem_polynomial(n, m):
     return quotient + 1
 
 
-def find_roots(poly, precision_bits, maxsteps=None):
+def find_roots(poly, precision_bits):
     """All roots (with multiplicity) by Aberth simultaneous iteration.
 
     Returns deg(poly) mpc values sorted by (argument, modulus) so that a
     root index is reproducible across runs and precisions. Residuals
     |p(root)| are verified to be below 2**(-precision_bits/2); failure to
-    converge within the step budget raises NumericFailureError carrying the
-    best residual reached.
+    converge within 128 + precision_bits steps raises NumericFailureError
+    carrying the best residual reached.
     """
     precision_bits = check_precision(precision_bits)
     deg = poly.degree()
     if deg < 1:
         raise ValidationError("find_roots requires a nonconstant polynomial")
-    if maxsteps is None:
-        maxsteps = 128 + precision_bits
+    maxsteps = 128 + precision_bits
 
     # Zero roots split off exactly so Aberth never sees them.
     nzero = 0

@@ -343,7 +343,7 @@ def _assert_small_const(f, floor, what):
     return out
 
 
-def corner_return_map(params, trunc, start=0, strict_linear=True):
+def corner_return_map(params, trunc, strict_linear=True):
     """The n-step return map at the corner of the level-1/level-2 fibers.
 
     Composes the n level-2 chart maps as truncated series in the corner
@@ -368,8 +368,7 @@ def corner_return_map(params, trunc, start=0, strict_linear=True):
         xi = BivariateSeries.variable(trunc, 0)
         x = BivariateSeries.variable(trunc, 1)
         cur = (xi, x)
-        for step in range(start, start + n):
-            s = step % n
+        for s in range(n):
             a, b = cur
             if s == 0:
                 den = a + BivariateSeries.constant(trunc, -d)
@@ -547,22 +546,20 @@ class LinearizationResult:
 
 
 def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
-                       vanish_floor=None, divisor_floor=None,
                        precision_bits=256):
     """Solve Phi o H = L o Phi order by order for diagonal L.
 
     H must fix the origin with linear part diag(eta1, eta2). Where the
     divisor eta1^i eta2^j - eta_k vanishes (exact resonance per rc, or
-    numerically when rc is None): a forcing term below vanish_floor sets the
-    coefficient to zero (normal-form freedom); a larger forcing term is
-    returned in-band as the obstruction. Non-resonant divisors below
-    divisor_floor are attached as small-divisor warnings.
+    numerically when rc is None): a forcing term below vanish_floor =
+    2^(-precision_bits/4) sets the coefficient to zero (normal-form
+    freedom); a larger forcing term is returned in-band as the obstruction.
+    Non-resonant divisors below divisor_floor = 1e-40 are attached as
+    small-divisor warnings.
     """
     with workprec(precision_bits):
-        if vanish_floor is None:
-            vanish_floor = mpf(2) ** (-(precision_bits // 4))
-        if divisor_floor is None:
-            divisor_floor = mpf(10) ** -40
+        vanish_floor = mpf(2) ** (-(precision_bits // 4))
+        divisor_floor = mpf(10) ** -40
         eta1, eta2 = mpc(eta1), mpc(eta2)
         h1, h2 = h_pair
         trunc = min(trunc, h1.trunc, h2.trunc)

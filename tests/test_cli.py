@@ -1,10 +1,14 @@
 """CLI contract: exit codes, JSON reports, file outputs, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from rsadyn.cli import build_parser
 
 CLI = [sys.executable, "-m", "rsadyn.cli"]
 
@@ -141,6 +145,40 @@ def test_raster_negative_eps_exit_2(tmp_path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert not pgm.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--budget", "-5"],
+    ["--threads", "-3", "--budget", "16"],
+    ["--window", "0,1,0,nan", "--budget", "16"],
+    ["--window", "0,inf,0,1", "--budget", "16"],
+    ["--chart", "affine", "--basepoint", "nan,0,0,0", "--budget", "16"],
+], ids=["budget-negative", "threads-negative", "window-nan", "window-inf",
+        "basepoint-nan"])
+def test_raster_malformed_input_exit_2(flags, tmp_path):
+    # only --budget 0 means "default"; a non-finite window or base point
+    # would put a bare NaN into the JSON report
+    pgm = tmp_path / "x.pgm"
+    out = run("raster", "--n", "4", "--m", "1", "--j", "1", "--res", "2x2",
+              "--out", str(pgm), *flags)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert not pgm.exists()
+
+
+def test_readme_command_lines_parse():
+    # every `rsadyn ...` line of README's Command line block, with its
+    # backslash continuations joined; argparse exits 2 on a stale line
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines()
+                if line.strip().startswith("rsadyn ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_reports_are_single_json_documents():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rsadyn.numeric import as_complex
-from rsadyn.probes import candidate_times
+from rsadyn.probes import _chart_states, candidate_times
 from rsadyn import _kernels
 
 
@@ -28,6 +30,25 @@ def test_numpy_backend_matches_scalar(setup):
     scalar = [_kernels.classify_point(T[i], X[i], Y[i], delta, c, p.n,
                                       cands, 1e-3) for i in range(T.size)]
     assert [(int(cl), int(st)) for cl, st in zip(cls_np, st_np)] == scalar
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(u0=st.floats(-1.5, 1.5), du=st.floats(0.01, 1.0),
+       v0=st.floats(0.0, 0.2), dv=st.floats(0.0, 0.2),
+       w=st.integers(2, 5), h=st.integers(2, 4))
+# [v : 1 : 0] with tiny v maps to an underflowing image: an indeterminate
+# hit after the start, whose step both kernels must report
+@example(u0=0.0, du=1.0, v0=1e-103, dv=0.0, w=2, h=2)
+def test_block_matches_scalar_on_line_windows(setup, u0, du, v0, dv, w, h):
+    p, _, _, _, cands = setup
+    delta, c = as_complex(p.delta), as_complex(p.c)
+    T, X, Y = (Z.ravel() for Z in _chart_states(
+        "line", (u0, u0 + du, v0, v0 + dv), (w, h)))
+    cls_np, st_np = _kernels.classify_block_numpy(T, X, Y, delta, c, p.n,
+                                                  cands, 1e-3)
+    scalar = [_kernels.classify_point(T[i], X[i], Y[i], delta, c, p.n,
+                                      cands, 1e-3) for i in range(T.size)]
+    assert [(int(cl), int(step)) for cl, step in zip(cls_np, st_np)] == scalar
 
 
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")

@@ -209,6 +209,24 @@ def test_raster_rejects_bad_eps(params411, eps):
         siegel_raster(params411, "line", WINDOW, (4, 2), budget=16, eps=eps)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("chart, window, basepoint, threads", [
+    ("line", (0.2, 1.3, 0.0, NAN), None, 1),
+    ("line", (0.2, INF, 0.0, 0.03), None, 1),
+    ("affine", (-0.01, 0.01, -0.01, 0.01), (complex(NAN, 0.0), 0j), 1),
+    ("line", WINDOW, None, 0),
+    ("line", WINDOW, None, -3),
+], ids=["window-nan", "window-inf", "basepoint-nan", "threads-0",
+        "threads-negative"])
+def test_raster_rejects_bad_input(params411, chart, window, basepoint,
+                                  threads):
+    with pytest.raises(ValidationError):
+        siegel_raster(params411, chart, window, (4, 2), budget=16,
+                      threads=threads, basepoint=basepoint)
+
+
 def test_raster_budget_monotone(params411):
     g1 = siegel_raster(params411, "line", WINDOW, (32, 16), budget=64,
                        eps=1e-3)

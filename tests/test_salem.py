@@ -9,6 +9,8 @@ certificate.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workprec
 
 from rsadyn import (IntPolynomial, NotSalemError, certify_not_root_of_unity,
@@ -74,6 +76,27 @@ def test_invalid_range_rejected():
 def test_inexact_division_raises():
     with pytest.raises(InternalConsistencyError):
         IntPolynomial([1, 0, 1]).divmod_exact(IntPolynomial([1, 1]))
+
+
+POLY = st.lists(st.integers(-20, 20), max_size=8).map(IntPolynomial)
+NONZERO_POLY = POLY.filter(bool)
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@PROPERTY
+@given(POLY, POLY, POLY)
+def test_ring_laws(p, q, r):
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+
+
+@PROPERTY
+@given(POLY, NONZERO_POLY)
+def test_divmod_exact_inverts_product(p, q):
+    assert (p * q).divmod_exact(q) == p
 
 
 def test_polynomial_json_roundtrip():
