@@ -159,12 +159,28 @@ def fiber_map_level2(params, pt):
 _POINTS_PER_FIBER = 10    # fiber_orbit_check: sampled points per cycle check
 
 
+def _cycle_factor(params, chart_map, level, axis, along):
+    """Multiplier of n steps of chart_map transverse to an invariant axis.
+
+    Starts on fiber 0 at `along` on the axis {coords[axis] = 0} and
+    2^(-7 bits/8) off it, and returns coords[axis] after n steps over its
+    start: no cancellation, nonlinear terms below 2^(-3 bits/4) relative.
+    """
+    start = mpf(2) ** (-(7 * params.precision_bits // 8))
+    pt = FiberChartPoint(level=level, s=0, coords=(
+        (start, along) if axis == 0 else (along, start)))
+    for _ in range(params.n):
+        pt = chart_map(params, pt)
+    return pt.coords[axis] / start
+
+
 def fiber_orbit_check(params, seed=0):
     """Track marked points through the charts and verify the orbit pattern.
 
     Checks, with residuals reported: (a) the level-1 and level-2 fiber
     cycles close after n steps, the level-1 on-fiber composite being
-    multiplication by 1/lambda; (b) the exceptional curve {y=0} enters the
+    multiplication by 1/lambda and the transverse one (s1 read off
+    fiber_map_level1) by lambda; (b) the exceptional curve {y=0} enters the
     level-2 cycle at fiber coordinate 1 and lands after nm steps on the
     inverse-exceptional point (delta, 0) on fiber n-1; (c) the map's image
     of the contracted curve enters the level-2 chart along direction
@@ -182,8 +198,8 @@ def fiber_orbit_check(params, seed=0):
         report = {}
 
         # (a) level-1 cycle: n steps return to the start fiber; on-fiber
-        # coordinate is multiplied by 1/lambda
-        worst = mpf(0)
+        # coordinate is multiplied by 1/lambda, transverse s1 by lambda
+        worst = worst_transverse = mpf(0)
         for _ in range(_POINTS_PER_FIBER):
             e = mpc(rng.uniform(0.25, 2.0), rng.uniform(-1.0, 1.0))
             pt = FiberChartPoint(level=1, s=0, coords=(mpc(0), e))
@@ -192,24 +208,15 @@ def fiber_orbit_check(params, seed=0):
             if pt.s != 0 or abs(pt.coords[0]) > tol:
                 raise PatternViolationError("level-1 cycle left the fiber", step=n)
             worst = max(worst, abs(pt.coords[1] - e / lam))
+            worst_transverse = max(worst_transverse, abs(_cycle_factor(
+                params, fiber_map_level1, 1, 0, e) - lam))
         report["level1_cycle_residual"] = worst
         if worst > check_tol:
             raise PatternViolationError(
                 "level-1 on-fiber composite is not 1/lambda "
                 "(residual %s)" % salem.mp_str(worst))
-
-        # transverse factor of the n-step differential along the level-1
-        # cycle equals lambda: product of per-step d(s1')/d(s1) on the fiber
-        factor = mpc(1)
-        for s in range(n):
-            if s == 0:
-                factor *= 1
-            elif s <= n - 2:
-                factor *= 1 / _omega(params, s)
-            else:
-                factor *= -1 / d
-        report["level1_transverse_residual"] = abs(factor - lam)
-        if abs(factor - lam) > check_tol:
+        report["level1_transverse_residual"] = worst_transverse
+        if worst_transverse > check_tol:
             raise PatternViolationError("level-1 transverse factor is not lambda")
 
         # (a') level-2 cycle closes: on-fiber points return to the start fiber
@@ -340,14 +347,13 @@ def build_linear_model(params):
     The scalar model fixes the line at infinity pointwise with transverse
     multiplier lambda, so the base fixed-point data is (1, lambda). Repeated
     blowups of the fixed point on the radial line produce, at the corner of
-    the level-1 and level-2 fibers, multipliers {lambda^2, 1/lambda} - which
-    must agree with the nonlinear return map's differential there (the
-    product of the level-2 chart differentials along the cycle). The deeper
-    corner carries {lambda^3, lambda^-2}.
+    the level-1 and level-2 fibers, multipliers {lambda^2, 1/lambda}, read
+    back off n steps of fiber_map_level2 along each corner axis; the deeper
+    corner carries {lambda^3, lambda^-2}. Every child pair is checked with
+    blowup_multipliers. Raises ConsistencyError on a mismatch.
     """
     with workprec(params.precision_bits):
         lam = params.lam
-        n = params.n
 
         def node(label, e_along, e_normal):
             return MultiplierNode(label=label, exp_along=e_along,
@@ -371,39 +377,30 @@ def build_linear_model(params):
         ray3 = node("ray_x_e3", -3, 1)
         ray2.children = [deep, ray3]
 
-        # exponent bookkeeping must agree with the generic blowup rule:
-        # blowing up a point with multipliers (v1, v2) creates fixed points
-        # carrying (v1, v2/v1) and (v2, v1/v2) along (old curve, new fiber)
+        # each child pair follows the blowup rule from its parent; a child
+        # is (along old curve, along new fiber) = (mult_normal, mult_along)
+        check_tol = tolerance_for(params.precision_bits // 2)
         for parent, c1, c2 in ((root, p_node, ray1),
                                (ray1, corner, ray2),
                                (ray2, deep, ray3)):
-            a1, a2 = parent.exp_along, parent.exp_normal
-            want = {(a2 - a1, a1), (a1 - a2, a2)}    # (along fiber, normal)
-            got = {(c.exp_along, c.exp_normal) for c in (c1, c2)}
-            if got != want:
+            want = blowup_multipliers((parent.mult_along, parent.mult_normal))
+            got = [(c.mult_normal, c.mult_along) for c in (c1, c2)]
+            if max(abs(g - w) for pair in zip(got, want)
+                   for g, w in zip(*pair)) > check_tol:
                 raise ConsistencyError(
-                    "multiplier tree exponents violate the blowup rule at %s"
+                    "multiplier tree violates the blowup rule at %s"
                     % parent.label)
 
-        # corner cross-check against the nonlinear side: the product of the
-        # level-2 chart differentials along the n-step cycle is
-        # diag(delta^-n, -delta^(n-1)/(w_1...w_{n-2})) = diag(lambda^2, 1/lambda)
-        d = params.delta
-        xi_factor = (-1 / d) * (1 / d) ** (n - 2) * (-1 / d)
-        x_factor = -d
-        for s in range(1, n - 1):
-            x_factor *= d / _omega(params, s)
+        # corner cross-check against the nonlinear side: n steps of the
+        # level-2 chart map along E2 = {x2 = 0} and E1 = {xi = 0}
+        xi_factor = _cycle_factor(params, fiber_map_level2, 2, 0, mpc(0))
+        x_factor = _cycle_factor(params, fiber_map_level2, 2, 1, mpc(0))
         res_xi = abs(xi_factor - corner.mult_along)
         res_x = abs(x_factor - corner.mult_normal)
-        check_tol = tolerance_for(params.precision_bits // 2)
         if res_xi > check_tol or res_x > check_tol:
             raise ConsistencyError(
-                "corner multipliers disagree with the chart-differential "
-                "product: (%s, %s)" % (salem.mp_str(res_xi), salem.mp_str(res_x)))
-
-        # determinant consistency at the corner: product of multipliers = lambda
-        if abs(corner.mult_along * corner.mult_normal - lam) > check_tol:
-            raise ConsistencyError("corner multiplier product is not lambda")
+                "corner multipliers disagree with the level-2 cycle: "
+                "(%s, %s)" % (salem.mp_str(res_xi), salem.mp_str(res_x)))
 
         return root
 

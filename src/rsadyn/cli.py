@@ -9,8 +9,9 @@ Birkhoff curve), `raster` (recurrence rasters to PGM/CSV).
 Contract: a single JSON report on stdout, diagnostics on stderr. Exit
 codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A raster with a
-negative budget, fewer than one thread, or a non-finite window or base
-point is an argument error (exit 2).
+negative budget, fewer than one thread, a non-finite window or base
+point, or a base point with the line chart is an argument error (exit 2).
+`verify` passes a residual below 2^(-precision/2).
 """
 
 import argparse
@@ -21,7 +22,7 @@ from mpmath import mp, mpf, workprec
 
 from . import blowup, family, picard, probes, salem, series
 from .errors import NotSalemError, RsadynError, ValidationError
-from .numeric import float_log2
+from .numeric import float_log2, tolerance_for
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -125,10 +126,11 @@ def cmd_verify(args):
     checks = {}
 
     with workprec(args.precision):
+        tol = tolerance_for(args.precision)
         idents = family.orbit_identities(params)
         checks["orbit_identities"] = {
             "max_residual": mp.nstr(idents["max_residual"], 8),
-            "pass": idents["max_residual"] < mpf(10) ** -30,
+            "pass": idents["max_residual"] < tol,
         }
 
         delta_probe = params.delta * (1 + mpf(args.perturb)) \
@@ -138,7 +140,7 @@ def cmd_verify(args):
         checks["landing"] = {
             "residual": mp.nstr(landing, 8),
             "log2_residual": float_log2(landing),
-            "pass": landing < mpf(10) ** -30,
+            "pass": landing < tol,
         }
 
         try:
@@ -160,8 +162,7 @@ def cmd_verify(args):
         for fp in fps:
             md = family.multipliers_at_fixed(params, fp)
             prod_res = abs(md.lambda1 * md.lambda2 - params.delta)
-            ok = prod_res < mpf(10) ** -25 \
-                and md.jacobian_residual < mpf(10) ** -25
+            ok = prod_res < tol and md.jacobian_residual < tol
             mult_ok = mult_ok and ok
             mult_entries.append({
                 "product_residual": mp.nstr(prod_res, 8),

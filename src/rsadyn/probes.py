@@ -1,6 +1,7 @@
 """High-precision and hardware-precision dynamical probes.
 
-Covers: chart-aware orbit iteration with return-event recording; candidate
+Covers: orbit iteration through the level-1 and level-2 fiber charts,
+with return-event recording; candidate
 return times from the continued fraction of the transverse multiplier's
 angle; near-identity return measurement close to the invariant line;
 Birkhoff-average linearization at the unit-modulus affine fixed points;
@@ -24,13 +25,12 @@ import numpy as np
 from mpmath import arg, floor, mpc, mpf, pi, workprec
 
 from . import _kernels, family
-from .errors import (ExceptionalLocusError, IndeterminatePointError,
-                     NumericFailureError, ValidationError)
+from .errors import (IndeterminatePointError, NumericFailureError,
+                     ValidationError)
 from .numeric import (as_complex, check_precision, proj_distance,
                       proj_normalize)
 
 _CHART_GUARD = 1e-2      # iterate: radius of the fiber-chart neighborhoods
-_ESCAPE_RADIUS = 1e9     # iterate, affine policy: escape threshold
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,6 @@ class OrbitRecord:
 
     points: list
     chart_tags: list
-    escaped: bool
     indeterminate_hit: bool
     return_events: list = field(default_factory=list)
 
@@ -146,15 +145,8 @@ def _embed_homog(state, params):
         _, s, (xi2, x2) = state
         if x2 == 0:
             # on the level-2 fiber; the blowdown image is the line point
-            if s == 0:
-                return (mpc(0), mpc(0), mpc(1))
-            return (mpc(0), mpc(1), params.orbit[s - 1])
-        xi1 = 1 / x2
-        t1 = xi2 * x2 * x2
-        if s == 0:
-            return (t1 * xi1, t1, mpc(1))
-        w = params.orbit[s - 1]
-        return (t1 * xi1, mpc(1), t1 + w)
+            return _blown_up_points(params)[s]
+        return _embed_homog(("fiber1", s, (1 / x2, xi2 * x2 * x2)), params)
     raise ValidationError("unknown chart state %r" % (kind,))
 
 
@@ -188,17 +180,16 @@ def _fiber1_step(params, s, xi, t1):
     return (xi, t1 / den)
 
 
-def iterate(params, z0, nsteps, policy="auto", eps=1e-3):
+def iterate(params, z0, nsteps, eps=1e-3):
     """Iterate the map with chart awareness, recording returns.
 
-    z0 may be an affine pair or a homogeneous triple. Policies:
-    "affine" (raw affine iteration, sets escaped past _ESCAPE_RADIUS),
-    "homogeneous" (projective normalization, indeterminacy recorded
-    in-band), "auto" (homogeneous plus level-1 fiber charts within
-    _CHART_GUARD of the blown-up line points, so orbits pass through the
-    blowup structure instead of dying at the indeterminacy point). Returns
-    where the projective distance to the start is below eps are recorded as
-    (iterate index, distance).
+    z0 may be an affine pair or a homogeneous triple. Points take the
+    kernels' homogeneous map step; within _CHART_GUARD of a blown-up line
+    point the orbit moves into the level-1 fiber charts, and near a
+    level-2 center on into the level-2 charts (fiber_map_level2), so it
+    passes through the blowup structure. An indeterminate hit ends the
+    orbit (indeterminate_hit). Returns where the projective distance to
+    the start is below eps are recorded as (iterate index, distance).
     """
     with workprec(params.precision_bits):
         if len(z0) == 2:
@@ -206,10 +197,7 @@ def iterate(params, z0, nsteps, policy="auto", eps=1e-3):
         else:
             start = tuple(mpc(v) for v in z0)
 
-        if policy == "affine":
-            return _iterate_affine(params, start, nsteps, eps)
-
-        centers = _blown_up_points(params) if policy == "auto" else []
+        centers = _blown_up_points(params)
         state = ("homog", start)
         points = [_state_coords(state)]
         tags = [_state_tag(state)]
@@ -226,7 +214,7 @@ def iterate(params, z0, nsteps, policy="auto", eps=1e-3):
                 events.append((k, dist))
             points.append(_state_coords(state))
             tags.append(_state_tag(state))
-        return OrbitRecord(points=points, chart_tags=tags, escaped=False,
+        return OrbitRecord(points=points, chart_tags=tags,
                            indeterminate_hit=indet, return_events=events)
 
 
@@ -243,36 +231,6 @@ def _state_coords(state):
             return (x / t, y / t)
         return (x, y)      # a line point as its [x : y] pair
     return tuple(state[2])
-
-
-def _iterate_affine(params, start, nsteps, eps):
-    t, x, y = start
-    if abs(t) == 0:
-        raise ValidationError("affine policy cannot start on the line at "
-                              "infinity")
-    z = (x / t, y / t)
-    z0 = z
-    points = [z]
-    tags = ["affine"]
-    events = []
-    escaped = False
-    indet = False
-    for k in range(1, nsteps + 1):
-        try:
-            z = family.map_affine(params, z)
-        except ExceptionalLocusError:
-            indet = True
-            break
-        points.append(z)
-        tags.append("affine")
-        if max(abs(z[0]), abs(z[1])) > _ESCAPE_RADIUS:
-            escaped = True
-            break
-        dist = max(abs(z[0] - z0[0]), abs(z[1] - z0[1]))
-        if dist < eps:
-            events.append((k, dist))
-    return OrbitRecord(points=points, chart_tags=tags, escaped=escaped,
-                       indeterminate_hit=indet, return_events=events)
 
 
 def _advance_state(params, state, centers):
@@ -384,8 +342,7 @@ def near_identity_returns(params, n_candidates=5, n_samples=100, seed=0):
 # Birkhoff-average linearization at a unit-modulus fixed point
 # ---------------------------------------------------------------------------
 
-def birkhoff_linearize(params, fp, n_values=(1, 4, 16, 64, 256),
-                       n_samples=24, ball_radius=1e-3, seed=0):
+def birkhoff_linearize(params, fp, n_values=(1, 4, 16, 64, 256), seed=0):
     """Residual curve of the averaged conjugacy at an affine fixed point.
 
     In eigencoordinates w at the fixed point, Phi_N = (1/N) sum A^-k h^k;
@@ -399,6 +356,7 @@ def birkhoff_linearize(params, fp, n_values=(1, 4, 16, 64, 256),
     """
     import random
     rng = random.Random(seed)
+    n_samples, ball_radius = 24, 1e-3
     mult = family.multipliers_at_fixed(params, fp)
     if not mult.rank2_criterion:
         raise ValidationError("fixed point fails the rank-2 criterion")
@@ -561,13 +519,17 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
     byte-identical rasters for any thread count (cells are independent pure
     functions). eps must be positive and finite: only eps^2 reaches the
     kernels, so a negative eps would silently act as |eps|. The window and
-    base point must be finite, and threads at least 1.
+    base point must be finite, a base point is only read by the affine
+    chart, and threads must be at least 1.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError("eps must be positive and finite, got %r"
                               % (eps,))
     if not all(math.isfinite(v) for v in window):
         raise ValidationError("window must be finite, got %r" % (window,))
+    if basepoint is not None and chart != "affine":
+        raise ValidationError("basepoint applies to the affine chart only, "
+                              "not %r" % (chart,))
     if basepoint is not None and not all(
             cmath.isfinite(complex(v)) for v in basepoint):
         raise ValidationError("basepoint must be finite, got %r"
@@ -642,7 +604,7 @@ _SLICE_DOUBLINGS = 40      # slice_radius: doubling steps before giving up
 _SLICE_BISECTIONS = 30     # slice_radius: geometric bisection steps
 
 
-def slice_radius(params, w, budget=None, eps=1e-3):
+def slice_radius(params, w, budget=None):
     """Bracket the recurrent radius along the radial leaf through [0:1:w].
 
     Probes points [r : 1 : w] for real r > 0 (the domain is circled in the
@@ -659,6 +621,7 @@ def slice_radius(params, w, budget=None, eps=1e-3):
     c = as_complex(params.c)
     n = params.n
     wc = complex(w)
+    eps = 1e-3                  # recurrence distance
 
     probes = 0
 

@@ -116,7 +116,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def divmod_exact(self, divisor):
-        """Quotient and remainder over Q, demanding integer results.
+        """Exact quotient self / divisor as an IntPolynomial.
 
         Raises InternalConsistencyError when the division is not exact over
         the integers (nonzero remainder or fractional quotient).
@@ -436,7 +436,7 @@ class SalemCertificate:
         }
 
 
-def salem_certificate(poly, precision_bits, tolerance=None):
+def salem_certificate(poly, precision_bits):
     """Certify the Salem root distribution of an integer polynomial.
 
     Requirements checked, in order: palindromic coefficients; exactly one
@@ -448,7 +448,7 @@ def salem_certificate(poly, precision_bits, tolerance=None):
     if poly.degree() < 2:
         raise NotSalemError("degree < 2 cannot carry a Salem distribution")
     with workprec(precision_bits):
-        tol = tolerance if tolerance is not None else tolerance_for(precision_bits)
+        tol = tolerance_for(precision_bits)
 
         core, cyc_factors = cyclotomic_part(poly)
         clearance = unconditional_cyclotomic_bound(poly.degree())

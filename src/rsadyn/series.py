@@ -240,21 +240,20 @@ def classify_monomial(i, j, rc, k=1):
     return MONOMIAL_OUTSIDE
 
 
-def closure_property_check(rc, k=1, samples=200, seed=0, degree_cap=18):
+def closure_property_check(rc, samples=200, seed=0):
     """Sampled verification of the multiplicative closure laws.
 
-    Checks on random monomials: products of p main-region elements satisfy
-    the bound shifted by p; products of p upper-region elements satisfy the
-    bound relaxed by p; and the binomial memberships of mixed powers
+    Checks on random monomials of coordinate 1 (coordinate 2 mirrors it):
+    products of p main-region elements satisfy the bound shifted by p;
+    products of p upper-region elements satisfy the bound relaxed by p;
+    and the binomial memberships of mixed powers
     (x + main)^(j1) (y + upper)^(j2). Region membership is read from
     `classify_monomial`; only the p-shifted bounds are written out here.
     Raises PropertyViolationError with a witness on any failure.
     """
     import random
     rng = random.Random(seed)
-    if k != 1:
-        raise ValidationError("closure check implemented on coordinate 1; "
-                              "coordinate 2 is the mirror image")
+    degree_cap = 18                     # sampled y-degrees stay below this
     a, b = rc.a, rc.b
 
     def is_main(i, j):

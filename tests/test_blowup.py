@@ -3,11 +3,13 @@
 import pytest
 from mpmath import mp, mpc, mpf, workprec
 
+from rsadyn import blowup
 from rsadyn.blowup import (FiberChartPoint, blowup_multipliers,
                            build_linear_model, cycle_moebius_invariants,
                            fiber_map_level1, fiber_map_level2,
                            fiber_orbit_check, landing_condition)
-from rsadyn.errors import IndeterminatePointError, ValidationError
+from rsadyn.errors import (ConsistencyError, IndeterminatePointError,
+                           PatternViolationError, ValidationError)
 
 TOL30 = mpf(10) ** -30
 
@@ -155,6 +157,32 @@ def test_fiber_orbit_check(params411):
         assert rep["chain_landing_residual"] < TOL30
         assert rep["entry_direction_residual"] < mpf(10) ** -20
         assert rep["last_step_jacobian"] > mpf("0.5")
+
+
+def _scaled(chart_map, axis):
+    # chart_map with coordinate `axis` of its output scaled by 1 + 1e-6
+    def mutant(params, pt):
+        out = chart_map(params, pt)
+        coords = list(out.coords)
+        coords[axis] = coords[axis] * (1 + mpf(10) ** -6)
+        return FiberChartPoint(level=out.level, s=out.s, coords=tuple(coords))
+    return mutant
+
+
+def test_fiber_orbit_check_reads_level1_map(params411, monkeypatch):
+    # the transverse multiplier lambda is measured on fiber_map_level1
+    monkeypatch.setattr(blowup, "fiber_map_level1",
+                        _scaled(fiber_map_level1, 0))
+    with pytest.raises(PatternViolationError):
+        fiber_orbit_check(params411)
+
+
+def test_linear_model_reads_level2_map(params411, monkeypatch):
+    # the corner multiplier 1/lambda is measured on fiber_map_level2
+    monkeypatch.setattr(blowup, "fiber_map_level2",
+                        _scaled(fiber_map_level2, 1))
+    with pytest.raises(ConsistencyError):
+        build_linear_model(params411)
 
 
 def test_blowup_multiplier_rule():

@@ -40,17 +40,24 @@ def test_salem_out_of_range_exit_2():
     assert out.stdout.strip() == ""      # report only on success paths
 
 
-def test_verify_default_passes():
-    out = run("verify", "--n", "4", "--m", "1", "--j", "1")
+# pass thresholds follow --precision: 2^(-precision/2)
+PRECISIONS = ["64", "96", "256"]
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_verify_default_passes(precision):
+    out = run("verify", "--n", "4", "--m", "1", "--j", "1",
+              "--precision", precision)
     assert out.returncode == 0
     report = json.loads(out.stdout)
     assert report["pass"] is True
     assert report["checks"]["charpoly_equal"] is True
 
 
-def test_verify_perturbed_fails_landing():
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_verify_perturbed_fails_landing(precision):
     out = run("verify", "--n", "4", "--m", "1", "--j", "1",
-              "--perturb", "1e-5")
+              "--perturb", "1e-5", "--precision", precision)
     assert out.returncode == 4
     report = json.loads(out.stdout)
     assert report["checks"]["landing"]["pass"] is False
@@ -153,11 +160,13 @@ def test_raster_negative_eps_exit_2(tmp_path):
     ["--window", "0,1,0,nan", "--budget", "16"],
     ["--window", "0,inf,0,1", "--budget", "16"],
     ["--chart", "affine", "--basepoint", "nan,0,0,0", "--budget", "16"],
+    ["--basepoint", "5,0,5,0", "--budget", "16"],
 ], ids=["budget-negative", "threads-negative", "window-nan", "window-inf",
-        "basepoint-nan"])
+        "basepoint-nan", "basepoint-line-chart"])
 def test_raster_malformed_input_exit_2(flags, tmp_path):
     # only --budget 0 means "default"; a non-finite window or base point
-    # would put a bare NaN into the JSON report
+    # would put a bare NaN into the JSON report; the line chart has no
+    # base point, so one given there would be silently ignored
     pgm = tmp_path / "x.pgm"
     out = run("raster", "--n", "4", "--m", "1", "--j", "1", "--res", "2x2",
               "--out", str(pgm), *flags)

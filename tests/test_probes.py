@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import exp, mp, mpc, mpf, pi, sqrt, workprec
 
-from rsadyn import fixed_points
+from rsadyn import family, fixed_points
 from rsadyn.errors import ValidationError
 from rsadyn.probes import (birkhoff_linearize, candidate_times,
                            classify_point_mp, default_budget, iterate,
@@ -106,15 +106,14 @@ def test_near_identity_decreasing(params411):
 def test_iterate_fixed_point(params411):
     with workprec(256):
         fp = fixed_points(params411)[0]
-        rec = iterate(params411, fp, 6, policy="homogeneous", eps=1e-3)
+        rec = iterate(params411, fp, 6, eps=1e-3)
         assert len(rec.return_events) == 6
         assert max(d for _, d in rec.return_events) < mpf(10) ** -60
 
 
 def test_iterate_line_point_period(params411):
     with workprec(256):
-        rec = iterate(params411, (mpc(0), mpc(1), mpc("0.45")), 12,
-                      policy="homogeneous", eps=1e-8)
+        rec = iterate(params411, (mpc(0), mpc(1), mpc("0.45")), 12, eps=1e-8)
         assert [k for k, _ in rec.return_events] == [4, 8, 12]
 
 
@@ -122,7 +121,7 @@ def test_iterate_blownup_point_cycles_in_charts(params411):
     # the contracted-curve target [0:0:1] enters the level-1 charts and
     # cycles through the fibers without hitting indeterminacy
     with workprec(256):
-        rec = iterate(params411, (mpc(0), mpc(0), mpc(1)), 9, policy="auto")
+        rec = iterate(params411, (mpc(0), mpc(0), mpc(1)), 9)
         assert not rec.indeterminate_hit
         fiber_tags = [t for t in rec.chart_tags if t.startswith("fiber1")]
         assert len(fiber_tags) >= 8
@@ -131,20 +130,26 @@ def test_iterate_blownup_point_cycles_in_charts(params411):
 
 
 def test_iterate_chart_coherence(params411):
+    # away from the blown-up points iterate agrees with the affine map,
+    # from an affine pair and from the same point as a homogeneous triple
     with workprec(256):
         z0 = (mpf("0.31") + mpf("0.05") * 1j, mpf("0.8") - mpf("0.1") * 1j)
-        ra = iterate(params411, z0, 10, policy="affine", eps=1e-12)
-        rh = iterate(params411, (mpc(1), z0[0], z0[1]), 10,
-                     policy="homogeneous", eps=1e-12)
+        ra = iterate(params411, z0, 10, eps=1e-12)
+        rh = iterate(params411, (mpc(1), z0[0], z0[1]), 10, eps=1e-12)
+        z = z0
         worst = mpf(0)
-        for (za, zh) in zip(ra.points[1:], rh.points[1:]):
-            worst = max(worst, abs(za[0] - zh[0]), abs(za[1] - zh[1]))
+        for za, zh in zip(ra.points[1:], rh.points[1:]):
+            z = family.map_affine(params411, z)
+            worst = max(worst, abs(za[0] - z[0]), abs(za[1] - z[1]),
+                        abs(zh[0] - z[0]), abs(zh[1] - z[1]))
+        assert len(ra.points) == len(rh.points) == 11
+        assert set(ra.chart_tags) == set(rh.chart_tags) == {"homog"}
         assert worst < mpf(10) ** -60
 
 
 def test_orbit_csv_roundtrip(params411, tmp_path):
     with workprec(256):
-        rec = iterate(params411, (mpf("0.4"), mpf("0.9")), 5, policy="affine")
+        rec = iterate(params411, (mpf("0.4"), mpf("0.9")), 5)
     path = tmp_path / "orbit.csv"
     rec.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -156,8 +161,7 @@ def test_orbit_csv_roundtrip(params411, tmp_path):
 
 def test_birkhoff_residuals(params411):
     fp = fixed_points(params411)[0]
-    rep = birkhoff_linearize(params411, fp, n_values=(1, 16, 256),
-                             ball_radius=1e-3)
+    rep = birkhoff_linearize(params411, fp, n_values=(1, 16, 256))
     r1, r16, r256 = rep["residuals"]
     assert r256 < r16                      # decay toward the conjugacy
     assert r1 < 1e-3                       # r(1) = max |h(z) - Az| = O(radius^2)
@@ -218,8 +222,9 @@ NAN, INF = float("nan"), float("inf")
     ("affine", (-0.01, 0.01, -0.01, 0.01), (complex(NAN, 0.0), 0j), 1),
     ("line", WINDOW, None, 0),
     ("line", WINDOW, None, -3),
+    ("line", WINDOW, (5 + 0j, 5 + 0j), 1),
 ], ids=["window-nan", "window-inf", "basepoint-nan", "threads-0",
-        "threads-negative"])
+        "threads-negative", "basepoint-line-chart"])
 def test_raster_rejects_bad_input(params411, chart, window, basepoint,
                                   threads):
     with pytest.raises(ValidationError):
