@@ -19,9 +19,10 @@ probes run the same step.
 Backend selection: the environment flag RSADYN_NO_NUMBA=1 forces the pure
 numpy path; otherwise numba is used when importable, and then compiles the
 scalar kernels. Blocks of cells run the compiled per-cell loop under numba
-and the vectorized lockstep loop under numpy. Both backends follow the
-identical arithmetic per cell, and each is deterministic run-to-run and
-across thread counts (cells are independent).
+and the vectorized lockstep loop under numpy, which steps only the cells
+not yet classified (its arrays shrink as cells resolve). Both backends
+follow the identical arithmetic per cell, and each is deterministic
+run-to-run and across thread counts (cells are independent).
 """
 
 import os
@@ -186,10 +187,15 @@ def classify_block_numba(T, X, Y, delta, c, n, candidates, eps):
 
 
 def classify_block_numpy(T, X, Y, delta, c, n, candidates, eps):
-    """Vectorized lockstep numpy backend; same arithmetic per cell."""
-    T = T.astype(np.complex128).copy()
-    X = X.astype(np.complex128).copy()
-    Y = Y.astype(np.complex128).copy()
+    """Vectorized lockstep numpy backend; same arithmetic per cell.
+
+    Only live cells are stepped: `live` holds their indices into the
+    block, and the state arrays are sliced down to the survivors whenever
+    cells resolve, so no masked merge runs in the inner loop.
+    """
+    T = np.asarray(T, dtype=np.complex128)
+    X = np.asarray(X, dtype=np.complex128)
+    Y = np.asarray(Y, dtype=np.complex128)
     ncells = T.shape[0]
     classes = np.zeros(ncells, dtype=np.uint8)
     steps = np.full(ncells, -1, dtype=np.int64)
@@ -202,47 +208,56 @@ def classify_block_numpy(T, X, Y, delta, c, n, candidates, eps):
         m2 = np.maximum(np.maximum(mag2(T), mag2(X)), mag2(Y))
         dead = m2 < _TINY2
         classes[dead] = CLASS_INDETERMINATE
-        active = ~dead
-
-        T0, X0, Y0 = T.copy(), X.copy(), Y.copy()
+        live = np.flatnonzero(~dead)
+        T, X, Y = T[live], X[live], Y[live]
+        T0, X0, Y0 = T, X, Y
         den0 = mag2(T0) + mag2(X0) + mag2(Y0)
+
+        def keep(mask):
+            """Slice the live cells and their state down to mask."""
+            nonlocal live, T, X, Y, T0, X0, Y0, den0
+            live = live[mask]
+            T, X, Y = T[mask], X[mask], Y[mask]
+            T0, X0, Y0, den0 = T0[mask], X0[mask], Y0[mask], den0[mask]
 
         h = 0
         for target in candidates:
-            while h < target:
+            while h < target and live.size:
                 for _ in range(n):
+                    NT = T * Y
+                    NX = Y * Y
+                    NY = -delta * X * Y + c * Y * Y + T * T
                     is0 = T == 0
-                    NT = np.where(is0, 0j, T * Y)
-                    NX = np.where(is0, Y, Y * Y)
-                    NY = np.where(is0, -delta * X + c * Y,
-                                  -delta * X * Y + c * Y * Y + T * T)
+                    if is0.any():
+                        NT = np.where(is0, 0j, NT)
+                        NX = np.where(is0, Y, NX)
+                        NY = np.where(is0, -delta * X + c * Y, NY)
                     a2t, a2x, a2y = mag2(NT), mag2(NX), mag2(NY)
                     m2 = np.maximum(np.maximum(a2t, a2x), a2y)
-                    newly = active & (m2 < _TINY2)
-                    if newly.any():
-                        classes[newly] = CLASS_INDETERMINATE
-                        steps[newly] = h
-                        active = active & ~newly
                     piv = np.where(a2t == m2, NT, np.where(a2x == m2, NX, NY))
-                    safe = np.where(active, piv, 1.0)
-                    T = np.where(active, NT / safe, T)
-                    X = np.where(active, NX / safe, X)
-                    Y = np.where(active, NY / safe, Y)
+                    newly = m2 < _TINY2
+                    if newly.any():
+                        classes[live[newly]] = CLASS_INDETERMINATE
+                        steps[live[newly]] = h
+                        ok = ~newly
+                        keep(ok)
+                        NT, NX, NY, piv = NT[ok], NX[ok], NY[ok], piv[ok]
+                    T = NT / piv
+                    X = NX / piv
+                    Y = NY / piv
                 h += 1
-                if not active.any():
-                    break
-            if not active.any():
+            if not live.size:
                 break
             C1 = X * Y0 - Y * X0
             C2 = Y * T0 - T * Y0
             C3 = T * X0 - X * T0
             num = mag2(C1) + mag2(C2) + mag2(C3)
             den = (mag2(T) + mag2(X) + mag2(Y)) * den0
-            hit = active & (num < eps2 * den)
+            hit = num < eps2 * den
             if hit.any():
-                classes[hit] = CLASS_RECURRENT
-                steps[hit] = target
-                active = active & ~hit
+                classes[live[hit]] = CLASS_RECURRENT
+                steps[live[hit]] = target
+                keep(~hit)
     return classes, steps
 
 

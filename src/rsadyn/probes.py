@@ -143,9 +143,6 @@ def _embed_homog(state, params):
         return (t1 * xi, mpc(1), t1 + w)
     if kind == "fiber2":
         _, s, (xi2, x2) = state
-        if x2 == 0:
-            # on the level-2 fiber; the blowdown image is the line point
-            return _blown_up_points(params)[s]
         return _embed_homog(("fiber1", s, (1 / x2, xi2 * x2 * x2)), params)
     raise ValidationError("unknown chart state %r" % (kind,))
 

@@ -51,6 +51,38 @@ def test_block_matches_scalar_on_line_windows(setup, u0, du, v0, dv, w, h):
     assert [(int(cl), int(step)) for cl, step in zip(cls_np, st_np)] == scalar
 
 
+def test_numpy_block_bookkeeping_under_permutation(setup):
+    # one block whose cells resolve at different times and in both places
+    # (an indeterminate image inside the n-fold step, a recurrence at a
+    # candidate time); permuting the block must permute the result, so a
+    # cell's class never lands on another cell's index
+    p, _, _, _, cands = setup
+    delta, c = as_complex(p.delta), as_complex(p.c)
+    cells = [(0, 1, 0.45), (0, 1, 1.1),             # line: recurrent at 4
+             (0.005, 1, 0.3),                       # recurrent at 9
+             (0.01, 1, 0.5), (0.2, 1, 0.7), (1, 2, 2),  # recurrent at 31
+             (1e-103, 1, 0),                        # indeterminate at step 0
+             (0, 0, 0),                             # dead at the start
+             (0.1, 1, 0.25), (1, 0.1, 0.1), (1, 1j, 0.3)]  # non-recurrent
+    cells = cells * 2
+    T, X, Y = (np.array(col, dtype=np.complex128) for col in zip(*cells))
+    perm = np.random.default_rng(8).permutation(len(cells))
+    cls, stp = _kernels.classify_block_numpy(T, X, Y, delta, c, p.n, cands,
+                                             1e-3)
+    cls_p, stp_p = _kernels.classify_block_numpy(T[perm], X[perm], Y[perm],
+                                                 delta, c, p.n, cands, 1e-3)
+    assert (cls_p == cls[perm]).all() and (stp_p == stp[perm]).all()
+    scalar = [_kernels.classify_point(t, x, y, delta, c, p.n, cands, 1e-3)
+              for t, x, y in cells]
+    got = [(int(cl), int(step)) for cl, step in zip(cls, stp)]
+    assert got == scalar
+    recurrent, indet, nonrec = (_kernels.CLASS_RECURRENT,
+                                _kernels.CLASS_INDETERMINATE,
+                                _kernels.CLASS_NONRECURRENT)
+    assert set(got) == {(recurrent, 4), (recurrent, 9), (recurrent, 31),
+                        (indet, 0), (indet, -1), (nonrec, -1)}
+
+
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
 def test_backends_agree(setup):
     p, T, X, Y, cands = setup
