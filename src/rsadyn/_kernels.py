@@ -1,4 +1,4 @@
-"""Hot orbit-classification kernels: numba-jitted with a numpy fallback.
+"""Hot orbit-classification kernels: plain Python cells, a numpy block loop.
 
 The raster and slice probes iterate the homogeneous map
 
@@ -11,21 +11,16 @@ c y); using that branch keeps the whole line (including the blown-up
 points) iterable. Recurrence is detected by the projective cross-product
 distance against the starting point, sampled at the candidate return times.
 
-Every scalar kernel is built from one n-fold step (`_step`) and one
-squared-distance helper (`_dist2`), each defined once. The step's plain
-Python body (`step_py`) also carries mpmath values, so the high-precision
-probes run the same step.
+Every scalar kernel is built from one n-fold step (`step`) and one
+squared-distance helper (`_dist2`), each defined once. They are plain
+Python over any complex-like type, so the mpmath mirror in the probes runs
+the same cell classifier (`_classify_cell`) on mpmath values.
 
-Backend selection: the environment flag RSADYN_NO_NUMBA=1 forces the pure
-numpy path; otherwise numba is used when importable, and then compiles the
-scalar kernels. Blocks of cells run the compiled per-cell loop under numba
-and the vectorized lockstep loop under numpy, which steps only the cells
-not yet classified (its arrays shrink as cells resolve). Both backends
-follow the identical arithmetic per cell, and each is deterministic
+Blocks of cells run `classify_block`, a vectorized lockstep numpy loop
+with the same arithmetic per cell. It steps only the cells not yet
+classified (its arrays shrink as cells resolve). Results are deterministic
 run-to-run and across thread counts (cells are independent).
 """
-
-import os
 
 import numpy as np
 
@@ -36,26 +31,11 @@ CLASS_RECURRENT = 2
 _TINY2 = 1e-120  # squared-magnitude floor: an essentially exact [0:0:0] hit
 
 
-def _numba_disabled():
-    return os.environ.get("RSADYN_NO_NUMBA", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
+# the one backend, recorded in benchmark provenance
+BACKEND = "numpy"
 HAVE_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit as _njit
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
 
 
-def _jit(fn):
-    """Compile fn with numba when the backend is selected; else keep it."""
-    return _njit(cache=True, nogil=True)(fn) if HAVE_NUMBA else fn
-
-
-@_jit
 def _norm2(t, x, y):
     """Squared norm |t|^2 + |x|^2 + |y|^2."""
     return (t.real * t.real + t.imag * t.imag
@@ -63,8 +43,7 @@ def _norm2(t, x, y):
             + y.real * y.real + y.imag * y.imag)
 
 
-@_jit
-def _step(t, x, y, delta, c, n):
+def step(t, x, y, delta, c, n):
     """n map steps, each renormalized so the largest coordinate is 1.
 
     Returns (t, x, y, alive); alive is False once an image vanishes (an
@@ -101,13 +80,6 @@ def _step(t, x, y, delta, c, n):
     return t, x, y, True
 
 
-# numba keeps the uncompiled function as py_func; the compiled step rejects
-# mpmath values, while this body calls no jitted function and takes any
-# complex-like type
-step_py = getattr(_step, "py_func", _step)
-
-
-@_jit
 def _dist2(t, x, y, t0, x0, y0, den0):
     """Squared projective distance to the start as (numerator, denominator).
 
@@ -123,7 +95,6 @@ def _dist2(t, x, y, t0, x0, y0, den0):
     return num, _norm2(t, x, y) * den0
 
 
-@_jit
 def _classify_cell(t, x, y, delta, c, n, candidates, eps2):
     """Classify one start point; returns (class, step).
 
@@ -138,10 +109,9 @@ def _classify_cell(t, x, y, delta, c, n, candidates, eps2):
     t0, x0, y0 = t, x, y
     den0 = _norm2(t0, x0, y0)
     h = 0
-    for ci in range(candidates.shape[0]):
-        target = candidates[ci]
+    for target in candidates:
         while h < target:
-            t, x, y, alive = _step(t, x, y, delta, c, n)
+            t, x, y, alive = step(t, x, y, delta, c, n)
             if not alive:
                 return CLASS_INDETERMINATE, h
             h += 1
@@ -151,47 +121,13 @@ def _classify_cell(t, x, y, delta, c, n, candidates, eps2):
     return CLASS_NONRECURRENT, -1
 
 
-@_jit
-def _h_distances(t, x, y, delta, c, n, nsteps, out):
-    """Projective distance to the start after each n-fold iterate."""
-    t0, x0, y0 = t, x, y
-    den0 = _norm2(t0, x0, y0)
-    for h in range(nsteps):
-        t, x, y, alive = _step(t, x, y, delta, c, n)
-        if not alive:
-            out[h:] = -1.0
-            return
-        num, den = _dist2(t, x, y, t0, x0, y0, den0)
-        out[h] = np.sqrt(num / den)
+def classify_block(T, X, Y, delta, c, n, candidates, eps):
+    """Classify flat arrays of cells in lockstep; returns (classes, steps).
 
-
-@_jit
-def _classify_cells(T, X, Y, delta, c, n, candidates, eps2, classes, steps):
-    for i in range(T.shape[0]):
-        cl, st = _classify_cell(T[i], X[i], Y[i], delta, c, n, candidates,
-                                eps2)
-        classes[i] = cl
-        steps[i] = st
-
-
-def classify_block_numba(T, X, Y, delta, c, n, candidates, eps):
-    """Numba backend over flat complex128 arrays; (classes, steps)."""
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba backend unavailable")
-    classes = np.zeros(T.shape[0], dtype=np.uint8)
-    steps = np.full(T.shape[0], -1, dtype=np.int64)
-    _classify_cells(T, X, Y, complex(delta), complex(c), np.int64(n),
-                    candidates.astype(np.int64), float(eps) ** 2,
-                    classes, steps)
-    return classes, steps
-
-
-def classify_block_numpy(T, X, Y, delta, c, n, candidates, eps):
-    """Vectorized lockstep numpy backend; same arithmetic per cell.
-
-    Only live cells are stepped: `live` holds their indices into the
-    block, and the state arrays are sliced down to the survivors whenever
-    cells resolve, so no masked merge runs in the inner loop.
+    Per cell the arithmetic is that of `_classify_cell`. Only live cells
+    are stepped: `live` holds their indices into the block, and the state
+    arrays are sliced down to the survivors whenever cells resolve, so no
+    masked merge runs in the inner loop.
     """
     T = np.asarray(T, dtype=np.complex128)
     X = np.asarray(X, dtype=np.complex128)
@@ -261,31 +197,29 @@ def classify_block_numpy(T, X, Y, delta, c, n, candidates, eps):
     return classes, steps
 
 
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-def classify_block(T, X, Y, delta, c, n, candidates, eps):
-    """Dispatch to the selected backend."""
-    if HAVE_NUMBA:
-        return classify_block_numba(T, X, Y, delta, c, n, candidates, eps)
-    return classify_block_numpy(T, X, Y, delta, c, n, candidates, eps)
-
-
 def h_orbit_distances(t, x, y, delta, c, n, nsteps):
     """Distances to the start after each of nsteps n-fold iterates.
 
     Entries are -1 from the first indeterminate hit onward.
     """
-    out = np.zeros(int(nsteps), dtype=np.float64)
-    _h_distances(complex(t), complex(x), complex(y), complex(delta),
-                 complex(c), np.int64(n), np.int64(nsteps), out)
+    t, x, y = complex(t), complex(x), complex(y)
+    delta, c = complex(delta), complex(c)
+    out = np.full(int(nsteps), -1.0)
+    t0, x0, y0 = t, x, y
+    den0 = _norm2(t0, x0, y0)
+    for h in range(out.shape[0]):
+        t, x, y, alive = step(t, x, y, delta, c, n)
+        if not alive:
+            break
+        num, den = _dist2(t, x, y, t0, x0, y0, den0)
+        out[h] = np.sqrt(num / den)
     return out
 
 
 def classify_point(t, x, y, delta, c, n, candidates, eps):
     """Single-point classification through the same cell logic."""
     cl, st = _classify_cell(complex(t), complex(x), complex(y),
-                            complex(delta), complex(c), np.int64(n),
+                            complex(delta), complex(c), int(n),
                             np.asarray(candidates, dtype=np.int64),
                             float(eps) ** 2)
     return int(cl), int(st)

@@ -8,14 +8,16 @@ Birkhoff curve), `raster` (recurrence rasters to PGM/CSV).
 
 Contract: a single JSON report on stdout, diagnostics on stderr. Exit
 codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
-failure, 5 linearization obstruction, 6 I/O failure. A raster with a
-negative budget, fewer than one thread, a non-finite window or base
-point, or a base point with the line chart is an argument error (exit 2).
+failure, 5 linearization obstruction, 6 I/O failure. A non-finite
+`--perturb` or `--mismatch-c`, and a raster with a negative budget, fewer
+than one thread, a non-finite window or base point, or a base point with
+the line chart, are argument errors (exit 2).
 `verify` passes a residual below 2^(-precision/2).
 """
 
 import argparse
 import json
+import math
 import sys
 
 from mpmath import mp, mpf, workprec
@@ -120,7 +122,13 @@ def cmd_salem(args):
     return EXIT_OK
 
 
+def _check_finite(flag, value):
+    if not math.isfinite(value):
+        raise ValidationError("%s must be finite, got %r" % (flag, value))
+
+
 def cmd_verify(args):
+    _check_finite("--perturb", args.perturb)
     params = family.build_params(args.n, args.m, args.j, args.root_index,
                                  args.sqrt_branch, args.precision)
     checks = {}
@@ -195,6 +203,7 @@ def cmd_verify(args):
 
 
 def cmd_linearize(args):
+    _check_finite("--mismatch-c", args.mismatch_c)
     bits = args.precision
     if args.demo_resonant:
         # synthetic resonant map (lam x + x^2 y, y/lam) with the (1,1)

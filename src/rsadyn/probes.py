@@ -9,9 +9,11 @@ recurrence rasters over 2-plane chart slices; and slice-radius bracketing
 along the radial leaves.
 
 The raster and slice probes run in hardware precision through the kernels
-in ._kernels (numba with numpy fallback); everything else is mpmath at the
-parameter pack's precision, or plain complex where hardware precision
-demonstrably suffices (documented per function).
+in ._kernels (a numpy block loop and plain-Python scalar cells), and the
+precision-doubling mirror runs the same cell classifier on mpmath values;
+everything else is mpmath at the parameter pack's precision, or plain
+complex where hardware precision demonstrably suffices (documented per
+function).
 """
 
 import cmath
@@ -256,7 +258,7 @@ def _advance_state(params, state, centers):
                     xi = (t / x) / t1 if t1 != 0 else mpc(0)
                 return _advance_state(params, ("fiber1", s, (xi, t1)),
                                       centers)
-        t, x, y, alive = _kernels.step_py(t, x, y, params.delta, params.c, 1)
+        t, x, y, alive = _kernels.step(t, x, y, params.delta, params.c, 1)
         return ("homog", (t, x, y)) if alive else None
 
     if state[0] == "fiber1":
@@ -572,24 +574,18 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
 def classify_point_mp(params, point, candidates, eps, precision_bits=None):
     """mpmath mirror of the kernel cell classifier (precision studies).
 
-    Runs the hardware kernel's own map step at arbitrary precision, with the
-    same candidate schedule; used by the precision-doubling stability check.
+    Runs the kernels' own `_classify_cell` on mpmath values at
+    precision_bits (default: the parameter pack's precision), with the same
+    candidate schedule; used by the precision-doubling stability check.
     """
-    bits = precision_bits or params.precision_bits
+    bits = check_precision(params.precision_bits if precision_bits is None
+                           else precision_bits)
     with workprec(bits):
-        start = tuple(mpc(v) for v in point)
-        t, x, y = start
-        d, c = mpc(params.delta), mpc(params.c)
-        h = 0
-        for target in candidates:
-            while h < target:
-                t, x, y, alive = _kernels.step_py(t, x, y, d, c, params.n)
-                if not alive:
-                    return _kernels.CLASS_INDETERMINATE, h
-                h += 1
-            if proj_distance((t, x, y), start) < eps:
-                return _kernels.CLASS_RECURRENT, target
-        return _kernels.CLASS_NONRECURRENT, -1
+        t, x, y = (mpc(v) for v in point)
+        cl, st = _kernels._classify_cell(
+            t, x, y, mpc(params.delta), mpc(params.c), params.n,
+            np.asarray(candidates, dtype=np.int64), mpf(eps) ** 2)
+    return int(cl), int(st)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,21 @@ def test_linearize_mismatch_exit_5():
     assert out.returncode == 5
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--perturb", "nan"],
+    ["verify", "--perturb", "inf"],
+    ["linearize", "--degree", "6", "--mismatch-c", "nan"],
+    ["linearize", "--degree", "6", "--mismatch-c", "inf"],
+], ids=["verify-perturb-nan", "verify-perturb-inf", "linearize-mismatch-nan",
+        "linearize-mismatch-inf"])
+def test_non_finite_flag_exit_2(command):
+    # a NaN perturbation would put a bare NaN into the JSON report, and a
+    # NaN mismatch would report a conjugacy with no obstruction
+    out = run(command[0], "--n", "4", "--m", "1", *command[1:])
+    assert out.returncode == 2
+    assert out.stdout == ""
+
+
 def test_raster_outputs_and_determinism(tmp_path):
     args = ["raster", "--n", "4", "--m", "1", "--j", "1",
             "--window", "0.2,1.3,0.0,0.03", "--res", "32x16",

@@ -1,4 +1,4 @@
-"""Backend equivalence and determinism of the hot kernels."""
+"""Block, scalar and mpmath agreement and determinism of the hot kernels."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsadyn.numeric import as_complex
-from rsadyn.probes import _chart_states, candidate_times
+from rsadyn.probes import _chart_states, candidate_times, classify_point_mp
 from rsadyn import _kernels
 
 
@@ -25,8 +25,8 @@ def setup(params411):
 def test_numpy_backend_matches_scalar(setup):
     p, T, X, Y, cands = setup
     delta, c = as_complex(p.delta), as_complex(p.c)
-    cls_np, st_np = _kernels.classify_block_numpy(T, X, Y, delta, c, p.n,
-                                                  cands, 1e-3)
+    cls_np, st_np = _kernels.classify_block(T, X, Y, delta, c, p.n, cands,
+                                            1e-3)
     scalar = [_kernels.classify_point(T[i], X[i], Y[i], delta, c, p.n,
                                       cands, 1e-3) for i in range(T.size)]
     assert [(int(cl), int(st)) for cl, st in zip(cls_np, st_np)] == scalar
@@ -44,8 +44,8 @@ def test_block_matches_scalar_on_line_windows(setup, u0, du, v0, dv, w, h):
     delta, c = as_complex(p.delta), as_complex(p.c)
     T, X, Y = (Z.ravel() for Z in _chart_states(
         "line", (u0, u0 + du, v0, v0 + dv), (w, h)))
-    cls_np, st_np = _kernels.classify_block_numpy(T, X, Y, delta, c, p.n,
-                                                  cands, 1e-3)
+    cls_np, st_np = _kernels.classify_block(T, X, Y, delta, c, p.n, cands,
+                                            1e-3)
     scalar = [_kernels.classify_point(T[i], X[i], Y[i], delta, c, p.n,
                                       cands, 1e-3) for i in range(T.size)]
     assert [(int(cl), int(step)) for cl, step in zip(cls_np, st_np)] == scalar
@@ -67,15 +67,17 @@ def test_numpy_block_bookkeeping_under_permutation(setup):
     cells = cells * 2
     T, X, Y = (np.array(col, dtype=np.complex128) for col in zip(*cells))
     perm = np.random.default_rng(8).permutation(len(cells))
-    cls, stp = _kernels.classify_block_numpy(T, X, Y, delta, c, p.n, cands,
-                                             1e-3)
-    cls_p, stp_p = _kernels.classify_block_numpy(T[perm], X[perm], Y[perm],
-                                                 delta, c, p.n, cands, 1e-3)
+    cls, stp = _kernels.classify_block(T, X, Y, delta, c, p.n, cands, 1e-3)
+    cls_p, stp_p = _kernels.classify_block(T[perm], X[perm], Y[perm],
+                                           delta, c, p.n, cands, 1e-3)
     assert (cls_p == cls[perm]).all() and (stp_p == stp[perm]).all()
     scalar = [_kernels.classify_point(t, x, y, delta, c, p.n, cands, 1e-3)
               for t, x, y in cells]
     got = [(int(cl), int(step)) for cl, step in zip(cls, stp)]
     assert got == scalar
+    # the 256-bit mirror runs the same cell classifier on mpmath values
+    assert [classify_point_mp(p, cell, cands, 1e-3, precision_bits=256)
+            for cell in cells] == scalar
     recurrent, indet, nonrec = (_kernels.CLASS_RECURRENT,
                                 _kernels.CLASS_INDETERMINATE,
                                 _kernels.CLASS_NONRECURRENT)
@@ -83,23 +85,11 @@ def test_numpy_block_bookkeeping_under_permutation(setup):
                         (indet, 0), (indet, -1), (nonrec, -1)}
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
-def test_backends_agree(setup):
-    p, T, X, Y, cands = setup
-    delta, c = as_complex(p.delta), as_complex(p.c)
-    cls_nb, st_nb = _kernels.classify_block_numba(T, X, Y, delta, c, p.n,
-                                                  cands, 1e-3)
-    cls_np, st_np = _kernels.classify_block_numpy(T, X, Y, delta, c, p.n,
-                                                  cands, 1e-3)
-    assert (cls_nb == cls_np).all()
-    assert (st_nb == st_np).all()
-
-
 def test_numpy_backend_deterministic(setup):
     p, T, X, Y, cands = setup
     delta, c = as_complex(p.delta), as_complex(p.c)
-    a = _kernels.classify_block_numpy(T, X, Y, delta, c, p.n, cands, 1e-3)
-    b = _kernels.classify_block_numpy(T, X, Y, delta, c, p.n, cands, 1e-3)
+    a = _kernels.classify_block(T, X, Y, delta, c, p.n, cands, 1e-3)
+    b = _kernels.classify_block(T, X, Y, delta, c, p.n, cands, 1e-3)
     assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
 
 
@@ -113,22 +103,6 @@ def test_line_states_never_indeterminate(setup):
     for (t, x, y) in specials:
         cl, _ = _kernels.classify_point(t, x, y, delta, c, p.n, cands, 1e-3)
         assert cl == _kernels.CLASS_RECURRENT
-
-
-def test_env_flag_selects_numpy(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    import rsadyn
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rsadyn.__file__)))
-    code = ("import rsadyn._kernels as k; "
-            "print(k.BACKEND, k.HAVE_NUMBA)")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={"PATH": "/usr/bin:/bin",
-                              "RSADYN_NO_NUMBA": "1"},
-                         capture_output=True, text=True, cwd=src)
-    assert out.stdout.split() == ["numpy", "False"]
 
 
 def test_h_orbit_distances_line_point(setup):

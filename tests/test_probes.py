@@ -286,6 +286,14 @@ def test_raster_precision_doubling_stability(params411):
             assert got256 == got512 == hw
 
 
+@pytest.mark.parametrize("bits", [32, 0])
+def test_classify_point_mp_rejects_low_precision(params411, bits):
+    # 0 is a precision below the floor, not "the pack's precision" (None)
+    with pytest.raises(ValidationError):
+        classify_point_mp(params411, (0, 1, 0.45), [4], 1e-3,
+                          precision_bits=bits)
+
+
 def test_no_periodic_points_off_line(params411):
     # recurrent cells off the invariant line return only near candidate
     # times and never exactly (distance stays above hardware noise)
