@@ -1,6 +1,6 @@
-"""Hot orbit-classification kernels: plain Python cells, a numpy block loop.
+"""Hot orbit-classification kernels: plain Python cells, numpy block loops.
 
-The raster and slice probes iterate the homogeneous map
+The raster, slice and near-identity probes iterate the homogeneous map
 
     [t : x : y] -> [t y : y^2 : -delta x y + c y^2 + t^2]
 
@@ -16,10 +16,14 @@ squared-distance helper (`_dist2`), each defined once. They are plain
 Python over any complex-like type, so the mpmath mirror in the probes runs
 the same cell classifier (`_classify_cell`) on mpmath values.
 
-Blocks of cells run `classify_block`, a vectorized lockstep numpy loop
-with the same arithmetic per cell. It steps only the cells not yet
-classified (its arrays shrink as cells resolve). Results are deterministic
-run-to-run and across thread counts (cells are independent).
+The array kernels share one renormalized numpy map step (`_block_step`),
+with the arithmetic of `step` per cell. `classify_block` classifies blocks
+of raster cells in lockstep, and `return_distances` reads the distance to
+the start of many samples at a list of return times (near-identity
+returns; `h_orbit_distances` is its one-sample form). Both step only the
+cells still unresolved or alive (their arrays shrink as cells drop out).
+Results are deterministic run-to-run and across thread counts (cells are
+independent).
 """
 
 import numpy as np
@@ -121,6 +125,38 @@ def _classify_cell(t, x, y, delta, c, n, candidates, eps2):
     return CLASS_NONRECURRENT, -1
 
 
+def _mag2(Z):
+    """Squared modulus, elementwise."""
+    return Z.real * Z.real + Z.imag * Z.imag
+
+
+def _block_step(T, X, Y, delta, c):
+    """One renormalized map step of complex128 arrays; returns (T, X, Y, dead).
+
+    Per cell the arithmetic is that of one pass of `step`. dead is None
+    when every image is live; otherwise it is the mask of the cells whose
+    image vanished, and those cells are dropped from the returned arrays.
+    """
+    NT = T * Y
+    NX = Y * Y
+    NY = -delta * X * Y + c * Y * Y + T * T
+    is0 = T == 0
+    if is0.any():
+        NT = np.where(is0, 0j, NT)
+        NX = np.where(is0, Y, NX)
+        NY = np.where(is0, -delta * X + c * Y, NY)
+    a2t, a2x, a2y = _mag2(NT), _mag2(NX), _mag2(NY)
+    m2 = np.maximum(np.maximum(a2t, a2x), a2y)
+    piv = np.where(a2t == m2, NT, np.where(a2x == m2, NX, NY))
+    dead = m2 < _TINY2
+    if dead.any():
+        ok = ~dead
+        NT, NX, NY, piv = NT[ok], NX[ok], NY[ok], piv[ok]
+    else:
+        dead = None
+    return NT / piv, NX / piv, NY / piv, dead
+
+
 def classify_block(T, X, Y, delta, c, n, candidates, eps):
     """Classify flat arrays of cells in lockstep; returns (classes, steps).
 
@@ -137,64 +173,81 @@ def classify_block(T, X, Y, delta, c, n, candidates, eps):
     steps = np.full(ncells, -1, dtype=np.int64)
     eps2 = float(eps) ** 2
 
-    def mag2(Z):
-        return Z.real * Z.real + Z.imag * Z.imag
-
     with np.errstate(all="ignore"):
-        m2 = np.maximum(np.maximum(mag2(T), mag2(X)), mag2(Y))
+        m2 = np.maximum(np.maximum(_mag2(T), _mag2(X)), _mag2(Y))
         dead = m2 < _TINY2
         classes[dead] = CLASS_INDETERMINATE
         live = np.flatnonzero(~dead)
         T, X, Y = T[live], X[live], Y[live]
         T0, X0, Y0 = T, X, Y
-        den0 = mag2(T0) + mag2(X0) + mag2(Y0)
+        den0 = _mag2(T0) + _mag2(X0) + _mag2(Y0)
 
         def keep(mask):
-            """Slice the live cells and their state down to mask."""
-            nonlocal live, T, X, Y, T0, X0, Y0, den0
+            """Slice the live cells and their start points down to mask."""
+            nonlocal live, T0, X0, Y0, den0
             live = live[mask]
-            T, X, Y = T[mask], X[mask], Y[mask]
             T0, X0, Y0, den0 = T0[mask], X0[mask], Y0[mask], den0[mask]
 
         h = 0
         for target in candidates:
             while h < target and live.size:
                 for _ in range(n):
-                    NT = T * Y
-                    NX = Y * Y
-                    NY = -delta * X * Y + c * Y * Y + T * T
-                    is0 = T == 0
-                    if is0.any():
-                        NT = np.where(is0, 0j, NT)
-                        NX = np.where(is0, Y, NX)
-                        NY = np.where(is0, -delta * X + c * Y, NY)
-                    a2t, a2x, a2y = mag2(NT), mag2(NX), mag2(NY)
-                    m2 = np.maximum(np.maximum(a2t, a2x), a2y)
-                    piv = np.where(a2t == m2, NT, np.where(a2x == m2, NX, NY))
-                    newly = m2 < _TINY2
-                    if newly.any():
-                        classes[live[newly]] = CLASS_INDETERMINATE
-                        steps[live[newly]] = h
-                        ok = ~newly
-                        keep(ok)
-                        NT, NX, NY, piv = NT[ok], NX[ok], NY[ok], piv[ok]
-                    T = NT / piv
-                    X = NX / piv
-                    Y = NY / piv
+                    T, X, Y, dead = _block_step(T, X, Y, delta, c)
+                    if dead is not None:
+                        classes[live[dead]] = CLASS_INDETERMINATE
+                        steps[live[dead]] = h
+                        keep(~dead)
                 h += 1
             if not live.size:
                 break
             C1 = X * Y0 - Y * X0
             C2 = Y * T0 - T * Y0
             C3 = T * X0 - X * T0
-            num = mag2(C1) + mag2(C2) + mag2(C3)
-            den = (mag2(T) + mag2(X) + mag2(Y)) * den0
+            num = _mag2(C1) + _mag2(C2) + _mag2(C3)
+            den = (_mag2(T) + _mag2(X) + _mag2(Y)) * den0
             hit = num < eps2 * den
             if hit.any():
                 classes[live[hit]] = CLASS_RECURRENT
                 steps[live[hit]] = target
-                keep(~hit)
+                ok = ~hit
+                T, X, Y = T[ok], X[ok], Y[ok]
+                keep(ok)
     return classes, steps
+
+
+def return_distances(T, X, Y, delta, c, n, times):
+    """Distances to the start after each of the n-fold return times.
+
+    T, X, Y hold the start points; times must be increasing. Returns an
+    array of shape (len(times), N) whose row k holds every sample's
+    projective distance to its start after times[k] n-fold iterates. A
+    sample's entries are -1 from its first indeterminate hit onward. The
+    samples run in lockstep and only their current state is kept; a
+    sample is dropped from the arrays once it hits an indeterminate image.
+    """
+    T = np.asarray(T, dtype=np.complex128)
+    X = np.asarray(X, dtype=np.complex128)
+    Y = np.asarray(Y, dtype=np.complex128)
+    out = np.full((len(times), T.shape[0]), -1.0)
+    with np.errstate(all="ignore"):
+        live = np.arange(T.shape[0])
+        T0, X0, Y0 = T, X, Y
+        den0 = _norm2(T0, X0, Y0)
+        h = 0
+        for row, target in enumerate(times):
+            while h < target and live.size:
+                for _ in range(n):
+                    T, X, Y, dead = _block_step(T, X, Y, delta, c)
+                    if dead is not None:
+                        ok = ~dead
+                        live = live[ok]
+                        T0, X0, Y0, den0 = T0[ok], X0[ok], Y0[ok], den0[ok]
+                h += 1
+            if not live.size:
+                break
+            num, den = _dist2(T, X, Y, T0, X0, Y0, den0)
+            out[row, live] = np.sqrt(num / den)
+    return out
 
 
 def h_orbit_distances(t, x, y, delta, c, n, nsteps):
@@ -202,18 +255,8 @@ def h_orbit_distances(t, x, y, delta, c, n, nsteps):
 
     Entries are -1 from the first indeterminate hit onward.
     """
-    t, x, y = complex(t), complex(x), complex(y)
-    delta, c = complex(delta), complex(c)
-    out = np.full(int(nsteps), -1.0)
-    t0, x0, y0 = t, x, y
-    den0 = _norm2(t0, x0, y0)
-    for h in range(out.shape[0]):
-        t, x, y, alive = step(t, x, y, delta, c, n)
-        if not alive:
-            break
-        num, den = _dist2(t, x, y, t0, x0, y0, den0)
-        out[h] = np.sqrt(num / den)
-    return out
+    return return_distances([t], [x], [y], complex(delta), complex(c), n,
+                            range(1, int(nsteps) + 1))[:, 0]
 
 
 def classify_point(t, x, y, delta, c, n, candidates, eps):

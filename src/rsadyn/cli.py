@@ -9,7 +9,8 @@ Birkhoff curve), `raster` (recurrence rasters to PGM/CSV).
 Contract: a single JSON report on stdout, diagnostics on stderr. Exit
 codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A non-finite
-`--perturb` or `--mismatch-c`, and a raster with a negative budget, fewer
+`--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` below
+2^(-precision/4) in modulus, and a raster with a negative budget, fewer
 than one thread, a non-finite window or base point, or a base point with
 the line chart, are argument errors (exit 2).
 `verify` passes a residual below 2^(-precision/2).
@@ -77,7 +78,8 @@ def build_parser():
                    help="run the synthetic obstruction fixture instead")
     p.add_argument("--mismatch-c", type=float, default=0.0,
                    help="relative scaling of c: a nonzero value leaves the "
-                        "parameter locus and must produce an obstruction")
+                        "parameter locus and must produce an obstruction; "
+                        "its modulus must be at least 2^(-precision/4)")
 
     p = sub.add_parser("raster", help="recurrence raster to PGM/CSV")
     _add_family_flags(p)
@@ -226,7 +228,17 @@ def cmd_linearize(args):
     params = family.build_params(args.n, args.m, args.j, args.root_index,
                                  args.sqrt_branch, bits)
     if args.mismatch_c:
-        params = family.with_mismatched_c(params, 1 + args.mismatch_c)
+        with workprec(bits):
+            # the factor is formed at working precision (in float, 1 + a
+            # mismatch below about 1e-16 is exactly 1); below the solver's
+            # vanish floor the forcing it leaves would read as zero
+            mismatch = mpf(args.mismatch_c)
+            if abs(mismatch) < mpf(2) ** (-(bits // 4)):
+                raise ValidationError(
+                    "a nonzero --mismatch-c must be at least 2^-%d in "
+                    "modulus at --precision %d, got %r"
+                    % (bits // 4, bits, args.mismatch_c))
+            params = family.with_mismatched_c(params, 1 + mismatch)
     d = args.degree
     with workprec(bits):
         h_corner, corner_rep = series.corner_return_map(

@@ -305,7 +305,9 @@ def near_identity_returns(params, n_candidates=5, n_samples=100, seed=0):
 
     Samples sit at transverse distance _NEAR_LINE_T from the invariant line,
     spread along it away from the blown-up points; for each candidate
-    return time q the sup over samples of dist(H^q z, z) is returned.
+    return time q the sup over samples of dist(H^q z, z) is returned. All
+    samples run together in one lockstep pass up to the largest q
+    (`_kernels.return_distances`), read at each q.
     Hardware precision: the measured distances are >= _NEAR_LINE_T
     |lam^q - 1|, which stays far above rounding noise. The sequence is
     expected to decrease along candidates (near-identity returns).
@@ -327,13 +329,9 @@ def near_identity_returns(params, n_candidates=5, n_samples=100, seed=0):
         t = _NEAR_LINE_T * complex(math.cos(phase), math.sin(phase))
         samples.append((t, 1.0 + 0.0j, w))
 
-    sups = []
-    for q in qs:
-        worst = 0.0
-        for (t, x, y) in samples:
-            dists = _kernels.h_orbit_distances(t, x, y, delta, c, n, q)
-            worst = max(worst, float(dists[q - 1]))
-        sups.append(worst)
+    T, X, Y = zip(*samples)
+    dists = _kernels.return_distances(T, X, Y, delta, c, n, qs)
+    sups = [max(0.0, float(row.max())) for row in dists]
     return {"candidates": qs, "sup_distances": sups}
 
 

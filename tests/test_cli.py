@@ -96,6 +96,19 @@ def test_linearize_mismatch_exit_5():
     assert out.returncode == 5
 
 
+def test_linearize_tiny_mismatch():
+    # 1e-17 is lost in float (1 + 1e-17 == 1.0) but not at 256 bits, and it
+    # lies above the solver's vanish floor 2^-64: still an obstruction
+    base = ("linearize", "--n", "4", "--m", "1", "--j", "1", "--degree", "6")
+    out = run(*base, "--mismatch-c", "1e-17")
+    assert out.returncode == 5
+    assert json.loads(out.stdout)["corner"]["linearization"]["obstruction"]
+    # below the vanish floor no obstruction can be reported: exit 2
+    out = run(*base, "--mismatch-c", "1e-300")
+    assert out.returncode == 2
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize("command", [
     ["verify", "--perturb", "nan"],
     ["verify", "--perturb", "inf"],

@@ -112,3 +112,48 @@ def test_h_orbit_distances_line_point(setup):
                                        p.n, 16)
     assert dists.shape == (16,)
     assert dists.max() < 1e-12     # the line is pointwise fixed under H
+
+
+def _return_distances_reference(t, x, y, delta, c, n, times):
+    """Scalar loop: one sample's distances at increasing times, -1 once
+    an indeterminate image is hit."""
+    t0, x0, y0 = t, x, y
+    den0 = _kernels._norm2(t0, x0, y0)
+    out, h = [], 0
+    for target in times:
+        while h < target and t is not None:
+            t, x, y, alive = _kernels.step(t, x, y, delta, c, n)
+            if not alive:
+                t = None
+            h += 1
+        if t is None:
+            out.append(-1.0)
+        else:
+            num, den = _kernels._dist2(t, x, y, t0, x0, y0, den0)
+            out.append((num / den) ** 0.5)
+    return out
+
+
+def test_return_distances_match_scalar_loop(setup):
+    p, _, _, _, _ = setup
+    delta, c = as_complex(p.delta), as_complex(p.c)
+    times = (4, 9, 22, 31, 5013)
+    samples = [(1e-6j, 1, 0.45), (1e-6, 1, 1.1), (-2e-6, 1, 0.3 + 0.2j),
+               (1e-4, 1, 0.8 - 0.3j), (0.005, 1, 0.3),   # near the line
+               (0, 1, 0.45),                             # on the line
+               (1e-103, 1, 0),                  # indeterminate at step 1
+               (0, 0, 0)]                       # dead at the start
+    T, X, Y = (np.array(col, dtype=np.complex128) for col in zip(*samples))
+    got = _kernels.return_distances(T, X, Y, delta, c, p.n, times)
+    assert got.shape == (len(times), len(samples))
+    want = np.array([_return_distances_reference(
+        complex(t), complex(x), complex(y), delta, c, p.n, times)
+        for t, x, y in samples]).T
+    assert ((got == -1) == (want == -1)).all()
+    assert (want[:, -2:] == -1).all() and (want[:, :-2] >= 0).all()
+    assert np.abs(got - want).max() <= 1e-12
+    # a sample's row never lands on another sample's column
+    perm = np.random.default_rng(10).permutation(len(samples))
+    got_p = _kernels.return_distances(T[perm], X[perm], Y[perm], delta, c,
+                                      p.n, times)
+    assert (got_p == got[:, perm]).all()

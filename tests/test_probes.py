@@ -101,6 +101,17 @@ def test_near_identity_decreasing(params411):
     assert sups[0] / sups[4] >= 10
 
 
+def test_near_identity_returns_pinned(params411):
+    # seed 0, 100 samples, as computed by one scalar orbit per (q, sample)
+    rep = near_identity_returns(params411, n_candidates=5, n_samples=100,
+                                seed=0)
+    assert rep["candidates"] == [4, 9, 22, 31, 5013]
+    pinned = [5.90294947494059e-07, 1.9989569333043113e-07,
+              1.9866618124223256e-07, 1.2358362895057316e-09,
+              3.4004660689752174e-11]
+    assert np.abs(np.array(rep["sup_distances"]) - pinned).max() <= 1e-13
+
+
 # -- iteration -------------------------------------------------------------------
 
 def test_iterate_fixed_point(params411):
