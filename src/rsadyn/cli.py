@@ -11,8 +11,11 @@ codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A non-finite
 `--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` below
 2^(-precision/4) in modulus, and a raster with a negative budget, fewer
-than one thread, a non-finite window or base point, or a base point with
-the line chart, are argument errors (exit 2).
+than one thread, an eps outside (0, 1), a non-finite window or base point,
+or a base point with the line chart, are argument errors (exit 2).
+A negative value in exponent notation, or a window list that starts with
+a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
+separated by a space, the parser reads it as an option name.
 `verify` passes a residual below 2^(-precision/2).
 """
 
@@ -69,7 +72,8 @@ def build_parser():
     _add_family_flags(p)
     p.add_argument("--perturb", type=float, default=0.0,
                    help="relative perturbation of delta for the landing "
-                        "sharpness check")
+                        "sharpness check; give a negative value in exponent "
+                        "notation as --perturb=-1e-3")
 
     p = sub.add_parser("linearize", help="return maps and conjugacy solve")
     _add_family_flags(p)
@@ -79,17 +83,22 @@ def build_parser():
     p.add_argument("--mismatch-c", type=float, default=0.0,
                    help="relative scaling of c: a nonzero value leaves the "
                         "parameter locus and must produce an obstruction; "
-                        "its modulus must be at least 2^(-precision/4)")
+                        "its modulus must be at least 2^(-precision/4); give "
+                        "a negative value in exponent notation as "
+                        "--mismatch-c=-1e-3")
 
     p = sub.add_parser("raster", help="recurrence raster to PGM/CSV")
     _add_family_flags(p)
     p.add_argument("--chart", default="line", choices=("line", "affine"))
     p.add_argument("--window", default="0.2,1.3,0.0,0.05",
-                   help="x0,x1,y0,y1 in chart coordinates")
+                   help="x0,x1,y0,y1 in chart coordinates; a list that "
+                        "starts with a negative value needs the = form, "
+                        "--window=-0.5,0.5,0,0.05")
     p.add_argument("--res", default="128x128", help="WxH")
     p.add_argument("--budget", type=int, default=0,
                    help="iteration budget; 0 = first candidate >= 10^4")
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=float, default=1e-3,
+                   help="recurrence radius in projective distance, in (0, 1)")
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--csv", default=None, help="optional CSV path")
     p.add_argument("--threads", type=int, default=1)

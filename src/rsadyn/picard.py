@@ -178,28 +178,6 @@ def berkowitz_charpoly(matrix):
     return ascending
 
 
-def faddeev_leverrier_charpoly(matrix):
-    """Characteristic polynomial via the trace recursion, over Fraction.
-
-    Independent of the Berkowitz path; used as the cross-check oracle.
-    """
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    coeffs = [Fraction(1)]             # descending: t^n first
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k < n:
-            for i in range(n):
-                mk[i][i] += ck
-            mk = mat_mul(m, mk)
-    ascending = list(reversed(coeffs))
-    if all(c.denominator == 1 for c in ascending):
-        return salem.IntPolynomial([int(c) for c in ascending])
-    return ascending
-
-
 # ---------------------------------------------------------------------------
 # the invariant sublattice and its complement
 # ---------------------------------------------------------------------------

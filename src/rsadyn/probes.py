@@ -514,14 +514,14 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
     non-recurrent-within-budget -- an honest budgeted statement, no escape
     claim. Deterministic: same window, resolution, budget and eps give
     byte-identical rasters for any thread count (cells are independent pure
-    functions). eps must be positive and finite: only eps^2 reaches the
-    kernels, so a negative eps would silently act as |eps|. The window and
+    functions). eps must lie in (0, 1): only eps^2 reaches the kernels, so
+    a negative eps would silently act as |eps|, and the projective distance
+    never exceeds 1, so eps >= 1 would pass every cell. The window and
     base point must be finite, a base point is only read by the affine
     chart, and threads must be at least 1.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValidationError("eps must be positive and finite, got %r"
-                              % (eps,))
+    if not 0 < eps < 1:
+        raise ValidationError("eps must lie in (0, 1), got %r" % (eps,))
     if not all(math.isfinite(v) for v in window):
         raise ValidationError("window must be finite, got %r" % (window,))
     if basepoint is not None and chart != "affine":

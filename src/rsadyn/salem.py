@@ -8,9 +8,12 @@ landing depth ``m`` is
 an exact integer polynomial of degree nm. For n >= 4 (or n = 3, m >= 2) it is
 a Salem polynomial: one real root lambda > 1, its reciprocal, and all other
 roots on the unit circle. Root isolation is done by Aberth simultaneous
-iteration at arbitrary precision with verified residuals; root-of-unity
-status is certified by exact cyclotomic divisibility sweeps, never by
-numerical argument tests.
+iteration at arbitrary precision with residuals verified as a backward
+error; root-of-unity status is certified by exact cyclotomic divisibility
+sweeps, never by numerical argument tests. Every polynomial division, the
+sweep and the recursive construction of the cyclotomic polynomials
+included, is integer long division (`_exact_quotient`), which gives up at
+the first fractional quotient coefficient.
 """
 
 from dataclasses import dataclass
@@ -118,26 +121,22 @@ class IntPolynomial:
     def divmod_exact(self, divisor):
         """Exact quotient self / divisor as an IntPolynomial.
 
-        Raises InternalConsistencyError when the division is not exact over
-        the integers (nonzero remainder or fractional quotient).
+        Integer long division (`_exact_quotient`). Raises
+        InternalConsistencyError when the division is not exact over the
+        integers (a fractional quotient coefficient or a nonzero remainder).
         """
-        q, r = _frac_divmod([Fraction(c) for c in self.coeffs],
-                            [Fraction(c) for c in divisor.coeffs])
-        if any(c != 0 for c in r):
+        q = _exact_quotient(self.coeffs, divisor.coeffs)
+        if q is None:
             raise InternalConsistencyError(
-                "polynomial division left a nonzero remainder")
-        if any(c.denominator != 1 for c in q):
-            raise InternalConsistencyError(
-                "polynomial division produced non-integer coefficients")
-        return IntPolynomial([int(c) for c in q])
+                "polynomial division is not exact over the integers")
+        return IntPolynomial(q)
 
     def divides(self, other):
-        """True when self divides other exactly over Z."""
+        """True when self divides other exactly over Z (integer long
+        division with no fractional quotient coefficient and no remainder)."""
         if self.is_zero():
             return other.is_zero()
-        q, r = _frac_divmod([Fraction(c) for c in other.coeffs],
-                            [Fraction(c) for c in self.coeffs])
-        return all(c == 0 for c in r) and all(c.denominator == 1 for c in q)
+        return _exact_quotient(other.coeffs, self.coeffs) is not None
 
     def derivative(self):
         return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -170,51 +169,31 @@ class IntPolynomial:
         return cls([int(s) for s in data])
 
 
-def _frac_divmod(num, den):
-    """Long division of coefficient lists (ascending) over Fraction."""
-    if not den or all(c == 0 for c in den):
+def _exact_quotient(num, den):
+    """Quotient of two ascending integer coefficient sequences, or None.
+
+    Long division over Z: each quotient coefficient is the leading
+    remainder coefficient divided by den's leading coefficient with
+    divmod. Returns None at the first quotient coefficient that is not an
+    integer, or when the remainder is not zero.
+    """
+    if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    num = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    q = [Fraction(0)] * max(0, len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        factor = num[k] / lead
-        q[k - dd] = factor
-        if factor:
-            for i in range(dd + 1):
-                num[k - dd + i] -= factor * den[i]
-    return q, num[:dd] if dd else []
-
-
-def poly_gcd(a, b):
-    """Primitive gcd over Z via the Euclidean algorithm over Q."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-    while fb and any(c != 0 for c in fb):
-        _, r = _frac_divmod(fa, fb)
-        while r and r[-1] == 0:
-            r.pop()
-        fa, fb = fb, r
-    if not fa:
-        return IntPolynomial([])
-    denom = 1
-    for c in fa:
-        denom = denom * c.denominator // _int_gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fa]
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(ints)
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    rem = list(num)
+    q = [0] * max(0, len(rem) - dd)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        digit, r = divmod(rem[k], lead)
+        if r:
+            return None
+        q[k - dd] = digit
+        if digit:
+            for i in range(dd):
+                rem[k - dd + i] -= digit * den[i]
+    if any(rem[:dd]):
+        return None
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +227,9 @@ def find_roots(poly, precision_bits):
     """All roots (with multiplicity) by Aberth simultaneous iteration.
 
     Returns deg(poly) mpc values sorted by (argument, modulus) so that a
-    root index is reproducible across runs and precisions. Residuals
-    |p(root)| are verified to be below 2**(-precision_bits/2); failure to
+    root index is reproducible across runs and precisions. Residuals are
+    verified as a backward error: |p(root)| must be below
+    2**(-precision_bits/2) * max(1, sum |c_k| |root|^k). Failure to
     converge within 128 + precision_bits steps raises NumericFailureError
     carrying the best residual reached.
     """
@@ -281,15 +261,16 @@ def find_roots(poly, precision_bits):
         dpoly = reduced.derivative()
         best = mpf("inf")
         for _ in range(maxsteps):
-            residuals = [abs(reduced.eval_mpc(z)) for z in roots]
+            values = [reduced.eval_mpc(z) for z in roots]
+            residuals = [abs(v) for v in values]
             worst = max(residuals)
             best = min(best, worst)
             if worst < target:
                 break
             new_roots = []
             for i, z in enumerate(roots):
-                pz = reduced.eval_mpc(z)
-                if abs(pz) < target:
+                pz = values[i]
+                if residuals[i] < target:
                     new_roots.append(z)
                     continue
                 dz = dpoly.eval_mpc(z)
@@ -318,12 +299,17 @@ def find_roots(poly, precision_bits):
                 "Aberth iteration missed residual target 2^%d"
                 % (-(precision_bits // 2)), best_residual=best)
 
+    # backward error: |p(z)| against tol * max(1, sum |c_k| |z|^k), the
+    # size of the terms whose rounding it measures (at lambda ~ 2 and
+    # degree 40 the floor alone is about lambda^40 * 2^-bits)
+    absolute = IntPolynomial([abs(c) for c in poly.coeffs])
     with workprec(precision_bits):
         out = [mpc(0)] * nzero + [mpc(z) for z in roots]
-        bad = max(abs(poly.eval_mpc(z)) for z in out)
+        bad = max(abs(poly.eval_mpc(z))
+                  / max(1, absolute.eval_mpc(abs(z)).real) for z in out)
         if bad >= tolerance_for(precision_bits):
             raise NumericFailureError(
-                "root residual %s above tolerance" % mp_str(bad),
+                "scaled root residual %s above tolerance" % mp_str(bad),
                 best_residual=bad)
         out.sort(key=lambda z: (arg(z), abs(z)))
     return out

@@ -64,6 +64,23 @@ def test_verify_perturbed_fails_landing(precision):
     assert "landing" in out.stderr
 
 
+# degree >= 35: at 64 bits lambda^nm * 2^-64 alone is above the absolute
+# tolerance 2^-32, so the root residual is checked as a backward error
+@pytest.mark.parametrize("n,m", [(8, 5), (10, 4)])
+def test_high_degree_certifies_at_64_bits(n, m):
+    member = ("--n", str(n), "--m", str(m))
+    out = run("salem", *member, "--precision", "64")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["salem"] is True
+    out = run("verify", *member, "--j", "1", "--precision", "64")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["pass"] is True
+    out = run("verify", *member, "--j", "1", "--precision", "64",
+              "--perturb", "1e-5")
+    assert out.returncode == 4
+    assert json.loads(out.stdout)["checks"]["landing"]["pass"] is False
+
+
 def test_verify_rejects_bad_j():
     out = run("verify", "--n", "4", "--m", "1", "--j", "2")
     assert out.returncode == 2
@@ -107,6 +124,25 @@ def test_linearize_tiny_mismatch():
     out = run(*base, "--mismatch-c", "1e-300")
     assert out.returncode == 2
     assert out.stdout == ""
+
+
+# the parser reads a space-separated "-1e-3" as an option name; the
+# --flag=value form documented in --help and README passes it as a value
+@pytest.mark.parametrize("command,rc", [
+    (["verify", "--perturb=-1e-3"], 4),
+    (["linearize", "--degree", "6", "--mismatch-c=-1e-3"], 5),
+    (["raster", "--window=-0.5,0.5,0,0.05", "--res", "4x4", "--budget",
+      "16"], 0),
+], ids=["verify-perturb", "linearize-mismatch-c", "raster-window"])
+def test_negative_value_equals_form(command, rc, tmp_path):
+    if command[0] == "raster":
+        command = command + ["--out", str(tmp_path / "x.pgm")]
+    out = run(command[0], "--n", "4", "--m", "1", *command[1:])
+    assert out.returncode == rc, out.stderr
+    report = json.loads(out.stdout)
+    if command[0] == "raster":
+        assert report["window"] == [-0.5, 0.5, 0.0, 0.05]
+        assert (tmp_path / "x.pgm").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -189,12 +225,15 @@ def test_raster_negative_eps_exit_2(tmp_path):
     ["--window", "0,inf,0,1", "--budget", "16"],
     ["--chart", "affine", "--basepoint", "nan,0,0,0", "--budget", "16"],
     ["--basepoint", "5,0,5,0", "--budget", "16"],
+    ["--eps", "2", "--budget", "16"],
+    ["--eps", "1e300", "--budget", "16"],
 ], ids=["budget-negative", "threads-negative", "window-nan", "window-inf",
-        "basepoint-nan", "basepoint-line-chart"])
+        "basepoint-nan", "basepoint-line-chart", "eps-2", "eps-1e300"])
 def test_raster_malformed_input_exit_2(flags, tmp_path):
     # only --budget 0 means "default"; a non-finite window or base point
     # would put a bare NaN into the JSON report; the line chart has no
-    # base point, so one given there would be silently ignored
+    # base point, so one given there would be silently ignored; eps >= 1
+    # passes every cell, and a huge eps overflowed eps^2
     pgm = tmp_path / "x.pgm"
     out = run("raster", "--n", "4", "--m", "1", "--j", "1", "--res", "2x2",
               "--out", str(pgm), *flags)

@@ -9,9 +9,9 @@ from rsadyn import salem_polynomial
 from rsadyn.errors import ValidationError
 from rsadyn.numeric import totient
 from rsadyn.picard import (bareiss_det, berkowitz_charpoly, entropy,
-                           faddeev_leverrier_charpoly, intersection_matrix_S,
-                           is_negative_definite, leading_principal_minors,
-                           pic_data, quadratic_growth_fixture, t_action_matrix)
+                           intersection_matrix_S, is_negative_definite,
+                           leading_principal_minors, pic_data,
+                           quadratic_growth_fixture, t_action_matrix)
 from rsadyn.salem import IntPolynomial
 
 
@@ -94,6 +94,29 @@ def test_t_action_entries_and_closing_column(n, m):
     for l in range(m):
         assert last[l * n] == -1
         assert all(last[l * n + s] == 1 for s in range(1, n))
+
+
+def faddeev_leverrier_charpoly(matrix):
+    """Independent charpoly oracle: the Faddeev-LeVerrier trace recursion.
+
+    M_1 = A, c_k = -tr(M_k) / k, M_{k+1} = A (M_k + c_k I). For an integer
+    matrix every c_k is an integer, so each division by k is exact over Z
+    (asserted). Shares no code with the Berkowitz path.
+    """
+    n = len(matrix)
+    rows = [[(t, a) for t, a in enumerate(row) if a] for row in matrix]
+    coeffs = [1]                       # descending: t^n first
+    mk = [list(row) for row in matrix]
+    for k in range(1, n + 1):
+        ck, r = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert r == 0
+        coeffs.append(ck)
+        if k < n:
+            for i in range(n):
+                mk[i][i] += ck
+            mk = [[sum(a * mk[t][j] for t, a in row) for j in range(n)]
+                  for row in rows]
+    return IntPolynomial(reversed(coeffs))
 
 
 def test_charpoly_identity_41():

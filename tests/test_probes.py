@@ -217,9 +217,12 @@ def test_raster_fixed_point_cell_recurrent(params411):
     assert grid.classes[2][2] == _kernels.CLASS_RECURRENT
 
 
-@pytest.mark.parametrize("eps", [-1e-3, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("eps", [-1e-3, 0.0, float("nan"), float("inf"),
+                                 1.0, 2.0, 1e200])
 def test_raster_rejects_bad_eps(params411, eps):
-    # only eps^2 reaches the kernels, so -eps would pass as eps unchecked
+    # only eps^2 reaches the kernels, so -eps would pass as eps unchecked;
+    # the projective distance never exceeds 1, so eps >= 1 passes every
+    # cell, and eps^2 overflows a float from about 1.3e154
     with pytest.raises(ValidationError):
         siegel_raster(params411, "line", WINDOW, (4, 2), budget=16, eps=eps)
 

@@ -2,11 +2,13 @@
 
 Oracles used here and nowhere else: sympy exact expansion/factorization for
 the polynomial identities, Fraction-evaluated sign changes for root
-brackets, and a from-scratch Euclidean gcd over Q for the root-of-unity
-certificate.
+brackets, Fraction long division for exact divisibility, the Moebius
+product for the cyclotomic polynomials, and a from-scratch Euclidean gcd
+over Q for the root-of-unity certificate.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from rsadyn import (IntPolynomial, NotSalemError, certify_not_root_of_unity,
                     find_roots, salem_certificate, salem_polynomial)
 from rsadyn.errors import InternalConsistencyError, ValidationError
 from rsadyn.numeric import unconditional_cyclotomic_bound
-from rsadyn.salem import cyclotomic, cyclotomic_part, poly_gcd
+from rsadyn.salem import cyclotomic, cyclotomic_part
 
 
 # -- construction ------------------------------------------------------------
@@ -99,6 +101,43 @@ def test_divmod_exact_inverts_product(p, q):
     assert (p * q).divmod_exact(q) == p
 
 
+def frac_divmod(num, den):
+    """Oracle: long division of ascending coefficient lists over Fraction."""
+    num = [Fraction(c) for c in num]
+    dd = len(den) - 1
+    quo = [Fraction(0)] * max(0, len(num) - dd)
+    for k in range(len(num) - 1, dd - 1, -1):
+        quo[k - dd] = f = num[k] / den[-1]
+        for i in range(dd + 1):
+            num[k - dd + i] -= f * den[i]
+    return quo, num[:dd]
+
+
+def fraction_divides(q, p):
+    quo, rem = frac_divmod(p.coeffs, q.coeffs)
+    return not any(rem) and all(c.denominator == 1 for c in quo)
+
+
+@PROPERTY
+@given(POLY, NONZERO_POLY, POLY, st.integers(-3, 3).filter(bool),
+       st.booleans())
+def test_divides_matches_fraction_division(a, q, r, scale, exact):
+    # divisor q * scale (non-monic, either sign of leading coefficient);
+    # dividend a * q, plus r unless exact: a remainder, a fractional
+    # quotient (scale not dividing a) and exact cases all occur
+    divisor = q * scale
+    p = a * q if exact else a * q + r
+    want = fraction_divides(divisor, p)
+    assert divisor.divides(p) == want
+    if exact and scale in (1, -1):
+        assert want
+    if want:
+        assert p.divmod_exact(divisor) * divisor == p
+    else:
+        with pytest.raises(InternalConsistencyError):
+            p.divmod_exact(divisor)
+
+
 def test_polynomial_json_roundtrip():
     p = salem_polynomial(5, 2)
     assert IntPolynomial.from_json(p.to_json()) == p
@@ -174,6 +213,30 @@ def test_root_order_deterministic():
 
 # -- root-of-unity certification ----------------------------------------------
 
+def poly_gcd(a, b):
+    """Oracle: primitive gcd over Z via the Euclidean algorithm over Q."""
+    fa = [Fraction(c) for c in a.coeffs]
+    fb = [Fraction(c) for c in b.coeffs]
+    while fb and any(c != 0 for c in fb):
+        _, r = frac_divmod(fa, fb)
+        while r and r[-1] == 0:
+            r.pop()
+        fa, fb = fb, r
+    if not fa:
+        return IntPolynomial([])
+    denom = 1
+    for c in fa:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in fa]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return IntPolynomial(ints)
+
+
 def naive_gcd_with_unity(p, k):
     """Oracle: primitive gcd over Z with t^k - 1 by Euclid over Q."""
     return poly_gcd(p, IntPolynomial([-1] + [0] * (k - 1) + [1]))
@@ -207,6 +270,72 @@ def test_cyclotomic_polynomials():
     assert cyclotomic(1) == IntPolynomial([-1, 1])
     assert cyclotomic(4) == IntPolynomial([1, 0, 1])
     assert cyclotomic(12) == IntPolynomial([1, 0, -1, 0, 1])
+
+
+def moebius(k):
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
+
+
+def test_cyclotomic_matches_moebius_product():
+    # Phi_d = prod_{e | d} (t^e - 1)^mu(d/e): multiply the mu = +1 factors
+    # and the mu = -1 factors, then one exact division over Fraction
+    for d in range(1, 151):
+        num, den = IntPolynomial([1]), IntPolynomial([1])
+        for e in range(1, d + 1):
+            if d % e == 0 and moebius(d // e):
+                factor = IntPolynomial([-1] + [0] * (e - 1) + [1])
+                if moebius(d // e) > 0:
+                    num = num * factor
+                else:
+                    den = den * factor
+        quo, rem = frac_divmod(num.coeffs, den.coeffs)
+        assert not any(rem) and all(c.denominator == 1 for c in quo)
+        assert cyclotomic(d) == IntPolynomial([int(c) for c in quo]), d
+
+
+# cyclotomic factors (order, multiplicity) of every family polynomial with
+# n >= 3 and nm <= 40, as found by the Fraction-division sweep before the
+# sweep moved to integer division; members not listed have none
+CENSUS_CYCLOTOMIC_FACTORS = {
+    (3, 1): [(1, 2), (2, 1)], (3, 3): [(2, 1)], (3, 5): [(2, 1)],
+    (3, 7): [(2, 1)], (3, 9): [(2, 1)], (3, 11): [(2, 1)], (3, 13): [(2, 1)],
+    (4, 2): [(3, 1)], (4, 5): [(3, 1)], (4, 8): [(3, 1)], (5, 1): [(2, 1)],
+    (5, 3): [(2, 1), (4, 1)], (5, 5): [(2, 1)], (5, 7): [(2, 1), (4, 1)],
+    (6, 4): [(5, 1)], (7, 1): [(2, 1)], (7, 2): [(3, 1)], (7, 3): [(2, 1)],
+    (7, 5): [(2, 1), (3, 1), (6, 1)], (8, 1): [(6, 1)], (8, 4): [(6, 1)],
+    (9, 1): [(2, 1)], (9, 3): [(2, 1), (4, 1)], (10, 2): [(3, 1)],
+    (11, 1): [(2, 1)], (11, 3): [(2, 1)], (12, 2): [(10, 1)],
+    (13, 1): [(2, 1)], (13, 2): [(3, 1)], (13, 3): [(2, 1), (4, 1)],
+    (14, 1): [(6, 1)], (15, 1): [(2, 1)], (16, 2): [(3, 1)],
+    (17, 1): [(2, 1)], (19, 1): [(2, 1)], (19, 2): [(3, 1)],
+    (20, 1): [(6, 1)], (21, 1): [(2, 1)], (23, 1): [(2, 1)],
+    (25, 1): [(2, 1)], (26, 1): [(6, 1)], (27, 1): [(2, 1)],
+    (29, 1): [(2, 1)], (31, 1): [(2, 1)], (32, 1): [(6, 1)],
+    (33, 1): [(2, 1)], (35, 1): [(2, 1)], (37, 1): [(2, 1)],
+    (38, 1): [(6, 1)], (39, 1): [(2, 1)],
+}
+
+
+def test_cyclotomic_part_census_pinned():
+    # pinned factors, and core * prod Phi_d^mult == poly pins the core too
+    members = [(n, m) for n in range(3, 41) for m in range(1, 40 // n + 1)]
+    assert len(members) == 98
+    for n, m in members:
+        p = salem_polynomial(n, m)
+        core, factors = cyclotomic_part(p)
+        assert factors == CENSUS_CYCLOTOMIC_FACTORS.get((n, m), []), (n, m)
+        for d, mult in factors:
+            for _ in range(mult):
+                core = core * cyclotomic(d)
+        assert core == p, (n, m)
 
 
 def test_cyclotomic_part_splits_31():
