@@ -8,7 +8,9 @@ over the nm-step orbit of the exceptional curve {y=0} through the level-2
 fibers. This module implements the induced maps in the explicit fiber
 charts, the exact landing criterion selecting the family polynomial's roots,
 the marked-orbit pattern check, and the multiplier bookkeeping of the
-diagonal linear model.
+diagonal linear model. The level-2 chart map is written once,
+`level2_step`, over any ring: `fiber_map_level2` runs it on numbers and
+`series.corner_return_map` on truncated series.
 
 Chart conventions (pi = blowdown to the plane):
   level 1, s = 0:        pi(s1, e1)_0 = [s1 : s1*e1 : 1]
@@ -117,39 +119,47 @@ def fiber_map_level1(params, pt):
         return FiberChartPoint(level=1, s=(s + 1) % n, coords=out)
 
 
+def level2_step(params, s, xi, x2, div):
+    """The level-2 chart map from fiber s to fiber s+1, in any ring.
+
+    xi, x2 are numbers or series, and div(a, b) is the ring's a / b: the
+    pointwise map passes a division that refuses a vanishing denominator,
+    the corner return map one that inverts b as a unit series. On the
+    fiber (x2 = 0) the map is the Moebius family xi -> xi/(xi - delta) for
+    s in {0, n-1} and xi -> xi/(xi + delta) otherwise.
+    """
+    d, c = params.delta, params.c
+    if s == 0:
+        return div(xi, xi - d), x2 * (-d + xi)
+    if s <= params.n - 2:
+        w = _omega(params, s)
+        den = d * x2 * x2 * xi + w * (xi + d)
+        den2 = w * (w + x2 * x2 * xi)
+        return div(w * xi, den), div(x2 * den, den2)
+    return div(xi, xi - d + c * x2 * x2 * xi), x2
+
+
 def fiber_map_level2(params, pt):
     """Induced map on the level-2 charts, fiber s to fiber s+1 (mod n).
 
-    On the fiber (x2 = 0) the restriction is the Moebius family
-    xi -> xi/(xi - delta) for s in {0, n-1} and xi -> xi/(xi + delta)
-    otherwise.
+    `level2_step` on mpc values; a denominator below tolerance raises
+    IndeterminatePointError.
     """
     if pt.level != 2:
         raise ValidationError("level-2 chart point required")
-    n = params.n
-    s = pt.s % n
+    s = pt.s % params.n
     with workprec(params.precision_bits):
-        xi, x2 = mpc(pt.coords[0]), mpc(pt.coords[1])
-        d, c = params.delta, params.c
         tol = params.tolerance
-        if s == 0:
-            den = xi - d
-            if abs(den) < tol:
-                raise IndeterminatePointError("level-2 chart denominator vanished")
-            out = (xi / den, x2 * (-d + xi))
-        elif s <= n - 2:
-            w = _omega(params, s)
-            den = d * x2 * x2 * xi + w * (xi + d)
-            den2 = w * (w + x2 * x2 * xi)
-            if abs(den) < tol or abs(den2) < tol:
-                raise IndeterminatePointError("level-2 chart denominator vanished")
-            out = (w * xi / den, x2 * den / den2)
-        else:
-            den = xi - d + c * x2 * x2 * xi
-            if abs(den) < tol:
-                raise IndeterminatePointError("level-2 chart denominator vanished")
-            out = (xi / den, x2)
-        return FiberChartPoint(level=2, s=(s + 1) % n, coords=out)
+
+        def div(a, b):
+            if abs(b) < tol:
+                raise IndeterminatePointError(
+                    "level-2 chart denominator vanished")
+            return a / b
+
+        out = level2_step(params, s, mpc(pt.coords[0]), mpc(pt.coords[1]),
+                          div)
+        return FiberChartPoint(level=2, s=(s + 1) % params.n, coords=out)
 
 
 # ---------------------------------------------------------------------------

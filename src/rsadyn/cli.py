@@ -101,7 +101,11 @@ def build_parser():
                    help="recurrence radius in projective distance, in (0, 1)")
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--csv", default=None, help="optional CSV path")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads over the raster rows; the lockstep "
+                        "numpy loop holds the interpreter lock between its "
+                        "many small array calls, so more than one thread "
+                        "does not pay")
     p.add_argument("--basepoint", default=None,
                    help="re1,im1,re2,im2 base point for the affine chart")
     return ap

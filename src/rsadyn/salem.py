@@ -227,11 +227,13 @@ def find_roots(poly, precision_bits):
     """All roots (with multiplicity) by Aberth simultaneous iteration.
 
     Returns deg(poly) mpc values sorted by (argument, modulus) so that a
-    root index is reproducible across runs and precisions. Residuals are
-    verified as a backward error: |p(root)| must be below
+    root index is reproducible across runs and precisions. Each root stops
+    at its own residual target 2**(-precision_bits-32) * max(1, sum |c_k|
+    |z0|^k), scaled like the final check from its start point z0. Residuals
+    are verified as a backward error: |p(root)| must be below
     2**(-precision_bits/2) * max(1, sum |c_k| |root|^k). Failure to
     converge within 128 + precision_bits steps raises NumericFailureError
-    carrying the best residual reached.
+    naming the target missed and carrying the best residual reached.
     """
     precision_bits = check_precision(precision_bits)
     deg = poly.degree()
@@ -247,30 +249,36 @@ def find_roots(poly, precision_bits):
         nzero += 1
     reduced = IntPolynomial(coeffs)
 
-    # Residual target far below the certificate tolerance 2^(-bits/2):
-    # a double root with residual 2^(-bits-32) is located to ~2^(-bits/2-16),
-    # so modulus classification keeps headroom even for clustered roots.
+    # Residual targets far below the certificate tolerance 2^(-bits/2): a
+    # double root with relative residual 2^(-bits-32) is located to
+    # ~2^(-bits/2-16), so modulus classification keeps headroom even for
+    # clustered roots. Each target carries the backward-error scale of the
+    # final check, so it stays above the rounding floor of p(z) at high
+    # degree (about lambda^80 * 2^-(working bits) at degree 80).
     work = precision_bits + max(96, precision_bits // 2)
     with workprec(work):
-        target = mpf(2) ** (-(precision_bits + 32))
         if reduced.degree() == 0:
             # pure power t^k: nothing left for the iteration
             with workprec(precision_bits):
                 return [mpc(0)] * nzero
         roots = [mpc(z) for z in _initial_guesses(reduced)]
+        reduced_abs = IntPolynomial([abs(c) for c in reduced.coeffs])
+        with workprec(53):
+            scales = [max(1, reduced_abs.eval_mpc(abs(z)).real)
+                      for z in roots]
+        targets = [mpf(2) ** (-(precision_bits + 32)) * sc for sc in scales]
         dpoly = reduced.derivative()
         best = mpf("inf")
         for _ in range(maxsteps):
             values = [reduced.eval_mpc(z) for z in roots]
             residuals = [abs(v) for v in values]
-            worst = max(residuals)
-            best = min(best, worst)
-            if worst < target:
+            best = min(best, max(residuals))
+            if all(r < t for r, t in zip(residuals, targets)):
                 break
             new_roots = []
             for i, z in enumerate(roots):
                 pz = values[i]
-                if residuals[i] < target:
+                if residuals[i] < targets[i]:
                     new_roots.append(z)
                     continue
                 dz = dpoly.eval_mpc(z)
@@ -295,9 +303,12 @@ def find_roots(poly, precision_bits):
                 new_roots.append(z - step)
             roots = new_roots
         else:
+            i = max(range(len(roots)), key=lambda i: residuals[i] / targets[i])
             raise NumericFailureError(
-                "Aberth iteration missed residual target 2^%d"
-                % (-(precision_bits // 2)), best_residual=best)
+                "Aberth iteration missed residual target %s at root %d "
+                "(residual %s)" % (mp_str(targets[i]), i,
+                                   mp_str(residuals[i])),
+                best_residual=best)
 
     # backward error: |p(z)| against tol * max(1, sum |c_k| |z|^k), the
     # size of the terms whose rounding it measures (at lambda ~ 2 and

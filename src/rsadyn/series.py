@@ -5,16 +5,17 @@ numbers, truncated at a total degree; absent keys are zero. Addition and
 multiplication walk the coefficient dicts in insertion order, skipping any
 pair whose total degree passes the truncation; only `to_json` sorts, so the
 report key order is by degree. 1/f of a unit is one pass of the coefficient
-recurrence g_k = -(1/f_0) sum_{0<a<=k} f_a g_(k-a) in degree order. The
-products H1^i H2^j are formed in one place, `_power_products`, which both
-composition and the linearization solver read.
+recurrence g_k = -(1/f_0) sum_{0<a<=k} f_a g_(k-a) in degree order.
+Composition is nested Horner, f o g = sum_i g1^i (sum_j f_ij g2^j).
 
 The return maps of the automorphism at its distinguished fixed points are
-built by composing the explicit fiber-chart maps, every denominator
-inverted as a unit series; the conjugacy to the diagonal linear part is
-solved order by order, dividing each coefficient by eta1^i eta2^j - eta_k
-and treating exactly-resonant monomials by the vanishing-forcing/obstruction
-dichotomy.
+built by running the fiber-chart maps on series, every denominator
+inverted as a unit series; the corner map runs `blowup.level2_step`, the
+same chart arithmetic as the pointwise map. The conjugacy to the diagonal
+linear part is solved order by order on a running composition Phi o H,
+dividing each coefficient by eta1^i eta2^j - eta_k and treating
+exactly-resonant monomials by the vanishing-forcing/obstruction dichotomy;
+the solve stops at the degree of the first obstruction.
 """
 
 import math
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpc, mpf, workprec
 
+from .blowup import level2_step
 from .errors import (CompositionDomainError, ConsistencyError,
                      PropertyViolationError, StructureViolationError,
                      ValidationError)
@@ -98,6 +100,7 @@ class BivariateSeries:
         out.coeffs = {k: v for k, v in acc.items() if v != 0}
         return out
 
+    __radd__ = __add__
     __rmul__ = __mul__
 
     def max_abs(self):
@@ -142,34 +145,37 @@ def inverse_unit(f):
     return out
 
 
-def _power_products(g1, g2, keys, trunc):
-    """{(i, j): g1^i g2^j} for the requested keys of total degree <= trunc.
-
-    The powers of each factor are built once, only as high as the keys
-    need; every series product H1^i H2^j in this module comes from here.
-    """
-    keys = [k for k in keys if k[0] + k[1] <= trunc]
-    pow1 = [BivariateSeries.constant(trunc, 1)]
-    pow2 = [BivariateSeries.constant(trunc, 1)]
-    for _ in range(max((i for i, _ in keys), default=0)):
-        pow1.append(pow1[-1] * g1)
-    for _ in range(max((j for _, j in keys), default=0)):
-        pow2.append(pow2[-1] * g2)
-    return {(i, j): pow1[i] * pow2[j] for i, j in keys}
-
-
 def series_compose(f, g_pair):
-    """f(g1, g2) for series g1, g2 with zero constant term."""
+    """f(g1, g2) for series g1, g2 with zero constant term.
+
+    Nested Horner, f o g = sum_i g1^i (sum_j f_ij g2^j): the powers of g2
+    are formed once, and since g1^i starts at degree i, the recurrence in
+    g1 keeps only the degrees <= trunc - i at step i.
+    """
     g1, g2 = g_pair
     for g in (g1, g2):
         if g[(0, 0)] != 0:
             raise CompositionDomainError(
                 "composition target has nonzero constant term")
     trunc = min(f.trunc, g1.trunc, g2.trunc)
-    out = BivariateSeries(trunc)
-    for key, mono in _power_products(g1, g2, f.coeffs, trunc).items():
-        out = out + mono * f.coeffs[key]
-    return out
+    rows = {}
+    for (i, j), v in f.coeffs.items():
+        if i + j <= trunc:
+            rows.setdefault(i, []).append((j, v))
+    pow2 = [BivariateSeries.constant(trunc, 1)]
+    for _ in range(max((j for row in rows.values() for j, _ in row),
+                       default=0)):
+        pow2.append(pow2[-1] * g2)
+    top = max(rows, default=0)
+    acc = BivariateSeries(trunc - top)
+    for i in range(top, -1, -1):
+        # acc is known through degree trunc - i - 1; times g1 (no constant
+        # term) its unknown part lands above trunc - i
+        acc.trunc = trunc - i
+        acc = acc * g1
+        for j, v in rows.get(i, ()):
+            acc = acc + pow2[j] * v
+    return acc
 
 
 def compose_pair(f_pair, g_pair):
@@ -345,9 +351,10 @@ def _assert_small_const(f, floor, what):
 def corner_return_map(params, trunc, strict_linear=True):
     """The n-step return map at the corner of the level-1/level-2 fibers.
 
-    Composes the n level-2 chart maps as truncated series in the corner
-    coordinates (xi, x). Returns (H, report): H is the series pair with
-    linear part diag(lambda^2, 1/lambda); the report carries the linear-part
+    Runs `blowup.level2_step` n times on truncated series in the corner
+    coordinates (xi, x), dividing by the unit-series inverse of each
+    denominator. Returns (H, report): H is the series pair with linear
+    part diag(lambda^2, 1/lambda); the report carries the linear-part
     residual, the largest resonant-line coefficient of the first coordinate
     (vanishing exactly when c is a legitimate family parameter), and the
     class inventory of the remainder, which must lie in
@@ -360,29 +367,14 @@ def corner_return_map(params, trunc, strict_linear=True):
     """
     if trunc < 4:
         raise ValidationError("need truncation degree >= 4")
-    n = params.n
     with workprec(params.precision_bits):
-        d, c, lam = params.delta, params.c, params.lam
+        lam = params.lam
         floor = tolerance_for(params.precision_bits)
-        xi = BivariateSeries.variable(trunc, 0)
-        x = BivariateSeries.variable(trunc, 1)
-        cur = (xi, x)
-        for s in range(n):
-            a, b = cur
-            if s == 0:
-                den = a + BivariateSeries.constant(trunc, -d)
-                inv = inverse_unit(den)
-                cur = (a * inv, b * den)
-            elif s <= n - 2:
-                w = params.orbit[s - 1]
-                bsq_a = b * b * a
-                den = bsq_a * d + a * w + BivariateSeries.constant(trunc, w * d)
-                den2 = (bsq_a + BivariateSeries.constant(trunc, w)) * w
-                cur = (a * inverse_unit(den) * w,
-                       b * den * inverse_unit(den2))
-            else:
-                den = a + (b * b * a) * c + BivariateSeries.constant(trunc, -d)
-                cur = (a * inverse_unit(den), b)
+        cur = (BivariateSeries.variable(trunc, 0),
+               BivariateSeries.variable(trunc, 1))
+        for s in range(params.n):
+            cur = level2_step(params, s, *cur,
+                              div=lambda a, b: a * inverse_unit(b))
             cur = (_assert_small_const(cur[0], floor, "corner chart step"),
                    _assert_small_const(cur[1], floor, "corner chart step"))
 
@@ -554,7 +546,9 @@ def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
     2^(-precision_bits/4) sets the coefficient to zero (normal-form
     freedom); a larger forcing term is returned in-band as the obstruction.
     Non-resonant divisors below divisor_floor = 1e-40 are attached as
-    small-divisor warnings.
+    small-divisor warnings. The forcing terms are read off a running
+    composition Phi o H, extended by one row of products H1^i H2^j per
+    degree, so the solve does no work past the degree of an obstruction.
     """
     with workprec(precision_bits):
         vanish_floor = mpf(2) ** (-(precision_bits // 4))
@@ -569,12 +563,6 @@ def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
         if lin_gap > vanish_floor:
             raise ValidationError("linear part of H is not diag(eta1, eta2)")
 
-        # H1^i H2^j for every monomial phi can carry (degree >= 2), for
-        # reading off the coefficients of phi o H
-        table = _power_products(h1, h2, [(i, deg - i)
-                                         for deg in range(2, trunc + 1)
-                                         for i in range(deg + 1)], trunc)
-
         etapow = {}
         for i in range(trunc + 1):
             for j in range(trunc + 1 - i):
@@ -586,15 +574,13 @@ def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
         obstruction = None
         fit_points = []
 
-        def forcing(k, key):
-            h = h1 if k == 1 else h2
-            total = h[key]
-            store = phi[k - 1]
-            for (ii, jj), coeff in store.items():
-                total += coeff * table[(ii, jj)][key]
-            return total
-
+        # comp = Phi o H so far, starting from the identity part of Phi; its
+        # degree-deg coefficients are the forcing terms of that degree.
+        # row[j] = H1^(deg-j) H2^j, built from the previous degree's row
+        comp = [h1, h2]
+        row = [h1, h2]
         for deg in range(2, trunc + 1):
+            row = [r * h1 for r in row] + [row[-1] * h2]
             for i in range(deg, -1, -1):
                 j = deg - i
                 key = (i, j)
@@ -603,7 +589,7 @@ def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
                     divisor = etapow[key] - etak
                     resonant = (rc.resonant_for(i, j, k) if rc is not None
                                 else abs(divisor) < divisor_floor)
-                    rhs = forcing(k, key)
+                    rhs = comp[k - 1][key]
                     if resonant:
                         if abs(rhs) >= vanish_floor:
                             if obstruction is None:
@@ -614,6 +600,7 @@ def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
                     coeff = -rhs / divisor
                     if coeff != 0:
                         phi[k - 1][key] = coeff
+                        comp[k - 1] = comp[k - 1] + row[j] * coeff
                     admag = abs(divisor)
                     if min_divisor is None or admag < min_divisor:
                         min_divisor = admag

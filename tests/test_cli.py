@@ -81,6 +81,18 @@ def test_high_degree_certifies_at_64_bits(n, m):
     assert json.loads(out.stdout)["checks"]["landing"]["pass"] is False
 
 
+# degree 80: the rounding floor of p(z), about lambda^80 * 2^-(working bits),
+# lies above an absolute Aberth target, so each root's target is scaled
+def test_degree_80_certifies_at_64_bits():
+    member = ("--n", "4", "--m", "20", "--precision", "64")
+    out = run("salem", *member)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["salem"] is True
+    out = run("verify", *member, "--j", "1")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["pass"] is True
+
+
 def test_verify_rejects_bad_j():
     out = run("verify", "--n", "4", "--m", "1", "--j", "2")
     assert out.returncode == 2

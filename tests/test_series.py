@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import exp, mp, mpc, mpf, pi, sqrt, workprec
 
 from rsadyn import build_params, with_mismatched_c
+from rsadyn.blowup import FiberChartPoint, fiber_map_level2, level2_step
 from rsadyn.errors import CompositionDomainError, ValidationError
 from rsadyn.series import (MONOMIAL_MAIN, MONOMIAL_OUTSIDE, MONOMIAL_RESONANT,
                            MONOMIAL_UPPER, BivariateSeries, ResonanceClass,
@@ -73,6 +74,48 @@ def test_compose_with_identity(f):
         ident = (BivariateSeries.variable(f.trunc, 0),
                  BivariateSeries.variable(f.trunc, 1))
         assert close(series_compose(f, ident), f)
+
+
+def power_sum_compose(f, g_pair):
+    """Reference composition: sum of f_ij g1^i g2^j, each power built anew."""
+    g1, g2 = g_pair
+    trunc = min(f.trunc, g1.trunc, g2.trunc)
+    out = BivariateSeries(trunc)
+    for (i, j), v in f.coeffs.items():
+        if i + j > trunc:
+            continue
+        mono = BivariateSeries.constant(trunc, v)
+        for g, power in ((g1, i), (g2, j)):
+            for _ in range(power):
+                mono = mono * g
+        out = out + mono
+    return out
+
+
+@st.composite
+def high_x_series(draw, trunc):
+    """A series whose terms all have x-degree within two of the truncation."""
+    key = st.integers(max(0, trunc - 2), trunc).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(0, trunc - i)))
+    return BivariateSeries(trunc, draw(st.dictionaries(key, COEFF,
+                                                       max_size=4)))
+
+
+@PROPERTY
+@given(st.integers(0, 8).flatmap(lambda d: st.tuples(
+    st.one_of(sparse_series(d), high_x_series(d)),
+    st.integers(0, d).flatmap(lambda e: st.tuples(
+        sparse_series(e, constant=False), sparse_series(d, constant=False))))))
+def test_compose_matches_power_sum(case):
+    # the Horner composition against the plain power sum; g1 may be
+    # truncated below f and g2, and f may sit entirely at high x-degree
+    f, (g1, g2) = case
+    with workprec(PROP_BITS):
+        for pair in ((g1, g2), (g2, g1)):
+            out = series_compose(f, pair)
+            ref = power_sum_compose(f, pair)
+            assert out.trunc == ref.trunc
+            assert close(out, ref)
 
 
 def test_compose_hand_example():
@@ -232,15 +275,18 @@ def test_corner_resonant_coefficients_vanish(corner411):
         assert rep["max_resonant_coefficient"] < mpf(2) ** -64
 
 
+def series_chart_step(params, s, pair):
+    """blowup.level2_step on series, dividing as corner_return_map does."""
+    return level2_step(params, s, *pair,
+                       div=lambda a, b: a * inverse_unit(b))
+
+
 def test_corner_first_chart_step_structure(params411):
     # the first chart factor has first coordinate -xi/delta + main terms
-    from rsadyn.series import BivariateSeries, inverse_unit
     p = params411
     with workprec(256):
-        xi = BivariateSeries.variable(8, 0)
-        x = BivariateSeries.variable(8, 1)
-        den = xi + BivariateSeries.constant(8, -p.delta)
-        first = xi * inverse_unit(den)
+        first, _ = series_chart_step(p, 0, (BivariateSeries.variable(8, 0),
+                                            BivariateSeries.variable(8, 1)))
         assert abs(first[(1, 0)] + 1 / p.delta) < TOL
         rc = ResonanceClass(1, 2)
         for (i, j), v in first.coeffs.items():
@@ -270,15 +316,10 @@ def test_pairwise_chart_composition_stays_in_class(params411):
     p = params411
     rc = ResonanceClass(1, 2)
     with workprec(256):
-        xi = BivariateSeries.variable(10, 0)
-        x = BivariateSeries.variable(10, 1)
-        den = xi + BivariateSeries.constant(10, -p.delta)
-        f1 = (xi * inverse_unit(den), x * den)
-        w = p.orbit[0]
-        bsq = x * x * xi
-        den2 = bsq * p.delta + xi * w + BivariateSeries.constant(10, w * p.delta)
-        den3 = (bsq + BivariateSeries.constant(10, w)) * w
-        f2 = (xi * inverse_unit(den2) * w, x * den2 * inverse_unit(den3))
+        ident = (BivariateSeries.variable(10, 0),
+                 BivariateSeries.variable(10, 1))
+        f1 = series_chart_step(p, 0, ident)
+        f2 = series_chart_step(p, 1, ident)
         comp = compose_pair(f2, f1)
         for (i, j), v in comp[0].coeffs.items():
             if (i, j) == (1, 0) or abs(v) < mpf(10) ** -55:
@@ -291,6 +332,24 @@ def test_pairwise_chart_composition_stays_in_class(params411):
             assert classify_monomial(i, j, rc, 1) in (MONOMIAL_MAIN,
                                                       MONOMIAL_UPPER,
                                                       MONOMIAL_RESONANT)
+
+
+def test_corner_series_matches_pointwise_map(params411):
+    # the truncated series return map, summed at a point of size 1e-8,
+    # against n steps of the pointwise chart map from that point
+    p = params411
+    with workprec(256):
+        (h1, h2), _ = corner_return_map(p, 12)
+        start = (mpc("0.7e-8", "0.3e-8"), mpc("-0.4e-8", "0.9e-8"))
+        pt = FiberChartPoint(level=2, s=0, coords=start)
+        for _ in range(p.n):
+            pt = fiber_map_level2(p, pt)
+        assert pt.s == 0
+        for h, want in zip((h1, h2), pt.coords):
+            got = sum(v * start[0] ** i * start[1] ** j
+                      for (i, j), v in h.coeffs.items())
+            assert abs(got - want) < mpf(10) ** -60
+            assert abs(want) > mpf(10) ** -9
 
 
 def test_infinity_return_map_structure(params411):
@@ -390,6 +449,32 @@ def test_mismatched_c_obstruction(params411):
         assert res.obstruction is not None
         assert res.obstruction[0] == 1
         assert res.obstruction[1] == (2, 2)
+
+
+def test_obstruction_stops_the_solve(params411, monkeypatch):
+    # the mismatched-c obstruction sits at degree 4: the solve does the
+    # same series products at truncation 8 as at 16
+    with workprec(256):
+        bad = with_mismatched_c(params411, 1 + mpf(10) ** -2)
+        maps = {t: corner_return_map(bad, t, strict_linear=False)
+                for t in (8, 16)}
+    calls = []
+    mul = BivariateSeries.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(BivariateSeries, "__mul__", counting_mul)
+    counts = {}
+    with workprec(256):
+        for t, (h, rep) in maps.items():
+            calls.clear()
+            res = linearize_diagonal(h, rep["eta"][0], rep["eta"][1], t,
+                                     rc=rep["resonance"], precision_bits=256)
+            assert res.obstruction[1] == (2, 2)
+            counts[t] = len(calls)
+    assert counts[8] == counts[16] > 0
 
 
 def test_verify_conjugacy_identity_on_linear():
