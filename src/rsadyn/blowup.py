@@ -133,8 +133,9 @@ def level2_step(params, s, xi, x2, div):
         return div(xi, xi - d), x2 * (-d + xi)
     if s <= params.n - 2:
         w = _omega(params, s)
-        den = d * x2 * x2 * xi + w * (xi + d)
-        den2 = w * (w + x2 * x2 * xi)
+        q = x2 * x2 * xi
+        den = d * q + w * (xi + d)
+        den2 = w * (w + q)
         return div(w * xi, den), div(x2 * den, den2)
     return div(xi, xi - d + c * x2 * x2 * xi), x2
 

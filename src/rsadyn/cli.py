@@ -10,9 +10,10 @@ Contract: a single JSON report on stdout, diagnostics on stderr. Exit
 codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A non-finite
 `--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` below
-2^(-precision/4) in modulus, and a raster with a negative budget, fewer
-than one thread, an eps outside (0, 1), a non-finite window or base point,
-or a base point with the line chart, are argument errors (exit 2).
+2^(-precision/4) in modulus, `--demo-resonant` with a `--degree` below 3,
+and a raster with a negative budget, fewer than one thread, an eps outside
+(0, 1), a non-finite window or base point, or a base point with the line
+chart, are argument errors (exit 2).
 A negative value in exponent notation, or a window list that starts with
 a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
 separated by a space, the parser reads it as an option name.
@@ -79,7 +80,8 @@ def build_parser():
     _add_family_flags(p)
     p.add_argument("--degree", type=int, default=12)
     p.add_argument("--demo-resonant", action="store_true",
-                   help="run the synthetic obstruction fixture instead")
+                   help="run the synthetic obstruction fixture instead; its "
+                        "resonant monomial x^2 y needs --degree >= 3")
     p.add_argument("--mismatch-c", type=float, default=0.0,
                    help="relative scaling of c: a nonzero value leaves the "
                         "parameter locus and must produce an obstruction; "
@@ -224,6 +226,10 @@ def cmd_linearize(args):
         # synthetic resonant map (lam x + x^2 y, y/lam) with the (1,1)
         # relation: the (2,1) coefficient sits on the resonant line with
         # nonvanishing forcing, so no formal conjugacy exists
+        if args.degree < 3:
+            raise ValidationError(
+                "--demo-resonant needs --degree >= 3 (its resonant monomial "
+                "x^2 y has degree 3), got %d" % args.degree)
         params = family.build_params(args.n, args.m, args.j, args.root_index,
                                      args.sqrt_branch, bits)
         with workprec(bits):

@@ -1,12 +1,18 @@
 """Truncated bivariate series, resonance bookkeeping, and linearization.
 
-Series are dicts (i, j) -> coefficient over arbitrary-precision complex
-numbers, truncated at a total degree; absent keys are zero. Addition and
-multiplication walk the coefficient dicts in insertion order, skipping any
-pair whose total degree passes the truncation; only `to_json` sorts, so the
-report key order is by degree. 1/f of a unit is one pass of the coefficient
-recurrence g_k = -(1/f_0) sum_{0<a<=k} f_a g_(k-a) in degree order.
-Composition is nested Horner, f o g = sum_i g1^i (sum_j f_ij g2^j).
+Series are dicts (i, j) -> coefficient, truncated at a total degree; absent
+keys are zero. Each coefficient is a Gaussian integer (re, im) at a binary
+scale 2^-F carried by the series, and every operation runs on Python
+integers. At creation F = max(mp.prec + 64, the fractional bits each given
+coefficient needs to be held exactly), so no given coefficient is lost;
+an operation runs at the largest of its operands' scales and mp.prec + 64,
+lifting a lower-scale operand exactly. Sums are exact; each coefficient of
+a product is summed exactly and rounded once to the nearest multiple of
+2^-F, and a scalar is taken to the scale once per operation. Reading a
+coefficient (`s[key]`, the `coeffs` view, `to_json`) gives an mpc rounded
+to mp.prec. 1/f of a unit is one pass of the coefficient recurrence
+g_k = -(1/f_0) sum_{0<a<=k} f_a g_(k-a) in degree order. Composition is
+nested Horner, f o g = sum_i g1^i (sum_j f_ij g2^j).
 
 The return maps of the automorphism at its distinguished fixed points are
 built by running the fiber-chart maps on series, every denominator
@@ -20,8 +26,11 @@ the solve stops at the degree of the first obstruction.
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from types import MappingProxyType
 
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_float, from_man_exp
 
 from .blowup import level2_step
 from .errors import (CompositionDomainError, ConsistencyError,
@@ -30,89 +39,204 @@ from .errors import (CompositionDomainError, ConsistencyError,
 from .numeric import mpc_to_json, tolerance_for
 
 
-class BivariateSeries:
-    """Truncated power series in two variables with mpc coefficients."""
+def _guard_scale():
+    """Fractional bits every operation keeps at least: 64 guard bits."""
+    return mp.prec + 64
 
-    __slots__ = ("trunc", "coeffs")
+
+def _shifted(x, s):
+    """x * 2^-s on integers, rounded to nearest (ties up) when s > 0."""
+    if s > 0:
+        return (x + (1 << (s - 1))) >> s
+    return x << -s
+
+
+def _mpf_exact(t):
+    """(num, e) with num * 2^-e equal to the mpf tuple t, e >= 0."""
+    sign, man, exp, _ = t
+    if not man:
+        if exp:
+            raise ValidationError("series coefficients must be finite")
+        return 0, 0
+    if sign:
+        man = -man
+    return (man << exp, 0) if exp >= 0 else (man, -exp)
+
+
+def _real_exact(x):
+    if isinstance(x, int):
+        return int(x), 0
+    return _mpf_exact(x._mpf_ if hasattr(x, "_mpf_") else from_float(x))
+
+
+def _exact(v):
+    """(re, im, e) with (re + i im) 2^-e equal to the number v, e >= 0."""
+    if hasattr(v, "_mpc_"):
+        (re, er), (im, ei) = (_mpf_exact(t) for t in v._mpc_)
+    elif hasattr(v, "_mpf_") or isinstance(v, (int, float, complex)):
+        (re, er), (im, ei) = _real_exact(v.real), _real_exact(v.imag)
+    else:
+        return _exact(mpc(v))
+    e = max(er, ei)
+    return re << (e - er), im << (e - ei), e
+
+
+def _fixed(v, scale):
+    """The number v as a Gaussian integer at scale 2^-scale, rounded once."""
+    re, im, e = _exact(v)
+    return _shifted(re, e - scale), _shifted(im, e - scale)
+
+
+class BivariateSeries:
+    """Truncated power series in two variables on fixed-point Gaussian
+    integers: the coefficient of x^i y^j is (re + i im) 2^-scale."""
+
+    __slots__ = ("trunc", "scale", "_c")
 
     def __init__(self, trunc, coeffs=None):
         self.trunc = int(trunc)
-        self.coeffs = {}
-        if coeffs:
-            for (i, j), v in coeffs.items():
-                if i + j <= self.trunc and v != 0:
-                    self.coeffs[(i, j)] = mpc(v)
+        exact = [(k, _exact(v)) for k, v in (coeffs or {}).items()
+                 if k[0] + k[1] <= self.trunc]
+        self.scale = max([_guard_scale()] + [e for _, (_, _, e) in exact])
+        self._c = {k: (re << (self.scale - e), im << (self.scale - e))
+                   for k, (re, im, e) in exact if re or im}
+
+    @classmethod
+    def _raw(cls, trunc, scale, c):
+        out = cls.__new__(cls)
+        out.trunc, out.scale, out._c = trunc, scale, c
+        return out
 
     @classmethod
     def constant(cls, trunc, value):
-        return cls(trunc, {(0, 0): mpc(value)})
+        return cls(trunc, {(0, 0): value})
 
     @classmethod
     def variable(cls, trunc, which):
         key = (1, 0) if which == 0 else (0, 1)
-        return cls(trunc, {key: mpc(1)})
+        return cls(trunc, {key: 1})
+
+    def _at(self, scale):
+        """The coefficient dict lifted (exactly) to a scale >= self.scale."""
+        s = scale - self.scale
+        if not s:
+            return self._c
+        return {k: (re << s, im << s) for k, (re, im) in self._c.items()}
+
+    def _value(self, pair):
+        re, im = pair
+        prec = mp.prec
+        return mp.make_mpc((from_man_exp(re, -self.scale, prec, "n"),
+                            from_man_exp(im, -self.scale, prec, "n")))
 
     def __getitem__(self, key):
-        return self.coeffs.get(key, mpc(0))
+        pair = self._c.get(key)
+        return mpc(0) if pair is None else self._value(pair)
+
+    def __setitem__(self, key, value):
+        re, im, e = _exact(value)
+        if e > self.scale:
+            self._c = self._at(e)
+            self.scale = e
+        pair = (re << (self.scale - e), im << (self.scale - e))
+        if key[0] + key[1] > self.trunc or not (pair[0] or pair[1]):
+            self._c.pop(key, None)
+        else:
+            self._c[key] = pair
+
+    @property
+    def coeffs(self):
+        """Read-only view {(i, j): mpc}, each rounded to mp.prec."""
+        return MappingProxyType({k: self._value(v)
+                                 for k, v in self._c.items()})
 
     def copy(self):
-        out = BivariateSeries(self.trunc)
-        out.coeffs = dict(self.coeffs)
-        return out
+        return BivariateSeries._raw(self.trunc, self.scale, dict(self._c))
 
     def __add__(self, other):
         if not isinstance(other, BivariateSeries):
             other = BivariateSeries.constant(self.trunc, other)
-        out = BivariateSeries(min(self.trunc, other.trunc))
-        acc = {k: v for k, v in self.coeffs.items()
-               if k[0] + k[1] <= out.trunc}
-        for k, v in other.coeffs.items():
-            if k[0] + k[1] <= out.trunc:
-                acc[k] = acc[k] + v if k in acc else v
-        out.coeffs = {k: v for k, v in acc.items() if v != 0}
-        return out
+        trunc = min(self.trunc, other.trunc)
+        scale = max(self.scale, other.scale, _guard_scale())
+        acc = {k: v for k, v in self._at(scale).items()
+               if k[0] + k[1] <= trunc}
+        for k, (re, im) in other._at(scale).items():
+            if k[0] + k[1] <= trunc:
+                if k in acc:
+                    are, aim = acc[k]
+                    re, im = are + re, aim + im
+                acc[k] = (re, im)
+        return BivariateSeries._raw(trunc, scale, {
+            k: v for k, v in acc.items() if v[0] or v[1]})
 
     def __neg__(self):
-        out = BivariateSeries(self.trunc)
-        out.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return out
+        return BivariateSeries._raw(self.trunc, self.scale, {
+            k: (-re, -im) for k, (re, im) in self._c.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, BivariateSeries):
-            out = BivariateSeries(self.trunc)
-            if other != 0:
-                out.coeffs = {k: v * other for k, v in self.coeffs.items()}
-            return out
-        out = BivariateSeries(min(self.trunc, other.trunc))
-        acc = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            room = out.trunc - i1 - j1
+            scale = max(self.scale, _guard_scale())
+            sr, si = _fixed(other, scale)
+            out = {}
+            for k, (re, im) in self._c.items():
+                re, im = (_shifted(re * sr - im * si, self.scale),
+                          _shifted(re * si + im * sr, self.scale))
+                if re or im:
+                    out[k] = (re, im)
+            return BivariateSeries._raw(self.trunc, scale, out)
+        trunc = min(self.trunc, other.trunc)
+        scale = max(self.scale, other.scale, _guard_scale())
+        width = trunc + 1
+        # flat index i * width + j adds over a product: j1 + j2 <= trunc
+        right = sorted(((i + j, i * width + j, re, im)
+                        for (i, j), (re, im) in other._c.items()
+                        if i + j <= trunc))
+        count = [0] * (trunc + 1)
+        for deg, _, _, _ in right:
+            count[deg] += 1
+        upto = list(accumulate(count))  # upto[d]: right terms of degree <= d
+        right = [t[1:] for t in right]
+        acc_re = [0] * (width * width)
+        acc_im = [0] * (width * width)
+        for (i1, j1), (ar, ai) in self._c.items():
+            room = trunc - i1 - j1
             if room < 0:
                 continue
-            for (i2, j2), v2 in other.coeffs.items():
-                if i2 + j2 > room:
-                    continue
-                key = (i1 + i2, j1 + j2)
-                acc[key] = acc[key] + v1 * v2 if key in acc else v1 * v2
-        out.coeffs = {k: v for k, v in acc.items() if v != 0}
-        return out
+            p1 = i1 * width + j1
+            for p2, br, bi in right[:upto[room]]:
+                p = p1 + p2
+                acc_re[p] += ar * br - ai * bi
+                acc_im[p] += ar * bi + ai * br
+        s = self.scale + other.scale - scale
+        out = {}
+        for p in range(width * width):
+            re, im = acc_re[p], acc_im[p]
+            if re or im:
+                re, im = _shifted(re, s), _shifted(im, s)
+                if re or im:
+                    out[divmod(p, width)] = (re, im)
+        return BivariateSeries._raw(trunc, scale, out)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def max_abs(self):
-        return max((abs(v) for v in self.coeffs.values()), default=mpf(0))
+        if not self._c:
+            return mpf(0)
+        return abs(self._value(max(self._c.values(),
+                                   key=lambda v: v[0] * v[0] + v[1] * v[1])))
 
     def to_json(self, bits):
-        keys = sorted(self.coeffs, key=lambda k: (k[0] + k[1], k))
-        return {"%d,%d" % k: mpc_to_json(self.coeffs[k], bits) for k in keys}
+        keys = sorted(self._c, key=lambda k: (k[0] + k[1], k))
+        with workprec(bits):
+            return {"%d,%d" % k: mpc_to_json(self[k], bits) for k in keys}
 
     def __repr__(self):
         return "BivariateSeries(trunc=%d, nterms=%d)" % (self.trunc,
-                                                         len(self.coeffs))
+                                                         len(self._c))
 
 
 def inverse_unit(f):
@@ -120,29 +244,41 @@ def inverse_unit(f):
 
     With g = 1/f, the coefficient of x^i y^j in f g vanishes for i + j > 0,
     so g_(0,0) = 1/f_(0,0) and, in degree order,
-    g_(i,j) = -(1/f_(0,0)) sum over (a, b) != (0, 0) of f_(a,b) g_(i-a,j-b).
-    Purely formal, no convergence claim.
+    g_(i,j) = -(1/f_(0,0)) sum over (a, b) != (0, 0) of f_(a,b) g_(i-a,j-b),
+    the sum taken exactly and rounded once. Purely formal, no convergence
+    claim.
     """
-    c = f[(0, 0)]
-    if c == 0:
+    scale = max(f.scale, _guard_scale())
+    coeffs = f._at(scale)
+    if (0, 0) not in coeffs:
         raise CompositionDomainError("cannot invert a series with zero "
                                      "constant term")
-    inv_c = 1 / c
-    rest = [(k, v) for k, v in f.coeffs.items() if k != (0, 0)]
-    g = {(0, 0): inv_c}
+    cr, ci = coeffs[(0, 0)]
+    norm = cr * cr + ci * ci
+    # 1/c at the scale: 2^(2 scale) conj(c) / |c|^2, rounded
+    inv_r = (2 * (cr << 2 * scale) + norm) // (2 * norm)
+    inv_i = (2 * (-ci << 2 * scale) + norm) // (2 * norm)
+    rest = sorted((a + b, a, b, re, im) for (a, b), (re, im) in coeffs.items()
+                  if (a, b) != (0, 0) and a + b <= f.trunc)
+    g = {(0, 0): (inv_r, inv_i)}
     for deg in range(1, f.trunc + 1):
         for i in range(deg + 1):
             j = deg - i
-            total = 0
-            for (a, b), v in rest:
+            tr = ti = 0
+            for dab, a, b, fr, fi in rest:
+                if dab > deg:
+                    break
                 gk = g.get((i - a, j - b))
                 if gk is not None:
-                    total += v * gk
-            if total != 0:
-                g[(i, j)] = -inv_c * total
-    out = BivariateSeries(f.trunc)
-    out.coeffs = g
-    return out
+                    gr, gi = gk
+                    tr += fr * gr - fi * gi
+                    ti += fr * gi + fi * gr
+            if tr or ti:
+                re = _shifted(ti * inv_i - tr * inv_r, 2 * scale)
+                im = _shifted(-tr * inv_i - ti * inv_r, 2 * scale)
+                if re or im:
+                    g[(i, j)] = (re, im)
+    return BivariateSeries._raw(f.trunc, scale, g)
 
 
 def series_compose(f, g_pair):
@@ -344,7 +480,7 @@ def _assert_small_const(f, floor, what):
         raise ConsistencyError("%s picked up a constant term %s"
                                % (what, mp.nstr(abs(c), 6)))
     out = f.copy()
-    out.coeffs.pop((0, 0), None)
+    out[(0, 0)] = 0
     return out
 
 

@@ -119,6 +119,21 @@ def test_linearize_demo_resonant_exit_5():
     assert report["linearization"]["obstruction"]["monomial"] == [2, 1]
 
 
+@pytest.mark.parametrize("degree,rc", [(0, 2), (2, 2), (3, 5)])
+def test_linearize_demo_resonant_degree_bound(degree, rc):
+    # the resonant monomial x^2 y has degree 3: below that the demo cannot
+    # show its obstruction, so the degree is refused
+    out = run("linearize", "--n", "4", "--m", "1", "--j", "1",
+              "--demo-resonant", "--degree", str(degree))
+    assert out.returncode == rc
+    if rc == 2:
+        assert out.stdout == ""
+        assert "--degree >= 3" in out.stderr
+    else:
+        report = json.loads(out.stdout)
+        assert report["linearization"]["obstruction"]["monomial"] == [2, 1]
+
+
 def test_linearize_mismatch_exit_5():
     out = run("linearize", "--n", "4", "--m", "1", "--j", "1",
               "--degree", "8", "--mismatch-c", "0.01")

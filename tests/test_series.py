@@ -162,7 +162,7 @@ def test_inverse_unit(unit):
     f, f0 = unit
     with workprec(PROP_BITS):
         f = f.copy()
-        f.coeffs[(0, 0)] = mpc(f0)
+        f[(0, 0)] = mpc(f0)
         one = BivariateSeries.constant(f.trunc, 1)
         assert close(f * inverse_unit(f), one)
 
@@ -171,6 +171,195 @@ def test_inverse_unit_rejects_zero_constant():
     with workprec(128):
         with pytest.raises(CompositionDomainError):
             inverse_unit(BivariateSeries(4, {(1, 0): 1}))
+
+
+# -- the fixed-point engine against an mpc oracle ------------------------------
+#
+# The oracle runs on dicts {(i, j): mpc} at bits + 64, from the same Python
+# numbers the engine's series are built from (at 53 bits, outside workprec).
+# Each engine coefficient must lie within 2^-(bits-8) M + 2^-(bits+40) N of
+# the oracle's. M is the operation run on the moduli: for a product, the sum
+# of |a||b| over the contributing pairs. N is the fixed-point floor: the
+# engine holds each coefficient to 2^-(bits+64) absolute, so 1e-30 * 1e-30
+# keeps no relative digits at 53 bits. One rounding per output coefficient
+# gives N = 1; a scalar rounded to the scale adds |a|; through a recurrence
+# or a composition each rounding is carried at most as the moduli carry it.
+
+ORACLE_BITS = st.sampled_from((53, 64, 256))
+WIDE = st.builds(lambda z, e: z * 10.0 ** e, COEFF, st.integers(-30, 30))
+NONZERO = WIDE.filter(lambda z: z != 0)
+
+
+@st.composite
+def wide_terms(draw, trunc, constant=True):
+    """Raw terms {(i, j): complex} of magnitude 1e-30 to 1e30 (and zero)."""
+    key = st.integers(0, trunc).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(0, trunc - i)))
+    terms = draw(st.dictionaries(key, WIDE, max_size=5))
+    if not constant:
+        terms.pop((0, 0), None)
+    return trunc, terms
+
+
+def as_oracle(terms):
+    return {k: mpc(v) for k, v in terms.items() if v != 0}
+
+
+def moduli(a, plus=0):
+    return {k: abs(v) + plus for k, v in a.items()}
+
+
+def oracle_mul(a, b, trunc):
+    out = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            if i1 + j1 + i2 + j2 <= trunc:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + v1 * v2
+    return out
+
+
+def oracle_inverse(f, trunc, sign=-1):
+    """The recurrence of 1/f; sign=+1 runs it on moduli as a majorant."""
+    g = {(0, 0): 1 / f[(0, 0)]}
+    rest = [(k, v) for k, v in f.items() if k != (0, 0)]
+    for deg in range(1, trunc + 1):
+        for i in range(deg + 1):
+            j = deg - i
+            total = sum(v * g.get((i - a, j - b), 0) for (a, b), v in rest)
+            g[(i, j)] = sign * total / f[(0, 0)]
+    return g
+
+
+def oracle_compose(f, g1, g2, trunc):
+    out = {}
+    for (i, j), v in f.items():
+        if i + j > trunc:
+            continue
+        mono = {(0, 0): v}
+        for g, power in ((g1, i), (g2, j)):
+            for _ in range(power):
+                mono = oracle_mul(mono, g, trunc)
+        for key, c in mono.items():
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def assert_within_oracle(series, want, major, floor, bits):
+    with workprec(bits + 64):
+        for key in set(series.coeffs) | set(want):
+            err = abs(series[key] - want.get(key, 0))
+            tol = (mpf(2) ** -(bits - 8) * major.get(key, 0)
+                   + mpf(2) ** -(bits + 40) * floor.get(key, 0))
+            assert err <= tol, (key, err, tol)
+
+
+@PROPERTY
+@given(ORACLE_BITS, wide_terms(8), st.integers(0, 8).flatmap(wide_terms))
+def test_product_matches_oracle(bits, left, right):
+    (ta, a), (tb, b) = left, right
+    sa, sb = BivariateSeries(ta, a), BivariateSeries(tb, b)
+    with workprec(bits):
+        out = sa * sb
+    trunc = min(ta, tb)
+    assert out.trunc == trunc
+    with workprec(bits + 64):
+        oa, ob = as_oracle(a), as_oracle(b)
+        major = oracle_mul(moduli(oa), moduli(ob), trunc)
+        want = oracle_mul(oa, ob, trunc)
+    assert_within_oracle(out, want, major, dict.fromkeys(major, 1), bits)
+
+
+@PROPERTY
+@given(ORACLE_BITS, st.integers(0, 8).flatmap(wide_terms), WIDE)
+def test_scalar_product_matches_oracle(bits, case, s):
+    trunc, a = case
+    sa = BivariateSeries(trunc, a)
+    with workprec(bits):
+        outs = (sa * s, s * sa)
+    with workprec(bits + 64):
+        oa = as_oracle(a)
+        want = {k: v * mpc(s) for k, v in oa.items()}
+        major = {k: v * abs(mpc(s)) for k, v in moduli(oa).items()}
+        floor = moduli(oa, plus=1)
+    for out in outs:
+        assert_within_oracle(out, want, major, floor, bits)
+
+
+@PROPERTY
+@given(ORACLE_BITS, wide_terms(8), st.integers(0, 8).flatmap(wide_terms))
+def test_sum_matches_oracle(bits, left, right):
+    # lifting to a common scale is exact, so a sum has no rounding at all
+    (ta, a), (tb, b) = left, right
+    sa, sb = BivariateSeries(ta, a), BivariateSeries(tb, b)
+    with workprec(bits):
+        outs = (sa + sb, sa - sb)
+    trunc = min(ta, tb)
+    with workprec(bits + 64):
+        oa = {k: v for k, v in as_oracle(a).items() if sum(k) <= trunc}
+        ob = {k: v for k, v in as_oracle(b).items() if sum(k) <= trunc}
+        major = {k: abs(oa.get(k, 0)) + abs(ob.get(k, 0))
+                 for k in set(oa) | set(ob)}
+        for out, sign in zip(outs, (1, -1)):
+            want = {k: oa.get(k, 0) + sign * ob.get(k, 0) for k in major}
+            assert_within_oracle(out, want, major, {}, bits)
+
+
+@PROPERTY
+@given(ORACLE_BITS, st.integers(0, 8).flatmap(wide_terms), NONZERO)
+def test_inverse_unit_matches_oracle(bits, case, f0):
+    trunc, f = case
+    f = {**f, (0, 0): f0}
+    sf = BivariateSeries(trunc, f)
+    with workprec(bits):
+        out = inverse_unit(sf)
+    with workprec(bits + 64):
+        of = as_oracle(f)
+        want = oracle_inverse(of, trunc)
+        major = oracle_inverse(moduli(of), trunc, sign=1)
+        # a rounding left at each coefficient, one in 1/f_00 (carried as
+        # |f_00| M), both carried on by the recurrence on the moduli
+        c = abs(of[(0, 0)])
+        floor = {}
+        for deg in range(trunc + 1):
+            for i in range(deg + 1):
+                key = (i, deg - i)
+                floor[key] = 1 + c * major[key] + sum(
+                    abs(v) * floor.get((key[0] - a, key[1] - b), 0)
+                    for (a, b), v in of.items() if (a, b) != (0, 0)) / c
+    assert_within_oracle(out, want, major, floor, bits)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(ORACLE_BITS, st.integers(0, 6).flatmap(lambda d: st.tuples(
+    wide_terms(d), wide_terms(d, constant=False),
+    wide_terms(d, constant=False))))
+def test_compose_matches_oracle(bits, case):
+    (trunc, f), (_, g1), (_, g2) = case
+    sf, sg1, sg2 = (BivariateSeries(trunc, t) for t in (f, g1, g2))
+    with workprec(bits):
+        out = series_compose(sf, (sg1, sg2))
+    with workprec(bits + 64):
+        of, og1, og2 = as_oracle(f), as_oracle(g1), as_oracle(g2)
+        want = oracle_compose(of, og1, og2, trunc)
+        major = oracle_compose(moduli(of), moduli(og1), moduli(og2), trunc)
+        floor = oracle_compose(moduli(of, 1), moduli(og1, 1), moduli(og2, 1),
+                               trunc)
+    assert_within_oracle(out, want, major, floor, bits)
+
+
+def test_tiny_constant_survives_creation_and_inverse():
+    # built at 53 bits, where 2^-(53+64) alone would round 1e-40 to zero;
+    # 1/(c + x) = sum_i (-1)^i x^i / c^(i+1)
+    f = BivariateSeries(3, {(0, 0): 1e-40, (1, 0): 1.0})
+    assert f[(0, 0)] == mpf(1e-40)
+    for bits in (53, 256):
+        with workprec(bits):
+            g = inverse_unit(f)
+            for i in range(4):
+                want = (-1) ** i / mpf(1e-40) ** (i + 1)
+                assert abs(g[(i, 0)] / want - 1) < mpf(2) ** -50
+            assert len(g.coeffs) == 4
 
 
 # -- resonance classes ----------------------------------------------------------
@@ -477,6 +666,29 @@ def test_obstruction_stops_the_solve(params411, monkeypatch):
     assert counts[8] == counts[16] > 0
 
 
+def test_corner_map_series_product_count(monkeypatch):
+    # level2_step forms x2^2 xi once per middle step: on (7,2,1) that is
+    # 2 + 5 * 5 + 3 series products and 12 unit inverses
+    p = build_params(7, 2, 1)
+    calls = {"mul": 0, "inverse": 0}
+    mul = BivariateSeries.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, BivariateSeries):
+            calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_inverse(f):
+        calls["inverse"] += 1
+        return inverse_unit(f)
+
+    monkeypatch.setattr(BivariateSeries, "__mul__", counting_mul)
+    monkeypatch.setattr("rsadyn.series.inverse_unit", counting_inverse)
+    with workprec(256):
+        corner_return_map(p, 16)
+    assert calls == {"mul": 30, "inverse": 12}
+
+
 def test_verify_conjugacy_identity_on_linear():
     with workprec(128):
         lam = exp(2j * pi / sqrt(mpf(11)))
@@ -499,7 +711,7 @@ def test_verify_conjugacy_perturbation_lower_bound(corner411):
         phi2 = res.phi[1].copy()
         key = (2, 0)
         eps = mpf(10) ** -6
-        phi1.coeffs[key] = phi1[key] + eps
+        phi1[key] = phi1[key] + eps
         divisor = abs(eta1 ** 2 - eta1)
         resid = verify_conjugacy(h, (phi1, phi2), eta1, eta2, 12,
                                  precision_bits=256)
