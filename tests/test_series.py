@@ -173,7 +173,7 @@ def test_inverse_unit_rejects_zero_constant():
             inverse_unit(BivariateSeries(4, {(1, 0): 1}))
 
 
-# -- the fixed-point engine against an mpc oracle ------------------------------
+# -- the fixed-point engine against an mpc oracle -----------------------------
 #
 # The oracle runs on dicts {(i, j): mpc} at bits + 64, from the same Python
 # numbers the engine's series are built from (at 53 bits, outside workprec).
