@@ -16,14 +16,15 @@ squared-distance helper (`_dist2`), each defined once. They are plain
 Python over any complex-like type, so the mpmath mirror in the probes runs
 the same cell classifier (`_classify_cell`) on mpmath values.
 
-The array kernels share one renormalized numpy map step (`_block_step`),
-with the arithmetic of `step` per cell. `classify_block` classifies blocks
-of raster cells in lockstep, and `return_distances` reads the distance to
-the start of many samples at a list of return times (near-identity
-returns; `h_orbit_distances` is its one-sample form). Both step only the
-cells still unresolved or alive (their arrays shrink as cells drop out).
-Results are deterministic run-to-run and across thread counts (cells are
-independent).
+The array kernels share one lockstep walk (`_lockstep`): one renormalized
+numpy map step (`_block_step`, the arithmetic of `step` per cell) and the
+distance from `_dist2`, stepping only the cells still unresolved or alive
+(their arrays shrink as cells drop out). `classify_block` classifies
+blocks of raster cells on it, and `return_distances` reads the distance
+to the start of many samples at a list of return times (near-identity
+returns; `h_orbit_distances` is its one-sample form) from the same walk
+run with a zero recurrence radius. Results are deterministic run-to-run
+and across thread counts (cells are independent).
 """
 
 import numpy as np
@@ -157,13 +158,15 @@ def _block_step(T, X, Y, delta, c):
     return NT / piv, NX / piv, NY / piv, dead
 
 
-def classify_block(T, X, Y, delta, c, n, candidates, eps):
-    """Classify flat arrays of cells in lockstep; returns (classes, steps).
+def _lockstep(T, X, Y, delta, c, n, times, eps2, dist=None):
+    """Walk flat arrays of cells in lockstep; returns (classes, steps).
 
-    Per cell the arithmetic is that of `_classify_cell`. Only live cells
-    are stepped: `live` holds their indices into the block, and the state
-    arrays are sliced down to the survivors whenever cells resolve, so no
-    masked merge runs in the inner loop.
+    Per cell the arithmetic is that of `_classify_cell` on candidate times
+    `times` and squared radius eps2. Only live cells are stepped: `live`
+    holds their indices into the block, and the state arrays are sliced
+    down to the survivors whenever cells resolve, so no masked merge runs
+    in the inner loop. When dist is given, row k of it receives each live
+    cell's distance to its start after times[k] n-fold iterates.
     """
     T = np.asarray(T, dtype=np.complex128)
     X = np.asarray(X, dtype=np.complex128)
@@ -171,7 +174,6 @@ def classify_block(T, X, Y, delta, c, n, candidates, eps):
     ncells = T.shape[0]
     classes = np.zeros(ncells, dtype=np.uint8)
     steps = np.full(ncells, -1, dtype=np.int64)
-    eps2 = float(eps) ** 2
 
     with np.errstate(all="ignore"):
         m2 = np.maximum(np.maximum(_mag2(T), _mag2(X)), _mag2(Y))
@@ -180,7 +182,7 @@ def classify_block(T, X, Y, delta, c, n, candidates, eps):
         live = np.flatnonzero(~dead)
         T, X, Y = T[live], X[live], Y[live]
         T0, X0, Y0 = T, X, Y
-        den0 = _mag2(T0) + _mag2(X0) + _mag2(Y0)
+        den0 = _norm2(T0, X0, Y0)
 
         def keep(mask):
             """Slice the live cells and their start points down to mask."""
@@ -189,7 +191,7 @@ def classify_block(T, X, Y, delta, c, n, candidates, eps):
             T0, X0, Y0, den0 = T0[mask], X0[mask], Y0[mask], den0[mask]
 
         h = 0
-        for target in candidates:
+        for row, target in enumerate(times):
             while h < target and live.size:
                 for _ in range(n):
                     T, X, Y, dead = _block_step(T, X, Y, delta, c)
@@ -200,11 +202,9 @@ def classify_block(T, X, Y, delta, c, n, candidates, eps):
                 h += 1
             if not live.size:
                 break
-            C1 = X * Y0 - Y * X0
-            C2 = Y * T0 - T * Y0
-            C3 = T * X0 - X * T0
-            num = _mag2(C1) + _mag2(C2) + _mag2(C3)
-            den = (_mag2(T) + _mag2(X) + _mag2(Y)) * den0
+            num, den = _dist2(T, X, Y, T0, X0, Y0, den0)
+            if dist is not None:
+                dist[row, live] = np.sqrt(num / den)
             hit = num < eps2 * den
             if hit.any():
                 classes[live[hit]] = CLASS_RECURRENT
@@ -215,38 +215,23 @@ def classify_block(T, X, Y, delta, c, n, candidates, eps):
     return classes, steps
 
 
+def classify_block(T, X, Y, delta, c, n, candidates, eps):
+    """Classify flat arrays of cells in lockstep; returns (classes, steps)."""
+    return _lockstep(T, X, Y, delta, c, n, candidates, float(eps) ** 2)
+
+
 def return_distances(T, X, Y, delta, c, n, times):
     """Distances to the start after each of the n-fold return times.
 
     T, X, Y hold the start points; times must be increasing. Returns an
     array of shape (len(times), N) whose row k holds every sample's
     projective distance to its start after times[k] n-fold iterates. A
-    sample's entries are -1 from its first indeterminate hit onward. The
-    samples run in lockstep and only their current state is kept; a
-    sample is dropped from the arrays once it hits an indeterminate image.
+    sample's entries are -1 from its first indeterminate hit onward (and
+    throughout for a start that is itself [0:0:0]). A zero radius never
+    drops a sample as recurrent.
     """
-    T = np.asarray(T, dtype=np.complex128)
-    X = np.asarray(X, dtype=np.complex128)
-    Y = np.asarray(Y, dtype=np.complex128)
-    out = np.full((len(times), T.shape[0]), -1.0)
-    with np.errstate(all="ignore"):
-        live = np.arange(T.shape[0])
-        T0, X0, Y0 = T, X, Y
-        den0 = _norm2(T0, X0, Y0)
-        h = 0
-        for row, target in enumerate(times):
-            while h < target and live.size:
-                for _ in range(n):
-                    T, X, Y, dead = _block_step(T, X, Y, delta, c)
-                    if dead is not None:
-                        ok = ~dead
-                        live = live[ok]
-                        T0, X0, Y0, den0 = T0[ok], X0[ok], Y0[ok], den0[ok]
-                h += 1
-            if not live.size:
-                break
-            num, den = _dist2(T, X, Y, T0, X0, Y0, den0)
-            out[row, live] = np.sqrt(num / den)
+    out = np.full((len(times), len(T)), -1.0)
+    _lockstep(T, X, Y, delta, c, n, times, 0.0, dist=out)
     return out
 
 

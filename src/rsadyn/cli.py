@@ -11,9 +11,11 @@ codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A non-finite
 `--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` below
 2^(-precision/4) in modulus, `--demo-resonant` with a `--degree` below 3,
-and a raster with a negative budget, fewer than one thread, an eps outside
-(0, 1), a non-finite window or base point, or a base point with the line
-chart, are argument errors (exit 2).
+and a raster with an unparseable or non-finite window, resolution or base
+point, a negative budget, fewer than one thread, an eps outside (0, 1), or
+a base point with the line chart, are argument errors (exit 2), each
+reported once through `main`. `--seed` is taken by `verify` and
+`linearize`, the commands that draw samples.
 A negative value in exponent notation, or a window list that starts with
 a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
 separated by a space, the parser reads it as an option name.
@@ -55,7 +57,6 @@ def _add_family_flags(p):
     p.add_argument("--root-index", type=int, default=0)
     p.add_argument("--sqrt-branch", type=int, default=1, choices=(1, -1))
     p.add_argument("--precision", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -71,6 +72,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run the verification suite for one "
                                       "family member")
     _add_family_flags(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the fiber-orbit sample points")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="relative perturbation of delta for the landing "
                         "sharpness check; give a negative value in exponent "
@@ -78,6 +81,8 @@ def build_parser():
 
     p = sub.add_parser("linearize", help="return maps and conjugacy solve")
     _add_family_flags(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the Birkhoff-average samples")
     p.add_argument("--degree", type=int, default=12)
     p.add_argument("--demo-resonant", action="store_true",
                    help="run the synthetic obstruction fixture instead; its "
@@ -115,10 +120,7 @@ def build_parser():
 
 def cmd_salem(args):
     # n = 3, m = 1 is constructible but fails certification (exit 3);
-    # n < 3 is outside the family entirely (exit 2)
-    if args.n < 3 or args.m < 1:
-        _diag("invalid: need n >= 3 and m >= 1")
-        return EXIT_ARGS
+    # n < 3 is outside the family entirely (salem_polynomial raises, exit 2)
     poly = salem.salem_polynomial(args.n, args.m)
     try:
         cert = salem.salem_certificate(poly, args.precision)
@@ -199,22 +201,12 @@ def cmd_verify(args):
         checks["multipliers"] = {"fixed_points": mult_entries,
                                  "pass": mult_ok}
 
-        all_ok = (checks["orbit_identities"]["pass"]
-                  and checks["landing"]["pass"]
-                  and checks["fiber_orbit"]["pass"]
-                  and checks["charpoly_equal"]
-                  and mult_ok)
-    report = {"params": params.to_json(), "checks": checks, "pass": all_ok}
-    _emit(report)
-    if not all_ok:
-        for name in ("orbit_identities", "landing", "fiber_orbit",
-                     "charpoly_equal", "multipliers"):
-            entry = checks[name]
-            bad = (entry is False) or (isinstance(entry, dict)
-                                       and not entry.get("pass", True))
-            if bad:
-                _diag("verification failed at check: %s" % name)
-                break
+    # charpoly_equal is a bare bool, every other check a dict with "pass"
+    failed = [name for name, entry in checks.items()
+              if not (entry["pass"] if isinstance(entry, dict) else entry)]
+    _emit({"params": params.to_json(), "checks": checks, "pass": not failed})
+    if failed:
+        _diag("verification failed at check: %s" % failed[0])
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -262,20 +254,14 @@ def cmd_linearize(args):
     with workprec(bits):
         h_corner, corner_rep = series.corner_return_map(
             params, d, strict_linear=not args.mismatch_c)
-        rc = corner_rep["resonance"]
         eta1, eta2 = corner_rep["eta"]
-        corner_lin = series.linearize_diagonal(
-            h_corner, eta1, eta2, d, rc=rc, precision_bits=bits)
         corner_entry = {
             "linear_residual": mp.nstr(corner_rep["linear_residual"], 8),
             "max_resonant_coefficient":
                 mp.nstr(corner_rep["max_resonant_coefficient"], 8),
-            "linearization": corner_lin.to_json(bits),
         }
-        if not corner_lin.obstruction:
-            res = series.verify_conjugacy(h_corner, corner_lin.phi, eta1,
-                                          eta2, d, precision_bits=bits)
-            corner_entry["conjugacy_residual"] = mp.nstr(res, 8)
+        corner_lin = _solve_return_map(corner_entry, h_corner, eta1, eta2,
+                                       d, corner_rep["resonance"], bits)
 
         report = {"params": params.to_json(), "degree": d,
                   "corner": corner_entry}
@@ -283,19 +269,13 @@ def cmd_linearize(args):
         if not args.mismatch_c:
             w0 = _line_basepoint(params)
             h_line, line_rep = series.infinity_return_map(params, w0, d)
-            line_lin = series.linearize_diagonal(
-                h_line, params.lam, 1, d, rc=None, precision_bits=bits)
             line_entry = {
                 "basepoint": mp.nstr(w0, 12),
                 "multiplier_residual":
                     mp.nstr(line_rep["multiplier_residual"], 8),
-                "linearization": line_lin.to_json(bits),
             }
-            if not line_lin.obstruction:
-                res = series.verify_conjugacy(h_line, line_lin.phi,
-                                              params.lam, 1, d,
-                                              precision_bits=bits)
-                line_entry["conjugacy_residual"] = mp.nstr(res, 8)
+            _solve_return_map(line_entry, h_line, params.lam, 1, d, None,
+                              bits)
             report["line_point"] = line_entry
 
             fps = family.fixed_points(params)
@@ -318,6 +298,20 @@ def cmd_linearize(args):
               (corner_lin.obstruction[1],))
         return EXIT_OBSTRUCTION
     return EXIT_OK
+
+
+def _solve_return_map(entry, h, eta1, eta2, d, rc, bits):
+    """Solve the conjugacy of return map h to diag(eta1, eta2) up to degree
+    d; add its "linearization" and, when it solved, its
+    "conjugacy_residual" to entry, and return the solve."""
+    lin = series.linearize_diagonal(h, eta1, eta2, d, rc=rc,
+                                    precision_bits=bits)
+    entry["linearization"] = lin.to_json(bits)
+    if not lin.obstruction:
+        res = series.verify_conjugacy(h, lin.phi, eta1, eta2, d,
+                                      precision_bits=bits)
+        entry["conjugacy_residual"] = mp.nstr(res, 8)
+    return lin
 
 
 def _line_basepoint(params):
@@ -347,16 +341,16 @@ def cmd_raster(args):
         x0, x1, y0, y1 = (float(v) for v in args.window.split(","))
         w, h = (int(v) for v in args.res.lower().split("x"))
     except ValueError:
-        _diag("invalid --window or --res")
-        return EXIT_ARGS
+        raise ValidationError("--window needs x0,x1,y0,y1 and --res WxH, "
+                              "got %r and %r" % (args.window, args.res))
     basepoint = None
     if args.basepoint:
         try:
             re1, im1, re2, im2 = (float(v) for v in args.basepoint.split(","))
-            basepoint = (complex(re1, im1), complex(re2, im2))
         except ValueError:
-            _diag("invalid --basepoint")
-            return EXIT_ARGS
+            raise ValidationError("--basepoint needs re1,im1,re2,im2, got %r"
+                                  % args.basepoint)
+        basepoint = (complex(re1, im1), complex(re2, im2))
     budget = args.budget or None      # 0 = default; negatives are rejected
     grid = probes.siegel_raster(params, args.chart, (x0, x1, y0, y1), (w, h),
                                 budget=budget, eps=args.eps,
@@ -379,18 +373,14 @@ def cmd_raster(args):
     return EXIT_OK
 
 
+COMMANDS = {"salem": cmd_salem, "verify": cmd_verify,
+            "linearize": cmd_linearize, "raster": cmd_raster}
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "salem":
-            return cmd_salem(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "linearize":
-            return cmd_linearize(args)
-        if args.command == "raster":
-            return cmd_raster(args)
+        return COMMANDS[args.command](args)
     except NotSalemError as exc:
         _diag("not a Salem polynomial: %s" % exc.reason)
         _emit({"salem": False, "reason": exc.reason})
@@ -404,7 +394,6 @@ def main(argv=None):
     except RsadynError as exc:
         _diag("verification failure: %s" % exc)
         return EXIT_VERIFY
-    return EXIT_ARGS
 
 
 if __name__ == "__main__":

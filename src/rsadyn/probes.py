@@ -400,19 +400,17 @@ def birkhoff_linearize(params, fp, n_values=(1, 4, 16, 64, 256), seed=0):
     for _ in range(n_max + 1):
         apow_inv.append(apow_inv[-1] / avals)
 
+    # sums_z[:, N-1] = sum_{k<N} A^-k h^k(w), sums_hz the same on h^(k+1)(w);
+    # cumsum adds along the orbit in the order of a running loop
+    stacked = np.array(orbits)
+    weights = np.array(apow_inv[:n_max])
+    sums_z = np.cumsum(weights * stacked[:, :n_max], axis=1)
+    sums_hz = np.cumsum(weights * stacked[:, 1:n_max + 1], axis=1)
     residuals = []
     for nval in n_values:
-        worst = 0.0
-        for orbit in orbits:
-            phi_z = np.zeros(2, dtype=complex)
-            phi_hz = np.zeros(2, dtype=complex)
-            for k in range(nval):
-                phi_z += apow_inv[k] * orbit[k]
-                phi_hz += apow_inv[k] * orbit[k + 1]
-            phi_z /= nval
-            phi_hz /= nval
-            worst = max(worst, float(np.max(np.abs(phi_hz - avals * phi_z))))
-        residuals.append(worst)
+        phi_z = sums_z[:, nval - 1] / nval
+        phi_hz = sums_hz[:, nval - 1] / nval
+        residuals.append(float(np.max(np.abs(phi_hz - avals * phi_z))))
     return {
         "n_values": list(n_values),
         "residuals": residuals,
