@@ -254,18 +254,42 @@ def test_raster_negative_eps_exit_2(tmp_path):
     ["--basepoint", "5,0,5,0", "--budget", "16"],
     ["--eps", "2", "--budget", "16"],
     ["--eps", "1e300", "--budget", "16"],
+    ["--res", "2by2", "--budget", "16"],
+    ["--chart", "affine", "--basepoint", "1,2", "--budget", "16"],
+    ["--seed", "1", "--budget", "16"],
 ], ids=["budget-negative", "threads-negative", "window-nan", "window-inf",
-        "basepoint-nan", "basepoint-line-chart", "eps-2", "eps-1e300"])
+        "basepoint-nan", "basepoint-line-chart", "eps-2", "eps-1e300",
+        "res-unparsed", "basepoint-unparsed", "seed"])
 def test_raster_malformed_input_exit_2(flags, tmp_path):
     # only --budget 0 means "default"; a non-finite window or base point
     # would put a bare NaN into the JSON report; the line chart has no
     # base point, so one given there would be silently ignored; eps >= 1
-    # passes every cell, and a huge eps overflowed eps^2
+    # passes every cell, and a huge eps overflowed eps^2; a raster draws
+    # no random samples, so it takes no --seed
     pgm = tmp_path / "x.pgm"
     out = run("raster", "--n", "4", "--m", "1", "--j", "1", "--res", "2x2",
               "--out", str(pgm), *flags)
     assert out.returncode == 2
     assert out.stdout == ""
+    assert not pgm.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["salem", "--n", "2", "--m", "1"],
+    ["raster", "--n", "4", "--m", "1", "--window", "oops"],
+    ["raster", "--n", "4", "--m", "1", "--chart", "affine",
+     "--basepoint", "1,2"],
+], ids=["salem-range", "raster-window", "raster-basepoint"])
+def test_argument_errors_share_one_report(args, tmp_path):
+    # every argument error leaves through main's one exit-2 diagnostic
+    pgm = tmp_path / "x.pgm"
+    if args[0] == "raster":
+        args = args + ["--out", str(pgm)]
+    out = run(*args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("invalid arguments: ")
+    assert out.stderr.count("\n") == 1
     assert not pgm.exists()
 
 

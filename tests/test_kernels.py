@@ -157,3 +157,45 @@ def test_return_distances_match_scalar_loop(setup):
     got_p = _kernels.return_distances(T[perm], X[perm], Y[perm], delta, c,
                                       p.n, times)
     assert (got_p == got[:, perm]).all()
+
+
+def _walk_outputs_agree(cl, step, col, cands, eps, rel=1e-12):
+    """Whether one cell's class and step read off its distance rows.
+
+    The rules are exclusive, so the rows fix the class: recurrent at q
+    when row q is the first below eps; indeterminate at h when the rows
+    read -1 from the first candidate above h and every earlier row is at
+    least eps; non-recurrent when every row is at least eps. The margin
+    rel at eps covers num < eps^2 den against sqrt(num / den) < eps.
+    """
+    lo, hi = eps * (1 - rel), eps * (1 + rel)
+    dead = col == -1
+    if cl == _kernels.CLASS_RECURRENT:
+        r = int(np.flatnonzero(cands == step)[0])
+        return (not dead[:r + 1].any() and col[r] < hi
+                and (col[:r] >= lo).all())
+    if cl == _kernels.CLASS_INDETERMINATE:
+        return (dead == (cands > step)).all() and (col[~dead] >= lo).all()
+    return not dead.any() and (col >= lo).all()
+
+
+def test_classes_read_off_return_distances(setup):
+    # classify_block and return_distances run one walk; its classes must
+    # be those its distance rows give at the candidate times
+    p, T, X, Y, cands = setup
+    delta, c = as_complex(p.delta), as_complex(p.c)
+    cells = [(0, 1, 0.45), (0, 1, 1.1), (0.005, 1, 0.3), (0.01, 1, 0.5),
+             (0.2, 1, 0.7), (1, 2, 2), (1e-103, 1, 0), (0, 0, 0),
+             (0.1, 1, 0.25), (1, 0.1, 0.1), (1, 1j, 0.3)]
+    Tc, Xc, Yc = (np.array(col, dtype=np.complex128) for col in zip(*cells))
+    T, X, Y = (np.concatenate(pair) for pair in ((T, Tc), (X, Xc), (Y, Yc)))
+    eps = 1e-3
+    cls, stp = _kernels.classify_block(T, X, Y, delta, c, p.n, cands, eps)
+    dist = _kernels.return_distances(T, X, Y, delta, c, p.n, cands)
+    assert dist.shape == (len(cands), T.size)
+    for i in range(T.size):
+        assert _walk_outputs_agree(int(cls[i]), int(stp[i]), dist[:, i],
+                                   cands, eps), (i, cls[i], stp[i])
+    assert set(cls.tolist()) == {_kernels.CLASS_RECURRENT,
+                                 _kernels.CLASS_INDETERMINATE,
+                                 _kernels.CLASS_NONRECURRENT}
