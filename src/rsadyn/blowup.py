@@ -20,6 +20,7 @@ where w_s are the invariant-line orbit values (w_{n-1} = 0).
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from mpmath import mpc, mpf, workprec
 
@@ -356,12 +357,14 @@ def build_linear_model(params):
     """Three-level multiplier tree of the diagonal model over a line point.
 
     The scalar model fixes the line at infinity pointwise with transverse
-    multiplier lambda, so the base fixed-point data is (1, lambda). Repeated
-    blowups of the fixed point on the radial line produce, at the corner of
-    the level-1 and level-2 fibers, multipliers {lambda^2, 1/lambda}, read
-    back off n steps of fiber_map_level2 along each corner axis; the deeper
-    corner carries {lambda^3, lambda^-2}. Every child pair is checked with
-    blowup_multipliers. Raises ConsistencyError on a mismatch.
+    multiplier lambda, so the base fixed-point data is (1, lambda). Each of
+    three blowups down the radial line applies blowup_multipliers to the
+    ray node. The rule runs on exact powers 2^e standing in for lambda^e, so
+    it yields the integer exponents, and each multiplier is lambda^e. The
+    corner of the level-1 and level-2 fibers carries {lambda^2, 1/lambda},
+    read back off n steps of fiber_map_level2 along each corner axis; the
+    deeper corner carries {lambda^3, lambda^-2}. Raises ConsistencyError on
+    a mismatch.
     """
     with workprec(params.precision_bits):
         lam = params.lam
@@ -372,35 +375,23 @@ def build_linear_model(params):
                                   mult_along=lam ** e_along,
                                   mult_normal=lam ** e_normal)
 
+        def exponent(q):      # e of the exact power q = 2^e
+            return q.numerator.bit_length() - q.denominator.bit_length()
+
         # base point on the invariant line: multipliers (1, lambda) along
         # (line, radial) directions
-        root = node("line_point", 0, 1)
-        # blow up: fiber E1; children at line^E1 and ray^E1
-        p_node = node("line_x_e1", 1, 0)     # along fiber lambda, along line 1
-        ray1 = node("ray_x_e1", -1, 1)       # along fiber 1/lambda, along ray lambda
-        root.children = [p_node, ray1]
-        # blow up ray^E1: fiber E2
-        corner = node("e1_x_e2", 2, -1)      # along E2 lambda^2, along E1 1/lambda
-        ray2 = node("ray_x_e2", -2, 1)       # along E2 lambda^-2, along ray lambda
-        ray1.children = [corner, ray2]
-        # blow up ray^E2: fiber E3
-        deep = node("e2_x_e3", 3, -2)        # along E3 lambda^3, along E2 lambda^-2
-        ray3 = node("ray_x_e3", -3, 1)
-        ray2.children = [deep, ray3]
-
-        # each child pair follows the blowup rule from its parent; a child
-        # is (along old curve, along new fiber) = (mult_normal, mult_along)
+        root = ray = node("line_point", 0, 1)
+        for labels in (("line_x_e1", "ray_x_e1"), ("e1_x_e2", "ray_x_e2"),
+                       ("e2_x_e3", "ray_x_e3")):
+            # blow up the ray point; each child pair is (along the old
+            # curve, along the new fiber) = (normal, along)
+            pairs = blowup_multipliers((Fraction(2) ** ray.exp_along,
+                                        Fraction(2) ** ray.exp_normal))
+            ray.children = [node(lb, exponent(along), exponent(normal))
+                            for lb, (normal, along) in zip(labels, pairs)]
+            ray = ray.children[1]
+        corner = root.find("e1_x_e2")
         check_tol = tolerance_for(params.precision_bits // 2)
-        for parent, c1, c2 in ((root, p_node, ray1),
-                               (ray1, corner, ray2),
-                               (ray2, deep, ray3)):
-            want = blowup_multipliers((parent.mult_along, parent.mult_normal))
-            got = [(c.mult_normal, c.mult_along) for c in (c1, c2)]
-            if max(abs(g - w) for pair in zip(got, want)
-                   for g, w in zip(*pair)) > check_tol:
-                raise ConsistencyError(
-                    "multiplier tree violates the blowup rule at %s"
-                    % parent.label)
 
         # corner cross-check against the nonlinear side: n steps of the
         # level-2 chart map along E2 = {x2 = 0} and E1 = {xi = 0}

@@ -19,7 +19,9 @@ reported once through `main`. `--seed` is taken by `verify` and
 A negative value in exponent notation, or a window list that starts with
 a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
 separated by a space, the parser reads it as an option name.
-`verify` passes a residual below 2^(-precision/2).
+`verify` passes a residual below 2^(-precision/2); its multiplier residuals
+come from the Jacobian of `family.map_affine` by central differences. c
+takes the principal sqrt(delta): the other square-root branch is `--j` n-j.
 """
 
 import argparse
@@ -55,7 +57,6 @@ def _add_family_flags(p):
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--root-index", type=int, default=0)
-    p.add_argument("--sqrt-branch", type=int, default=1, choices=(1, -1))
     p.add_argument("--precision", type=int, default=256)
 
 
@@ -149,7 +150,7 @@ def _check_finite(flag, value):
 def cmd_verify(args):
     _check_finite("--perturb", args.perturb)
     params = family.build_params(args.n, args.m, args.j, args.root_index,
-                                 args.sqrt_branch, args.precision)
+                                 args.precision)
     checks = {}
 
     with workprec(args.precision):
@@ -188,7 +189,7 @@ def cmd_verify(args):
         mult_ok = True
         for fp in fps:
             md = family.multipliers_at_fixed(params, fp)
-            prod_res = abs(md.lambda1 * md.lambda2 - params.delta)
+            prod_res = abs(md.jacobian_det - params.delta)
             ok = prod_res < tol and md.jacobian_residual < tol
             mult_ok = mult_ok and ok
             mult_entries.append({
@@ -223,7 +224,7 @@ def cmd_linearize(args):
                 "--demo-resonant needs --degree >= 3 (its resonant monomial "
                 "x^2 y has degree 3), got %d" % args.degree)
         params = family.build_params(args.n, args.m, args.j, args.root_index,
-                                     args.sqrt_branch, bits)
+                                     bits)
         with workprec(bits):
             lam = params.lam
             d = args.degree
@@ -237,7 +238,7 @@ def cmd_linearize(args):
         return EXIT_OBSTRUCTION if result.obstruction else EXIT_OK
 
     params = family.build_params(args.n, args.m, args.j, args.root_index,
-                                 args.sqrt_branch, bits)
+                                 bits)
     if args.mismatch_c:
         with workprec(bits):
             # the factor is formed at working precision (in float, 1 + a
@@ -328,7 +329,7 @@ def _line_basepoint(params):
                         or abs(w) < mpf("0.05"):
                     good = False
                     break
-                w = params.c - params.delta / w
+                w = family.line_map(params, w)
             if good:
                 return cand
     raise ValidationError("no clean base point found on the invariant line")
@@ -336,7 +337,7 @@ def _line_basepoint(params):
 
 def cmd_raster(args):
     params = family.build_params(args.n, args.m, args.j, args.root_index,
-                                 args.sqrt_branch, args.precision)
+                                 args.precision)
     try:
         x0, x1, y0, y1 = (float(v) for v in args.window.split(","))
         w, h = (int(v) for v in args.res.lower().split("x"))

@@ -11,11 +11,12 @@ polynomial and gcd(j, n) = 1. In homogeneous coordinates
 
 The restriction to the invariant line at infinity {t = 0} is the Moebius map
 g(w) = c - delta / w, elliptic of period n; its forward orbit of c vanishes
-at step n-1, which is the consistency check validating a (j, sqrt-branch)
-pairing.
+at step n-1, which is the consistency check validating a (root index, j)
+pairing. sqrt(delta) is the principal square root; the other branch gives
+the member with j replaced by n - j.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from mpmath import arg, cos, exp, mp, mpc, mpf, pi, sqrt, workprec
@@ -42,7 +43,6 @@ class FamilyParams:
     m: int
     j: int
     root_index: int
-    sqrt_branch: int
     precision_bits: int
     delta: object
     sqrt_delta: object
@@ -55,8 +55,7 @@ class FamilyParams:
     def to_json(self):
         bits = self.precision_bits
         return {
-            "n": self.n, "m": self.m, "j": self.j,
-            "root_index": self.root_index, "sqrt_branch": self.sqrt_branch,
+            "n": self.n, "m": self.m, "j": self.j, "root_index": self.root_index,
             "precision": bits,
             "delta": mpc_to_json(self.delta, bits),
             "sqrt_delta": mpc_to_json(self.sqrt_delta, bits),
@@ -74,7 +73,6 @@ class FamilyParams:
             return cls(
                 n=int(data["n"]), m=int(data["m"]), j=int(data["j"]),
                 root_index=int(data["root_index"]),
-                sqrt_branch=int(data["sqrt_branch"]),
                 precision_bits=bits,
                 delta=mpc_from_json(data["delta"], bits),
                 sqrt_delta=mpc_from_json(data["sqrt_delta"], bits),
@@ -92,14 +90,26 @@ def line_map(params, w):
     return params.c - params.delta / w
 
 
-def build_params(n, m, j, root_index=0, sqrt_branch=1, precision_bits=256):
+def _c_orbit(c, delta, n, tol):
+    """Line orbit w_1..w_{n-1} of c under w -> c - delta / w; raises
+    DivisionDegeneracyError when a value it divides by is below tol."""
+    orbit = [c]
+    for _ in range(n - 2):
+        if abs(orbit[-1]) < tol:
+            raise DivisionDegeneracyError("line orbit hit zero",
+                                          index=len(orbit) - 1)
+        orbit.append(c - delta / orbit[-1])
+    return tuple(orbit)
+
+
+def build_params(n, m, j, root_index=0, precision_bits=256):
     """Construct and validate a FamilyParams.
 
     delta is chosen as nonunity_unit_roots[root_index] of the certified
-    Salem polynomial (deterministic (argument, modulus) order); sqrt_branch
-    selects the sign of sqrt(delta). The pairing of branch and j is not
-    guessed: it is validated a posteriori by |w_{n-1}| falling below
-    tolerance.
+    Salem polynomial (deterministic (argument, modulus) order) and
+    c = 2 sqrt(delta) cos(j pi / n) with the principal square root; the
+    other branch is the member with j replaced by n - j. The pairing is
+    validated a posteriori by |w_{n-1}| falling below tolerance.
     """
     precision_bits = check_precision(precision_bits)
     if not ((n >= 4 and m >= 1) or (n == 3 and m >= 2)):
@@ -110,8 +120,6 @@ def build_params(n, m, j, root_index=0, sqrt_branch=1, precision_bits=256):
     if gcd(j, n) != 1:
         raise ValidationError("j must be coprime to n, got gcd(%d, %d) = %d"
                               % (j, n, gcd(j, n)))
-    if sqrt_branch not in (1, -1):
-        raise ValidationError("sqrt_branch must be +1 or -1")
 
     certificate = salem.salem_certificate(salem.salem_polynomial(n, m),
                                           precision_bits)
@@ -126,16 +134,14 @@ def build_params(n, m, j, root_index=0, sqrt_branch=1, precision_bits=256):
         delta = candidates[root_index]
         if abs(delta ** 3 + 1) < tol:
             raise DegenerateParameterError("delta^3 = -1 is outside the family")
-        sqrt_delta = sqrt_branch * sqrt(delta)
+        sqrt_delta = sqrt(delta)
         c = 2 * sqrt_delta * cos(mpf(j) * pi / n)
 
-        orbit = [c]
-        for _ in range(n - 2):
-            orbit.append(c - delta / orbit[-1])
+        orbit = _c_orbit(c, delta, n, tol)
         if abs(orbit[-1]) > tol:
             raise ConsistencyError(
                 "orbit value w_{n-1} = %s fails to vanish: wrong "
-                "(root_index, sqrt_branch, j) pairing" % salem.mp_str(orbit[-1]))
+                "(root_index, j) pairing" % salem.mp_str(orbit[-1]))
 
         if n % 2 == 0:
             lam = -delta ** (-(n // 2))
@@ -147,10 +153,9 @@ def build_params(n, m, j, root_index=0, sqrt_branch=1, precision_bits=256):
             lam = -1 / (delta ** ((n - 1) // 2) * orbit_mid)
 
         return FamilyParams(
-            n=n, m=m, j=j, root_index=root_index, sqrt_branch=sqrt_branch,
+            n=n, m=m, j=j, root_index=root_index,
             precision_bits=precision_bits, delta=delta, sqrt_delta=sqrt_delta,
-            c=c, lam=lam, orbit=tuple(orbit), orbit_mid=orbit_mid,
-            tolerance=tol)
+            c=c, lam=lam, orbit=orbit, orbit_mid=orbit_mid, tolerance=tol)
 
 
 def with_mismatched_c(params, factor):
@@ -162,18 +167,8 @@ def with_mismatched_c(params, factor):
     """
     with workprec(params.precision_bits):
         c = params.c * mpc(factor)
-        orbit = [c]
-        for _ in range(params.n - 2):
-            if abs(orbit[-1]) < params.tolerance:
-                raise DivisionDegeneracyError(
-                    "perturbed orbit hit zero", index=len(orbit) - 1)
-            orbit.append(c - params.delta / orbit[-1])
-        return FamilyParams(
-            n=params.n, m=params.m, j=params.j, root_index=params.root_index,
-            sqrt_branch=params.sqrt_branch, precision_bits=params.precision_bits,
-            delta=params.delta, sqrt_delta=params.sqrt_delta, c=c,
-            lam=params.lam, orbit=tuple(orbit), orbit_mid=params.orbit_mid,
-            tolerance=params.tolerance)
+        return replace(params, c=c, orbit=_c_orbit(c, params.delta, params.n,
+                                                    params.tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -352,34 +347,27 @@ def fixed_points(params):
 
 @dataclass(frozen=True)
 class MultiplierData:
-    """Multipliers of the differential at an affine fixed point."""
+    """Multipliers at an affine fixed point, with the determinant of the
+    Jacobian of map_affine there and its eigenvalues' distance from them."""
 
     fixed_point: tuple
     lambda1: object
     lambda2: object
     unit_modulus: bool
     rank2_criterion: bool
+    jacobian_det: object
     jacobian_residual: object
-
-    def to_json(self, bits):
-        return {
-            "fixed_point": [mpc_to_json(z, bits) for z in self.fixed_point],
-            "lambda1": mpc_to_json(self.lambda1, bits),
-            "lambda2": mpc_to_json(self.lambda2, bits),
-            "unit_modulus": self.unit_modulus,
-            "rank2_criterion": self.rank2_criterion,
-            "jacobian_residual": salem.mp_str(self.jacobian_residual),
-        }
 
 
 def multipliers_at_fixed(params, fp):
-    """Closed-form multipliers at an affine fixed point, Jacobian cross-checked.
+    """Closed-form multipliers at an affine fixed point, checked on map_affine.
 
     lambda_{1,2} = -((1+delta)/2 - c) +- sqrt(-delta + ((1+delta)/2 - c)^2);
     the product is delta. The same values must match the eigenvalues of the
-    analytic Jacobian [[0, 1], [-delta, c - 1/y^2]] evaluated at the point.
-    The rank-2 criterion is |Re sqrt(delta) - 2 cos(j pi/n)| <= 1 with the
-    chosen square-root branch.
+    Jacobian of map_affine, taken by central differences with step
+    h = 2^(-bits/3), to 2^(-bits/4); raises ConsistencyError otherwise. The
+    rank-2 criterion is |Re sqrt(delta) - 2 cos(j pi/n)| <= 1 with the
+    principal square root.
     """
     with workprec(params.precision_bits):
         d, c = params.delta, params.c
@@ -393,10 +381,16 @@ def multipliers_at_fixed(params, fp):
         lam1 = -half + root
         lam2 = -half - root
 
-        # analytic Jacobian, numerically evaluated, eigenvalues by the
-        # quadratic formula; matched to the closed form by proximity
-        tr = c - 1 / (y * y)
-        disc = sqrt(tr * tr - 4 * d)
+        # cols[i][k] = d f_k / d z_i by central differences (truncation and
+        # rounding both about 2^(-2 bits/3)); eigenvalues matched by proximity
+        h = mpf(2) ** (-(params.precision_bits // 3))
+        cols = [[(p - q) / (2 * h) for p, q in zip(map_affine(params, plus),
+                                                   map_affine(params, minus))]
+                for plus, minus in (((x + h, y), (x - h, y)),
+                                    ((x, y + h), (x, y - h)))]
+        tr = cols[0][0] + cols[1][1]
+        det = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
+        disc = sqrt(tr * tr - 4 * det)
         e1 = (tr + disc) / 2
         e2 = (tr - disc) / 2
         res = min(max(abs(e1 - lam1), abs(e2 - lam2)),
@@ -413,7 +407,7 @@ def multipliers_at_fixed(params, fp):
         return MultiplierData(
             fixed_point=(x, y), lambda1=lam1, lambda2=lam2,
             unit_modulus=bool(unit), rank2_criterion=bool(crit),
-            jacobian_residual=res)
+            jacobian_det=det, jacobian_residual=res)
 
 
 def multiplicative_relation_search(lam1, lam2, bound, tol, precision_bits=256):

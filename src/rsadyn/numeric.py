@@ -138,6 +138,14 @@ def unconditional_cyclotomic_bound(degree):
     return best
 
 
+def fit_slope(xs, ys):
+    """Least-squares slope of ys against xs, None when every x is equal."""
+    nn, sx, sy = len(xs), sum(xs), sum(ys)
+    sxx, sxy = sum(x * x for x in xs), sum(x * y for x, y in zip(xs, ys))
+    denom = nn * sxx - sx * sx
+    return (nn * sxy - sx * sy) / denom if denom != 0 else None
+
+
 def float_log2(x):
     """log2 of a positive mpf as a python float (for reporting)."""
     try:

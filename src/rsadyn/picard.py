@@ -22,6 +22,7 @@ the classes g_{s,l} (projections of the level-3 fibers) as the cycle
 whose characteristic polynomial is exactly the degree-nm family polynomial.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from mpmath import log, workprec
 
 from . import salem
 from .errors import FixtureMismatchError, ValidationError
-from .numeric import check_precision
+from .numeric import check_precision, fit_slope
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +356,6 @@ def quadratic_growth_fixture():
     push-forward preserves the intersection form, is unimodular, and
     permutes the S generators.
     """
-    import numpy as np
-
     k = _fixture_pushforward()
     gram = [[0] * 11 for _ in range(11)]
     gram[0][0] = 1
@@ -437,8 +436,8 @@ def quadratic_growth_fixture():
         if kk >= 100 and kk % 25 == 0:
             ks.append(kk)
             norms.append(max(abs(float(x)) for row in power for x in row))
-    slope = float(np.polyfit(np.log(np.array(ks)),
-                             np.log(np.array(norms)), 1)[0])
+    slope = fit_slope([math.log(kk) for kk in ks],
+                      [math.log(nm) for nm in norms])
     if not 1.9 <= slope <= 2.1:
         raise FixtureMismatchError("growth slope %.4f outside 2 +- 0.1" % slope)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import arg, mpc, mpf, nstr, workprec
+from mpmath import arg, mpc, mpf, nstr, pi, workprec
 
 from .errors import (InternalConsistencyError, NotSalemError,
                      NumericFailureError, ValidationError)
@@ -227,10 +227,11 @@ def find_roots(poly, precision_bits):
     """All roots (with multiplicity) by Aberth simultaneous iteration.
 
     Returns deg(poly) mpc values sorted by (argument, modulus) so that a
-    root index is reproducible across runs and precisions. Each root stops
-    at its own residual target 2**(-precision_bits-32) * max(1, sum |c_k|
-    |z0|^k), scaled like the final check from its start point z0. Residuals
-    are verified as a backward error: |p(root)| must be below
+    root index is reproducible across runs and precisions; a negative real
+    root (imaginary part below tolerance) sorts at argument pi. Each root
+    stops at its own residual target 2**(-precision_bits-32) * max(1,
+    sum |c_k| |z0|^k), scaled like the final check from its start point
+    z0. Residuals are verified as a backward error: |p(root)| must be below
     2**(-precision_bits/2) * max(1, sum |c_k| |root|^k). Failure to
     converge within 128 + precision_bits steps raises NumericFailureError
     naming the target missed and carrying the best residual reached.
@@ -322,7 +323,9 @@ def find_roots(poly, precision_bits):
             raise NumericFailureError(
                 "scaled root residual %s above tolerance" % mp_str(bad),
                 best_residual=bad)
-        out.sort(key=lambda z: (arg(z), abs(z)))
+        tol = tolerance_for(precision_bits)
+        out.sort(key=lambda z: (pi if z.real < 0 and abs(z.imag) < tol
+                                else arg(z), abs(z)))
     return out
 
 

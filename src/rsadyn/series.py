@@ -33,10 +33,11 @@ from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import from_float, from_man_exp
 
 from .blowup import level2_step
+from .family import line_map
 from .errors import (CompositionDomainError, ConsistencyError,
                      PropertyViolationError, StructureViolationError,
                      ValidationError)
-from .numeric import mpc_to_json, tolerance_for
+from .numeric import fit_slope, mpc_to_json, tolerance_for
 
 
 def _guard_scale():
@@ -588,8 +589,8 @@ def infinity_return_map(params, w, trunc):
                 if abs(cur - ws) < margin:
                     raise ValidationError("base point orbit hits a blown-up "
                                           "point")
-            worbit.append(c - d / cur)
-        if abs(worbit[0] - (c - d / worbit[-1])) > 1000 * tol:
+            worbit.append(line_map(params, cur))
+        if abs(worbit[0] - line_map(params, worbit[-1])) > 1000 * tol:
             raise ConsistencyError("line orbit failed to close after n steps")
 
         floor = tolerance_for(params.precision_bits)
@@ -748,15 +749,7 @@ def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
 
         mu = None
         if len(fit_points) >= 4 and obstruction is None:
-            xs = [p[0] for p in fit_points]
-            ys = [p[1] for p in fit_points]
-            nn = len(xs)
-            sx, sy = sum(xs), sum(ys)
-            sxx = sum(x * x for x in xs)
-            sxy = sum(x * y for x, y in zip(xs, ys))
-            denom = nn * sxx - sx * sx
-            if denom != 0:
-                mu = (nn * sxy - sx * sy) / denom
+            mu = fit_slope(*zip(*fit_points))
 
         phi1 = BivariateSeries(trunc, {(1, 0): mpc(1), **phi[0]})
         phi2 = BivariateSeries(trunc, {(0, 1): mpc(1), **phi[1]})

@@ -6,8 +6,8 @@ from rsadyn import build_params
 
 
 @functools.lru_cache(maxsize=None)
-def cached_params(n, m, j, root_index=0, sqrt_branch=1, bits=256):
-    return build_params(n, m, j, root_index, sqrt_branch, bits)
+def cached_params(n, m, j, root_index=0, bits=256):
+    return build_params(n, m, j, root_index, bits)
 
 
 @pytest.fixture(scope="session")

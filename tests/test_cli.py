@@ -187,6 +187,17 @@ def test_non_finite_flag_exit_2(command):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "linearize", "raster"])
+def test_sqrt_branch_flag_is_gone(command, tmp_path):
+    # the other square-root branch is the member with j -> n - j
+    pgm = tmp_path / "x.pgm"
+    out = run(command, "--n", "4", "--m", "1", "--sqrt-branch", "-1",
+              *(["--out", str(pgm)] if command == "raster" else []))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert not pgm.exists()
+
+
 def test_raster_outputs_and_determinism(tmp_path):
     args = ["raster", "--n", "4", "--m", "1", "--j", "1",
             "--window", "0.2,1.3,0.0,0.03", "--res", "32x16",

@@ -8,7 +8,9 @@ from rsadyn import (FamilyParams, ProjectivePoint,
                     map_affine, map_affine_inverse, map_homogeneous,
                     multipliers_at_fixed, multiplicative_relation_search,
                     orbit_identities, orbit_telescoping)
-from rsadyn.errors import ExceptionalLocusError, IndeterminatePointError
+from rsadyn import family
+from rsadyn.errors import (ConsistencyError, ExceptionalLocusError,
+                           IndeterminatePointError)
 from rsadyn.family import line_map, with_mismatched_c
 
 TOL30 = mpf(10) ** -30
@@ -55,11 +57,11 @@ def test_rejects_bad_root_index():
         build_params(4, 1, 1, root_index=99)
 
 
-def test_branch_and_j_relabel(params411):
-    # flipping the square-root branch relabels j <-> n - j: same c
-    other = build_params(4, 1, 3, sqrt_branch=-1)
+def test_j_to_n_minus_j_negates_c(params411):
+    # j -> n - j is the other square-root branch: cos((n-j) pi/n) = -cos(j pi/n)
+    other = build_params(4, 1, 3)
     with workprec(256):
-        assert abs(other.c - params411.c) < TOL30
+        assert abs(other.c + params411.c) < TOL30
 
 
 def test_params_json_roundtrip(params411):
@@ -210,6 +212,21 @@ def test_multiplier_product_is_delta(params411, params511):
                 md = multipliers_at_fixed(p, fp)
                 assert abs(md.lambda1 * md.lambda2 - p.delta) < mpf(10) ** -25
                 assert md.jacobian_residual < mpf(10) ** -25
+
+
+def test_multipliers_read_off_map_affine(params411, monkeypatch):
+    # a second-coordinate term 1e-3 (x - y) leaves the fixed points (x = y)
+    # in place but changes the Jacobian, which the check must see
+    p = params411
+    fps = fixed_points(p)
+
+    def skewed(params, z):
+        x, y = map_affine(params, z)
+        return x, y + mpf(10) ** -3 * (mpc(z[0]) - mpc(z[1]))
+
+    monkeypatch.setattr(family, "map_affine", skewed)
+    with pytest.raises(ConsistencyError):
+        multipliers_at_fixed(p, fps[0])
 
 
 def test_unit_modulus_iff_criterion(params411):

@@ -211,6 +211,20 @@ def test_root_order_deterministic():
     assert all(x == y for x, y in zip(a, b))
 
 
+@pytest.mark.parametrize("n,m", [(3, 13), (3, 5), (7, 3)])
+def test_minus_one_keeps_its_place_across_precisions(n, m):
+    # odd degree carries the real root -1; the sign of the rounding left in
+    # its imaginary part must not move it between first and last
+    poly = salem_polynomial(n, m)
+    places = set()
+    for bits in (64, 96, 128, 256, 512):
+        unit = salem_certificate(poly, bits).unit_roots
+        with workprec(bits):
+            places.add(tuple(i for i, z in enumerate(unit)
+                             if abs(z + 1) < mpf(10) ** -6))
+    assert places == {(len(unit) - 1,)}
+
+
 # -- root-of-unity certification ----------------------------------------------
 
 def poly_gcd(a, b):
