@@ -338,8 +338,8 @@ class MultiplierNode:
             "label": self.label,
             "exp_along": self.exp_along,
             "exp_normal": self.exp_normal,
-            "mult_along": mpc_to_json(mpc(self.mult_along), bits),
-            "mult_normal": mpc_to_json(mpc(self.mult_normal), bits),
+            "mult_along": mpc_to_json(self.mult_along, bits),
+            "mult_normal": mpc_to_json(self.mult_normal, bits),
             "children": [ch.to_json(bits) for ch in self.children],
         }
 

@@ -31,7 +31,7 @@ import sys
 
 from mpmath import mp, mpf, workprec
 
-from . import blowup, family, picard, probes, salem, series
+from . import blowup, family, picard, salem, series
 from .errors import NotSalemError, RsadynError, ValidationError
 from .numeric import float_log2, tolerance_for
 
@@ -282,6 +282,7 @@ def cmd_linearize(args):
             fps = family.fixed_points(params)
             md = family.multipliers_at_fixed(params, fps[0])
             if md.rank2_criterion and md.unit_modulus:
+                from . import probes
                 birk = probes.birkhoff_linearize(params, fps[0],
                                                  seed=args.seed)
                 report["birkhoff"] = {
@@ -353,6 +354,7 @@ def cmd_raster(args):
                                   % args.basepoint)
         basepoint = (complex(re1, im1), complex(re2, im2))
     budget = args.budget or None      # 0 = default; negatives are rejected
+    from . import probes
     grid = probes.siegel_raster(params, args.chart, (x0, x1, y0, y1), (w, h),
                                 budget=budget, eps=args.eps,
                                 threads=args.threads, basepoint=basepoint)

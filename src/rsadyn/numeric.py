@@ -12,7 +12,6 @@ from mpmath import mp, mpc, mpf, workprec
 
 from .errors import ValidationError
 
-DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
 
 

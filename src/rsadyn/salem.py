@@ -7,21 +7,22 @@ landing depth ``m`` is
 
 an exact integer polynomial of degree nm. For n >= 4 (or n = 3, m >= 2) it is
 a Salem polynomial: one real root lambda > 1, its reciprocal, and all other
-roots on the unit circle. Root isolation is done by Aberth simultaneous
-iteration at arbitrary precision with residuals verified as a backward
-error; root-of-unity status is certified by exact cyclotomic divisibility
-sweeps, never by numerical argument tests. Every polynomial division, the
-sweep and the recursive construction of the cyclotomic polynomials
-included, is integer long division (`_exact_quotient`), which gives up at
-the first fractional quotient coefficient.
+roots on the unit circle. Root isolation runs one Aberth loop twice, on
+Python complex from a circle of start points and then on mpc at arbitrary
+precision, with residuals verified as a backward error. Root-of-unity
+status is certified by exact cyclotomic divisibility sweeps, never by
+numerical argument tests. Every polynomial division, the sweep and the
+recursive construction of the cyclotomic polynomials included, is integer
+long division (`_exact_quotient`), which gives up at the first fractional
+quotient coefficient.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-from mpmath import arg, mpc, mpf, nstr, pi, workprec
+from mpmath import arg, mpc, mpf, nstr, workprec
 
 from .errors import (InternalConsistencyError, NotSalemError,
                      NumericFailureError, ValidationError)
@@ -143,16 +144,12 @@ class IntPolynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_fraction(self, x):
-        acc = Fraction(0)
+    def __call__(self, x):
+        """Horner value at x, from the integer 0: an int, Fraction, complex
+        or mpc x gives a value of that type (mpc at the ambient precision)."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_mpc(self, z):
-        acc = mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
         return acc
 
     def is_palindromic(self):
@@ -226,21 +223,25 @@ def salem_polynomial(n, m):
 def find_roots(poly, precision_bits):
     """All roots (with multiplicity) by Aberth simultaneous iteration.
 
+    One Aberth loop (`_aberth`) runs twice: on Python complex from deg
+    points on the circle of radius 1 + 1/deg (kept as they are when the
+    coefficients or iterates leave the float range), then on mpc from
+    those values. In both, each root stops at its own residual target, rel
+    * max(1, sum |c_k| |z0|^k) from its start point z0, with rel 2**-40 in
+    complex and 2**(-precision_bits-32) in mpc. Residuals are verified as
+    a backward error: |p(root)| must be below 2**(-precision_bits/2) *
+    max(1, sum |c_k| |root|^k). Failure to converge within 128 +
+    precision_bits steps raises NumericFailureError naming the target
+    missed and carrying the best residual reached.
+
     Returns deg(poly) mpc values sorted by (argument, modulus) so that a
-    root index is reproducible across runs and precisions; a negative real
-    root (imaginary part below tolerance) sorts at argument pi. Each root
-    stops at its own residual target 2**(-precision_bits-32) * max(1,
-    sum |c_k| |z0|^k), scaled like the final check from its start point
-    z0. Residuals are verified as a backward error: |p(root)| must be below
-    2**(-precision_bits/2) * max(1, sum |c_k| |root|^k). Failure to
-    converge within 128 + precision_bits steps raises NumericFailureError
-    naming the target missed and carrying the best residual reached.
+    root index is reproducible across runs and precisions; a real root
+    (imaginary part below tolerance) sorts at argument 0 or pi by its
+    sign, so 1/lambda comes before lambda and -1 is last.
     """
     precision_bits = check_precision(precision_bits)
-    deg = poly.degree()
-    if deg < 1:
+    if poly.degree() < 1:
         raise ValidationError("find_roots requires a nonconstant polynomial")
-    maxsteps = 128 + precision_bits
 
     # Zero roots split off exactly so Aberth never sees them.
     nzero = 0
@@ -249,6 +250,19 @@ def find_roots(poly, precision_bits):
         coeffs.pop(0)
         nzero += 1
     reduced = IntPolynomial(coeffs)
+    deg = reduced.degree()
+    if deg == 0:
+        # pure power t^k: nothing left for the iteration
+        with workprec(precision_bits):
+            return [mpc(0)] * nzero
+    circle = [(1 + 1 / deg) * cmath.exp(2j * cmath.pi * (k + 0.25) / deg)
+              for k in range(deg)]
+    try:
+        starts, _ = _aberth(reduced, circle, 2.0 ** -40, 128 + 53, 2.0 ** -53)
+    except OverflowError:
+        starts = circle
+    if not all(cmath.isfinite(z) for z in starts):
+        starts = circle
 
     # Residual targets far below the certificate tolerance 2^(-bits/2): a
     # double root with relative residual 2^(-bits-32) is located to
@@ -258,57 +272,14 @@ def find_roots(poly, precision_bits):
     # degree (about lambda^80 * 2^-(working bits) at degree 80).
     work = precision_bits + max(96, precision_bits // 2)
     with workprec(work):
-        if reduced.degree() == 0:
-            # pure power t^k: nothing left for the iteration
-            with workprec(precision_bits):
-                return [mpc(0)] * nzero
-        roots = [mpc(z) for z in _initial_guesses(reduced)]
-        reduced_abs = IntPolynomial([abs(c) for c in reduced.coeffs])
-        with workprec(53):
-            scales = [max(1, reduced_abs.eval_mpc(abs(z)).real)
-                      for z in roots]
-        targets = [mpf(2) ** (-(precision_bits + 32)) * sc for sc in scales]
-        dpoly = reduced.derivative()
-        best = mpf("inf")
-        for _ in range(maxsteps):
-            values = [reduced.eval_mpc(z) for z in roots]
-            residuals = [abs(v) for v in values]
-            best = min(best, max(residuals))
-            if all(r < t for r, t in zip(residuals, targets)):
-                break
-            new_roots = []
-            for i, z in enumerate(roots):
-                pz = values[i]
-                if residuals[i] < targets[i]:
-                    new_roots.append(z)
-                    continue
-                dz = dpoly.eval_mpc(z)
-                if dz == 0:
-                    # nudge off a critical point, deterministically
-                    z = z + mpf(2) ** (-precision_bits // 3) * (1 + 1j)
-                    dz = dpoly.eval_mpc(z)
-                    pz = reduced.eval_mpc(z)
-                w = pz / dz
-                s = mpc(0)
-                for jj, zj in enumerate(roots):
-                    if jj != i:
-                        dzz = z - zj
-                        if dzz == 0:
-                            dzz = mpf(2) ** (-work + 8)
-                        s += 1 / dzz
-                denom = 1 - w * s
-                if denom == 0:
-                    step = w
-                else:
-                    step = w / denom
-                new_roots.append(z - step)
-            roots = new_roots
-        else:
-            i = max(range(len(roots)), key=lambda i: residuals[i] / targets[i])
+        roots, miss = _aberth(reduced, [mpc(z) for z in starts],
+                              mpf(2) ** (-(precision_bits + 32)),
+                              128 + precision_bits, mpf(2) ** -work)
+        if miss:
+            i, residual, target, best = miss
             raise NumericFailureError(
                 "Aberth iteration missed residual target %s at root %d "
-                "(residual %s)" % (mp_str(targets[i]), i,
-                                   mp_str(residuals[i])),
+                "(residual %s)" % (mp_str(target), i, mp_str(residual)),
                 best_residual=best)
 
     # backward error: |p(z)| against tol * max(1, sum |c_k| |z|^k), the
@@ -316,16 +287,15 @@ def find_roots(poly, precision_bits):
     # degree 40 the floor alone is about lambda^40 * 2^-bits)
     absolute = IntPolynomial([abs(c) for c in poly.coeffs])
     with workprec(precision_bits):
+        tol = tolerance_for(precision_bits)
         out = [mpc(0)] * nzero + [mpc(z) for z in roots]
-        bad = max(abs(poly.eval_mpc(z))
-                  / max(1, absolute.eval_mpc(abs(z)).real) for z in out)
-        if bad >= tolerance_for(precision_bits):
+        bad = max(abs(poly(z)) / max(1, absolute(abs(z))) for z in out)
+        if bad >= tol:
             raise NumericFailureError(
                 "scaled root residual %s above tolerance" % mp_str(bad),
                 best_residual=bad)
-        tol = tolerance_for(precision_bits)
-        out.sort(key=lambda z: (pi if z.real < 0 and abs(z.imag) < tol
-                                else arg(z), abs(z)))
+        out.sort(key=lambda z: (arg(z.real if abs(z.imag) < tol else z),
+                                abs(z)))
     return out
 
 
@@ -333,26 +303,50 @@ def mp_str(x):
     return nstr(x, 8)
 
 
-def _initial_guesses(poly):
-    """Double-precision starting points for Aberth.
+def _aberth(poly, roots, rel, steps, eps):
+    """Aberth simultaneous iteration on poly from the start points roots.
 
-    numpy's companion-matrix roots give excellent starts for moderate
-    degrees; overflow or failure falls back to a perturbed circle.
+    Runs in the roots' own number type, complex or mpc, whose unit
+    roundoff is eps. A root stays put, and is not evaluated again, once
+    |poly(z)| is below its target rel * max(1, sum |c_k| |z0|^k), the
+    scale taken at 53 bits at its start point z0. Returns (roots, miss):
+    miss is None when every root met its target within `steps` iterations,
+    else (index, residual, target, best) for the root furthest above its
+    target, with best the smallest largest residual seen.
     """
-    deg = poly.degree()
-    try:
-        arr = np.array([float(c) for c in reversed(poly.coeffs)], dtype=float)
-        if np.all(np.isfinite(arr)):
-            guesses = np.roots(arr)
-            if len(guesses) == deg and np.all(np.isfinite(guesses)):
-                # deterministic tiny spread so clustered starts never coincide
-                return [complex(g) + 1e-12 * (k + 1) * (0.7 + 0.3j)
-                        for k, g in enumerate(sorted(guesses, key=lambda z: (z.real, z.imag)))]
-    except (OverflowError, np.linalg.LinAlgError, ValueError):
-        pass
-    import cmath
-    radius = 1.0 + 1.0 / deg
-    return [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / deg) for k in range(deg)]
+    absolute = IntPolynomial([abs(c) for c in poly.coeffs])
+    with workprec(53):
+        scales = [max(1, absolute(abs(z))) for z in roots]
+    targets = [rel * sc for sc in scales]
+    dpoly = poly.derivative()
+    values = [None] * len(roots)
+    live = range(len(roots))
+    best = math.inf
+    for _ in range(steps):
+        for i in live:
+            values[i] = poly(roots[i])
+        residuals = [abs(v) for v in values]
+        best = min(best, max(residuals))
+        live = [i for i, (r, t) in enumerate(zip(residuals, targets))
+                if r >= t]
+        if not live:
+            return roots, None
+        new_roots = list(roots)
+        for i in live:
+            z, pz = roots[i], values[i]
+            dz = dpoly(z)
+            if dz == 0:
+                # nudge off a critical point, deterministically
+                z = z + eps ** (1 / 3) * (1 + 1j)
+                dz, pz = dpoly(z), poly(z)
+            w = pz / dz
+            s = sum(1 / ((z - zj) or 256 * eps)
+                    for jj, zj in enumerate(roots) if jj != i)
+            denom = 1 - w * s
+            new_roots[i] = z - (w / denom if denom != 0 else w)
+        roots = new_roots
+    i = max(range(len(roots)), key=lambda i: residuals[i] / targets[i])
+    return roots, (i, residuals[i], targets[i], best)
 
 
 def cyclotomic_part(poly, k_max=None):
@@ -450,8 +444,8 @@ def salem_certificate(poly, precision_bits):
     with workprec(precision_bits):
         tol = tolerance_for(precision_bits)
 
-        core, cyc_factors = cyclotomic_part(poly)
         clearance = unconditional_cyclotomic_bound(poly.degree())
+        core, _ = cyclotomic_part(poly, clearance)
         if core.degree() == 0:
             raise NotSalemError(
                 "no root of modulus > 1; all roots are roots of unity")
@@ -488,8 +482,7 @@ def salem_certificate(poly, precision_bits):
         # unit roots certified off the roots of unity: roots of the
         # cyclotomic-free core
         core_tol = tolerance_for(precision_bits // 2)
-        nonunity = tuple(z for z in unit if abs(core.eval_mpc(z)) < core_tol) \
-            if core.degree() > 0 else ()
+        nonunity = tuple(z for z in unit if abs(core(z)) < core_tol)
 
         return SalemCertificate(
             poly=poly,

@@ -38,7 +38,7 @@ def test_landing_41_is_family_polynomial_condition(params411):
     with workprec(256):
         d = params411.delta
         expanded = 1 + d + d * d - d ** 3       # second component of M1^2(1,1-d)
-        assert abs(1 - d * expanded - p.eval_mpc(d)) < mpf(10) ** -70
+        assert abs(1 - d * expanded - p(d)) < mpf(10) ** -70
         assert landing_condition(4, 1, d) < TOL30
 
 
@@ -234,6 +234,14 @@ def test_linear_model_tree_json(params411):
     assert data["children"][0]["exp_along"] == 1
 
 
+def test_linear_model_json_keeps_full_precision(params411):
+    # serialized outside any workprec: the root's transverse multiplier is
+    # lambda, and its digits must be those of the params report, not of a
+    # 53-bit double
+    data = build_linear_model(params411).to_json(256)
+    assert data["mult_normal"] == params411.to_json()["lambda"]
+
+
 def test_cycle_moebius_invariants(params411):
     inv = cycle_moebius_invariants(params411)
     with workprec(256):
@@ -249,9 +257,9 @@ def test_landing_matches_polynomial_on_circle_grid(params411):
     p = salem_polynomial(4, 1)
     with workprec(256):
         root = params411.delta
-        assert abs(p.eval_mpc(root)) < mpf(10) ** -70
+        assert abs(p(root)) < mpf(10) ** -70
         assert landing_condition(4, 1, root) < TOL30
         for k in range(1, 6):
             z = exp(2j * pi * mpf(k) / 7)   # not a root
-            assert abs(p.eval_mpc(z)) > mpf("0.01")
+            assert abs(p(z)) > mpf("0.01")
             assert landing_condition(4, 1, z) > mpf(10) ** -4

@@ -93,6 +93,34 @@ def test_degree_80_certifies_at_64_bits():
     assert json.loads(out.stdout)["pass"] is True
 
 
+# numpy is needed only by rasters and Birkhoff averages: with its import
+# blocked, these commands give the same report and exit code
+NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+            "from rsadyn.cli import main; raise SystemExit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("args,rc", [
+    ("salem --n 4 --m 1", 0),
+    ("verify --n 4 --m 1 --j 1", 0),
+    ("linearize --n 7 --m 2 --j 1 --degree 8", 0),
+    ("linearize --n 4 --m 1 --j 1 --demo-resonant", 5),
+    ("linearize --n 4 --m 1 --j 1 --degree 8 --mismatch-c 0.01", 5),
+], ids=["salem", "verify", "linearize-721", "demo-resonant", "mismatch-c"])
+def test_commands_run_without_numpy(args, rc):
+    blocked = subprocess.run([sys.executable, "-c", NO_NUMPY] + args.split(),
+                             capture_output=True, text=True)
+    assert blocked.returncode == rc, blocked.stderr
+    assert blocked.stdout == run(*args.split()).stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, rsadyn, rsadyn.cli; "
+                               "print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
+
+
 def test_verify_rejects_bad_j():
     out = run("verify", "--n", "4", "--m", "1", "--j", "2")
     assert out.returncode == 2

@@ -164,8 +164,7 @@ def test_pic_data_bundle():
 def test_entropy_bracket_41():
     # oracle bracket: exact sign change of the polynomial over Fraction
     p = salem_polynomial(4, 1)
-    assert p.eval_fraction(Fraction(172, 100)) < 0 \
-        < p.eval_fraction(Fraction(173, 100))
+    assert p(Fraction(172, 100)) < 0 < p(Fraction(173, 100))
     with workprec(256):
         e = entropy(4, 1)
         assert log(mpf("1.72")) < e < log(mpf("1.73"))
@@ -176,8 +175,8 @@ def test_entropy_monotone_in_m():
     p41 = salem_polynomial(4, 1)
     p42 = salem_polynomial(4, 2)
     # largest root of (4,2) exceeds 1.80; largest root of (4,1) is below 1.73
-    assert p41.eval_fraction(Fraction(173, 100)) > 0
-    assert p42.eval_fraction(Fraction(180, 100)) < 0
+    assert p41(Fraction(173, 100)) > 0
+    assert p42(Fraction(180, 100)) < 0
     with workprec(192):
         assert entropy(4, 2, 192) > entropy(4, 1, 192)
 

@@ -17,7 +17,8 @@ from mpmath import mp, mpc, mpf, workprec
 
 from rsadyn import (IntPolynomial, NotSalemError, certify_not_root_of_unity,
                     find_roots, salem_certificate, salem_polynomial)
-from rsadyn.errors import InternalConsistencyError, ValidationError
+from rsadyn.errors import (InternalConsistencyError, NumericFailureError,
+                           ValidationError)
 from rsadyn.numeric import unconditional_cyclotomic_bound
 from rsadyn.salem import cyclotomic, cyclotomic_part
 
@@ -144,6 +145,17 @@ def test_polynomial_json_roundtrip():
     assert p.to_json()[0] == "1"
 
 
+def test_one_evaluator_for_every_number_type():
+    p = IntPolynomial([3, -2, 0, 1])                   # t^3 - 2t + 3
+    assert p(2) == 7 and type(p(2)) is int
+    assert p(Fraction(1, 2)) == Fraction(17, 8)
+    assert p(1j) == 3 - 3j
+    with workprec(256):
+        z = mpc(1, 1) / 3
+        assert p(z) == z * z * z - 2 * z + 3
+    assert IntPolynomial([])(5) == 0
+
+
 # -- root finding ------------------------------------------------------------
 
 def test_roots_of_t2_plus_1():
@@ -158,7 +170,7 @@ def test_real_root_bracket_41():
     # independent bracket oracle: exact sign change over Fraction
     p = salem_polynomial(4, 1)
     lo, hi = Fraction(172, 100), Fraction(173, 100)
-    assert p.eval_fraction(lo) < 0 < p.eval_fraction(hi)
+    assert p(lo) < 0 < p(hi)
     roots = find_roots(p, 256)
     with workprec(256):
         real = [r for r in roots if abs(r.imag) < mpf(10) ** -50
@@ -180,7 +192,7 @@ def test_root_residuals_below_target():
         roots = find_roots(p, bits)
         with workprec(bits + 64):
             target = mpf(2) ** -(bits // 2)
-            assert max(abs(p.eval_mpc(r)) for r in roots) < target
+            assert max(abs(p(r)) for r in roots) < target
 
 
 def test_unit_root_count_stable_under_precision_doubling():
@@ -200,7 +212,7 @@ def test_roots_with_multiplicity():
     roots = find_roots(p, 192)
     assert len(roots) == 3
     with workprec(256):
-        assert max(abs(p.eval_mpc(r)) for r in roots) < mpf(2) ** -96
+        assert max(abs(p(r)) for r in roots) < mpf(2) ** -96
         assert sum(1 for r in roots if abs(r - 1) < mpf(10) ** -20) == 2
 
 
@@ -223,6 +235,39 @@ def test_minus_one_keeps_its_place_across_precisions(n, m):
             places.add(tuple(i for i, z in enumerate(unit)
                              if abs(z + 1) < mpf(10) ** -6))
     assert places == {(len(unit) - 1,)}
+
+
+# every family member with 3 <= n <= 10 and nm <= 40 but (3, 1): the
+# benchmark census
+CENSUS = [(n, m) for n in range(3, 11) for m in range(1, 40 // n + 1)
+          if (n, m) != (3, 1)]
+
+
+@pytest.mark.parametrize("bits", [64, 96, 128, 256, 512])
+def test_reciprocal_pair_order_across_precisions(bits):
+    # 1/lambda and lambda both sort at argument 0, by modulus, whatever the
+    # sign of the rounding left in their imaginary parts
+    assert len(CENSUS) == 54
+    for n, m in CENSUS:
+        roots = find_roots(salem_polynomial(n, m), bits)
+        with workprec(bits):
+            real = [i for i, z in enumerate(roots)
+                    if z.real > 0 and abs(z.imag) < mpf(10) ** -6
+                    and abs(abs(z) - 1) > mpf("0.01")]
+            assert len(real) == 2, (n, m)
+            assert abs(roots[real[0]]) < 1 < abs(roots[real[1]]), (n, m)
+            assert real[1] == real[0] + 1, (n, m)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-10 ** 400, 0, 1],                                # t^2 - 10^400
+    [1, 0, 0, 0, 0, 0, 10 ** 310, 0, 0, 0, 1],          # t^10 + 10^310 t^6 + 1
+], ids=["t2", "t10"])
+def test_float_overflow_fails_as_numeric_failure(coeffs):
+    # a coefficient beyond the float range starts the mpc run from the
+    # circle, which does not converge in its step budget
+    with pytest.raises(NumericFailureError):
+        find_roots(IntPolynomial(coeffs), 256)
 
 
 # -- root-of-unity certification ----------------------------------------------
@@ -385,4 +430,4 @@ def test_certificate_reciprocal_root_present():
     p = cert.poly
     with workprec(256):
         recip = 1 / cert.lambda_root
-        assert abs(p.eval_mpc(mpc(recip))) < mpf(10) ** -70
+        assert abs(p(mpc(recip))) < mpf(10) ** -70
