@@ -93,7 +93,7 @@ def test_degree_80_certifies_at_64_bits():
     assert json.loads(out.stdout)["pass"] is True
 
 
-# numpy is needed only by rasters and Birkhoff averages: with its import
+# numpy is needed only by `probes` and `_kernels`: with its import
 # blocked, these commands give the same report and exit code
 NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
             "from rsadyn.cli import main; raise SystemExit(main(sys.argv[1:]))")
