@@ -15,23 +15,21 @@ from .errors import (ChartEscapeError, CompositionDomainError,
                      PropertyViolationError, RsadynError,
                      StructureViolationError, ValidationError)
 from .family import (FamilyParams, MultiplierData, ProjectivePoint,
-                     build_params, fixed_points, line_orbit, map_affine,
+                     build_params, fixed_points, map_affine,
                      map_affine_inverse, map_homogeneous,
                      multipliers_at_fixed, multiplicative_relation_search,
-                     orbit_identities, orbit_telescoping, with_mismatched_c)
-from .salem import (IntPolynomial, SalemCertificate, certify_not_root_of_unity,
-                    cyclotomic, find_roots, salem_certificate,
-                    salem_polynomial)
+                     orbit_identities, with_mismatched_c)
+from .salem import (IntPolynomial, SalemCertificate, cyclotomic, find_roots,
+                    salem_certificate, salem_polynomial)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "IntPolynomial", "SalemCertificate", "FamilyParams", "MultiplierData",
     "ProjectivePoint",
-    "salem_polynomial", "find_roots", "certify_not_root_of_unity",
-    "salem_certificate", "cyclotomic",
+    "salem_polynomial", "find_roots", "salem_certificate", "cyclotomic",
     "build_params", "with_mismatched_c", "map_affine", "map_affine_inverse",
-    "map_homogeneous", "line_orbit", "orbit_identities", "orbit_telescoping",
+    "map_homogeneous", "orbit_identities",
     "fixed_points", "multipliers_at_fixed", "multiplicative_relation_search",
     "RsadynError", "ValidationError", "NotSalemError", "NumericFailureError",
     "ConsistencyError", "InternalConsistencyError", "ExceptionalLocusError",

@@ -405,36 +405,3 @@ def build_linear_model(params):
                 "(%s, %s)" % (salem.mp_str(res_xi), salem.mp_str(res_x)))
 
         return root
-
-
-def cycle_moebius_invariants(params):
-    """Invariants of the composed level-2 on-fiber Moebius cycle.
-
-    Returns the trace-squared-over-determinant invariant of the n-step
-    composite together with its on-fiber derivatives at the two fixed points
-    xi = 0 and xi = infinity; these equal lambda^2 and lambda^-2 (matching
-    the multiplier tree), and tr^2/det = lambda^2 + 2 + lambda^-2.
-    """
-    with workprec(params.precision_bits):
-        d, lam = params.delta, params.lam
-        n = params.n
-        m_minus = ((mpc(1), mpc(0)), (mpc(1), -d))   # xi -> xi/(xi - delta)
-        m_plus = ((mpc(1), mpc(0)), (mpc(1), d))     # xi -> xi/(xi + delta)
-        comp = m_minus                                # step s = 0
-        comp = mat2_mul(mat2_pow(m_plus, n - 2), comp)
-        comp = mat2_mul(m_minus, comp)                # step s = n-1
-        tr = comp[0][0] + comp[1][1]
-        det = comp[0][0] * comp[1][1] - comp[0][1] * comp[1][0]
-        invariant = tr * tr / det
-        # derivative at xi=0 for [[a,b],[c,e]] acting as (a xi + b)/(c xi + e):
-        # b = 0 here, so phi'(0) = a/e and phi'(inf) = e/a
-        deriv0 = comp[0][0] / comp[1][1]
-        derivinf = comp[1][1] / comp[0][0]
-        return {
-            "trace_sq_over_det": invariant,
-            "invariant_residual": abs(invariant - (lam ** 2 + 2 + lam ** -2)),
-            "deriv_at_zero": deriv0,
-            "deriv_at_zero_residual": abs(deriv0 - lam ** 2),
-            "deriv_at_infinity": derivinf,
-            "deriv_at_infinity_residual": abs(derivinf - lam ** -2),
-        }

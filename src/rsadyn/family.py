@@ -19,13 +19,13 @@ the member with j replaced by n - j.
 from dataclasses import dataclass, replace
 from math import gcd
 
-from mpmath import arg, cos, exp, mp, mpc, mpf, pi, sqrt, workprec
+from mpmath import arg, cos, mp, mpc, mpf, pi, sqrt, workprec
 
 from . import salem
 from .errors import (ConsistencyError, DegenerateParameterError,
                      DivisionDegeneracyError, ExceptionalLocusError,
                      IndeterminatePointError, ValidationError)
-from .numeric import (check_precision, mat2_mul, mpc_from_json, mpc_to_json,
+from .numeric import (check_precision, mpc_from_json, mpc_to_json,
                       proj_distance, proj_normalize, tolerance_for)
 
 
@@ -199,8 +199,8 @@ class ProjectivePoint:
 
 def map_affine(params, z):
     """One step of f(x, y) = (y, -delta x + c y + 1/y)."""
-    x, y = mpc(z[0]), mpc(z[1])
     with workprec(params.precision_bits):
+        x, y = mpc(z[0]), mpc(z[1])
         if abs(y) < params.tolerance:
             raise ExceptionalLocusError("y = 0 lies on the exceptional curve")
         return (y, -params.delta * x + params.c * y + 1 / y)
@@ -208,8 +208,8 @@ def map_affine(params, z):
 
 def map_affine_inverse(params, z):
     """One step of f^{-1}(x, y) = ((c x - y + 1/x) / delta, x)."""
-    x, y = mpc(z[0]), mpc(z[1])
     with workprec(params.precision_bits):
+        x, y = mpc(z[0]), mpc(z[1])
         if abs(x) < params.tolerance:
             raise ExceptionalLocusError("x = 0 lies on the inverse exceptional curve")
         return ((params.c * x - y + 1 / x) / params.delta, x)
@@ -231,46 +231,6 @@ def map_homogeneous(params, point):
 # ---------------------------------------------------------------------------
 # invariant-line orbit and its identities
 # ---------------------------------------------------------------------------
-
-def line_orbit(params):
-    """Return (orbit values, period report) for the invariant-line Moebius map.
-
-    The report verifies that M = [[0, -delta], [1, c]] has M^n equal to a
-    scalar multiple nu of the identity with nu^2 = delta^n, and that the
-    Moebius fixed points carry derivative exp(2 pi i j / n).
-    """
-    with workprec(params.precision_bits):
-        d, c = params.delta, params.c
-        mat = ((mpc(0), -d), (mpc(1), c))
-        power = ((mpc(1), mpc(0)), (mpc(0), mpc(1)))
-        for _ in range(params.n):
-            power = mat2_mul(power, mat)
-        off = max(abs(power[0][1]), abs(power[1][0]))
-        diag_gap = abs(power[0][0] - power[1][1])
-        nu = power[0][0]
-        nu_residual = abs(nu ** 2 - d ** params.n)
-
-        # derivative of g at its fixed points: delta / w_fix^2
-        disc = sqrt(c * c - 4 * d)
-        rot = exp(2j * pi * params.j / params.n)
-        deriv_residuals = []
-        for sign in (1, -1):
-            wfix = (c + sign * disc) / 2
-            deriv = d / (wfix * wfix)
-            deriv_residuals.append(min(abs(deriv - rot), abs(deriv - 1 / rot)))
-
-        scale = max(abs(power[0][0]), abs(power[1][1]))
-        report = {
-            "off_diagonal": off / scale,
-            "diagonal_gap": diag_gap / scale,
-            "nu_squared_residual": nu_residual,
-            "fixed_point_derivative_residual": max(deriv_residuals),
-        }
-        if off / scale > params.tolerance or diag_gap / scale > params.tolerance:
-            raise ConsistencyError(
-                "M^n is not a scalar matrix (off-diagonal %s)" % salem.mp_str(off))
-        return params.orbit, report
-
 
 def orbit_identities(params):
     """Residuals of the pairing and product identities of the line orbit.
@@ -300,35 +260,6 @@ def orbit_identities(params):
             "midpoint_residual": mid_res,
             "max_residual": max(pair_res, prod_res, mid_res),
         }
-
-
-def orbit_telescoping(params, k):
-    """Residual of the telescoped expansion of the k-th line-orbit iterate.
-
-    With g_i = g^i(c) (so g_0 = c and g_i = w_{i+1}), the iterate satisfies
-
-        g_k = c - d/c - d^2/(c^2 g_1) - ... - d^k/(c^2 g_1^2...g_{k-2}^2 g_{k-1})
-
-    valid for 1 <= k <= n-2; increments obey
-    g_k - g_{k-1} = -d^k / (g_0^2 g_1^2 ... g_{k-2}^2 g_{k-1}).
-    """
-    n = params.n
-    if not 1 <= k <= n - 2:
-        raise ValidationError("telescoping needs 1 <= k <= n-2")
-    with workprec(params.precision_bits):
-        d, c = params.delta, params.c
-        g = [c] + list(params.orbit[1:])  # g[i] = g^i(c)
-        for i in range(k):
-            if abs(g[i]) < params.tolerance:
-                raise DivisionDegeneracyError(
-                    "denominator g_%d vanished" % i, index=i)
-        total = c
-        denom = mpc(1)
-        for i in range(1, k + 1):
-            # denominator g_0^2 g_1^2 ... g_{i-2}^2 g_{i-1}
-            denom = denom * (g[i - 2] if i >= 2 else 1) * g[i - 1]
-            total -= d ** i / denom
-        return abs(total - g[k])
 
 
 # ---------------------------------------------------------------------------

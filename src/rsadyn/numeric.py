@@ -47,12 +47,6 @@ def mpc_from_json(obj, bits):
         return mpc(mpf(obj["re"]), mpf(obj["im"]))
 
 
-def as_complex(z):
-    """Downcast an mpmath value to hardware complex128."""
-    return complex(float(mpf(z.real) if isinstance(z, mpc) else mpf(z)),
-                   float(mpf(z.imag)) if isinstance(z, mpc) else 0.0)
-
-
 def proj_normalize(coords):
     """Scale a projective coordinate tuple so its largest-|.| entry is 1.
 

@@ -23,7 +23,6 @@ whose characteristic polynomial is exactly the degree-nm family polynomial.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import log, workprec
@@ -151,11 +150,8 @@ def nullspace_int(rows):
 
 
 def berkowitz_charpoly(matrix):
-    """Characteristic polynomial det(tI - M), division-free (Berkowitz).
-
-    Works over any commutative ring; integer input gives an IntPolynomial,
-    Fraction input gives the ascending coefficient list.
-    """
+    """Characteristic polynomial det(tI - M) of an integer matrix, as an
+    IntPolynomial, division-free (Berkowitz)."""
     k = len(matrix)
     if k == 0:
         raise ValidationError("empty matrix")
@@ -173,38 +169,12 @@ def berkowitz_charpoly(matrix):
         vec = [sum(toep[i - j] * vec[j]
                    for j in range(max(0, i - (r + 1)), min(i, r) + 1))
                for i in range(r + 2)]
-    ascending = list(reversed(vec))
-    if all(isinstance(c, int) for c in ascending):
-        return salem.IntPolynomial(ascending)
-    return ascending
+    return salem.IntPolynomial(list(reversed(vec)))
 
 
 # ---------------------------------------------------------------------------
 # the invariant sublattice and its complement
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PicData:
-    """Exact lattice data for one (n, m): Gram matrix of the invariant span
-    S, its determinant, and the push-forward matrix on the complement T with
-    its basis labels."""
-
-    n: int
-    m: int
-    S_matrix: tuple
-    T_matrix: tuple
-    det_S: int
-    t_labels: tuple
-
-    def to_json(self):
-        return {
-            "n": self.n, "m": self.m,
-            "S_matrix": [[str(x) for x in row] for row in self.S_matrix],
-            "T_matrix": [[str(x) for x in row] for row in self.T_matrix],
-            "det_S": str(self.det_S),
-            "t_labels": list(self.t_labels),
-        }
-
 
 def intersection_matrix_S(n, m):
     """Gram matrix of {line, E1_0.., E2_0..} in the order written; (2n+1)^2.
@@ -255,23 +225,6 @@ def t_action_matrix(n, m):
                     for ss in range(1, n):
                         a[idx(ss, ll)][src] = 1
     return a
-
-
-def t_labels(n, m):
-    return tuple("g[%d,%d]" % (s, l)
-                 for l in range(1, m + 1) for s in range(n))
-
-
-def pic_data(n, m):
-    s_mat = intersection_matrix_S(n, m)
-    t_mat = t_action_matrix(n, m)
-    return PicData(
-        n=n, m=m,
-        S_matrix=tuple(tuple(r) for r in s_mat),
-        T_matrix=tuple(tuple(r) for r in t_mat),
-        det_S=bareiss_det(s_mat),
-        t_labels=t_labels(n, m),
-    )
 
 
 def entropy(n, m, precision_bits=256):

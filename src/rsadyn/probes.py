@@ -29,8 +29,7 @@ from mpmath import arg, floor, mpc, mpf, pi, workprec
 from . import _kernels, family
 from .errors import (IndeterminatePointError, NumericFailureError,
                      ValidationError)
-from .numeric import (as_complex, check_precision, proj_distance,
-                      proj_normalize)
+from .numeric import check_precision, proj_distance, proj_normalize
 
 _CHART_GUARD = 1e-2      # iterate: radius of the fiber-chart neighborhoods
 
@@ -315,10 +314,10 @@ def near_identity_returns(params, n_candidates=5, n_samples=100, seed=0):
     import random
     rng = random.Random(seed)
     qs = return_times(params.lam, n_candidates, params.precision_bits)
-    delta = as_complex(params.delta)
-    c = as_complex(params.c)
+    delta = complex(params.delta)
+    c = complex(params.c)
     n = params.n
-    orbit_vals = [as_complex(w) for w in params.orbit]
+    orbit_vals = [complex(w) for w in params.orbit]
 
     samples = []
     while len(samples) < n_samples:
@@ -358,9 +357,9 @@ def birkhoff_linearize(params, fp, n_values=(1, 4, 16, 64, 256), seed=0):
     if not mult.rank2_criterion:
         raise ValidationError("fixed point fails the rank-2 criterion")
 
-    delta = as_complex(params.delta)
-    c = as_complex(params.c)
-    fx, fy = as_complex(fp[0]), as_complex(fp[1])
+    delta = complex(params.delta)
+    c = complex(params.c)
+    fx, fy = complex(fp[0]), complex(fp[1])
     jac = np.array([[0.0 + 0.0j, 1.0 + 0.0j],
                     [-delta, c - 1.0 / (fy * fy)]])
     evals, evecs = np.linalg.eig(jac)
@@ -538,8 +537,8 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
                                      params.precision_bits), dtype=np.int64)
     T, X, Y = _chart_states(chart, window, resolution, basepoint)
     h, w = T.shape
-    delta = as_complex(params.delta)
-    c = as_complex(params.c)
+    delta = complex(params.delta)
+    c = complex(params.c)
     n = params.n
 
     classes = np.zeros((h, w), dtype=np.uint8)
@@ -606,8 +605,8 @@ def slice_radius(params, w, budget=None):
         budget = default_budget(params.lam, params.precision_bits, at_least=2048)
     cands = np.array(candidate_times(params.lam, budget,
                                      params.precision_bits), dtype=np.int64)
-    delta = as_complex(params.delta)
-    c = as_complex(params.c)
+    delta = complex(params.delta)
+    c = complex(params.c)
     n = params.n
     wc = complex(w)
     eps = 1e-3                  # recurrence distance

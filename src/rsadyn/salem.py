@@ -26,7 +26,7 @@ from mpmath import arg, mpc, mpf, nstr, workprec
 
 from .errors import (InternalConsistencyError, NotSalemError,
                      NumericFailureError, ValidationError)
-from .numeric import (check_precision, tolerance_for,
+from .numeric import (check_precision, mpc_to_json, tolerance_for,
                       unconditional_cyclotomic_bound)
 
 
@@ -372,32 +372,6 @@ def cyclotomic_part(poly, k_max=None):
     return core, factors
 
 
-def certify_not_root_of_unity(poly, k_max):
-    """Exact certificate that no root of poly is a root of unity of order <= k_max.
-
-    Equivalent to gcd(poly, t^k - 1) = 1 for all k <= k_max: a shared root
-    with t^k - 1 is a primitive d-th root of unity for some d | k, and since
-    the cyclotomic polynomials are irreducible over Q that happens exactly
-    when some cyclotomic of order d <= k_max divides poly. The report notes
-    whether k_max reaches the unconditional bound (largest k with
-    phi(k) <= deg poly).
-    """
-    if poly.is_zero():
-        raise ValidationError("zero polynomial has every root")
-    if k_max < poly.degree():
-        raise ValidationError("k_max must be at least deg(poly)")
-    _, factors = cyclotomic_part(poly, k_max)
-    bound = unconditional_cyclotomic_bound(poly.degree())
-    report = {
-        "clean": not factors,
-        "clearance": k_max,
-        "unconditional": k_max >= bound,
-        "unconditional_bound": bound,
-        "cyclotomic_factors": factors,
-    }
-    return not factors, report
-
-
 @dataclass(frozen=True)
 class SalemCertificate:
     """Verified root-distribution data for a Salem polynomial.
@@ -417,11 +391,10 @@ class SalemCertificate:
     precision_bits: int
 
     def to_json(self):
-        from .numeric import mpc_to_json
         bits = self.precision_bits
         return {
             "poly": self.poly.to_json(),
-            "lambda": mpc_to_json(mpc(self.lambda_root), bits),
+            "lambda": mpc_to_json(self.lambda_root, bits),
             "unit_roots": [mpc_to_json(z, bits) for z in self.unit_roots],
             "nonunity_unit_root_count": len(self.nonunity_unit_roots),
             "tolerance": mp_str(self.tolerance),

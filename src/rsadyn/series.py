@@ -336,11 +336,6 @@ class ResonanceClass:
         if math.gcd(self.a, self.b) != 1:
             raise ValidationError("resonance exponents must be coprime")
 
-    def validate(self, eta1, eta2, tol):
-        if abs(mpc(eta1) ** self.a * mpc(eta2) ** self.b - 1) >= tol:
-            raise ValidationError("eta1^a eta2^b is not 1 within tolerance")
-        return self
-
     def resonant_for(self, i, j, k):
         """Exact test: eta^(i,j) = eta_k forced by the relation lattice.
 
@@ -528,7 +523,7 @@ def corner_return_map(params, trunc, strict_linear=True):
         eta1 = h1[(1, 0)] if not strict_linear else ideal[0]
         eta2 = h2[(0, 1)] if not strict_linear else ideal[1]
 
-        rc = ResonanceClass(1, 2).validate(ideal[0], ideal[1], check_tol)
+        rc = ResonanceClass(1, 2)
         resonant_max = mpf(0)
         assert_floor = check_tol
         for (i, j), v in h1.coeffs.items():

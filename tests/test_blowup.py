@@ -5,7 +5,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from rsadyn import blowup
 from rsadyn.blowup import (FiberChartPoint, blowup_multipliers,
-                           build_linear_model, cycle_moebius_invariants,
+                           build_linear_model,
                            fiber_map_level1, fiber_map_level2,
                            fiber_orbit_check, landing_condition)
 from rsadyn.errors import (ConsistencyError, IndeterminatePointError,
@@ -198,11 +198,13 @@ def test_fiber_orbit_check_reads_level1_map(params411, monkeypatch):
 
 
 def test_linear_model_reads_level2_map(params411, monkeypatch):
-    # the corner multiplier 1/lambda is measured on fiber_map_level2
-    monkeypatch.setattr(blowup, "fiber_map_level2",
-                        _scaled(fiber_map_level2, 1))
-    with pytest.raises(ConsistencyError):
-        build_linear_model(params411)
+    # both corner multipliers are measured on fiber_map_level2: lambda^2 on
+    # the fiber coordinate xi (axis 0), 1/lambda transverse to it (axis 1)
+    for axis in (0, 1):
+        monkeypatch.setattr(blowup, "fiber_map_level2",
+                            _scaled(fiber_map_level2, axis))
+        with pytest.raises(ConsistencyError):
+            build_linear_model(params411)
 
 
 def test_blowup_multiplier_rule():
@@ -240,14 +242,6 @@ def test_linear_model_json_keeps_full_precision(params411):
     # 53-bit double
     data = build_linear_model(params411).to_json(256)
     assert data["mult_normal"] == params411.to_json()["lambda"]
-
-
-def test_cycle_moebius_invariants(params411):
-    inv = cycle_moebius_invariants(params411)
-    with workprec(256):
-        assert inv["invariant_residual"] < mpf(10) ** -70
-        assert inv["deriv_at_zero_residual"] < mpf(10) ** -70
-        assert inv["deriv_at_infinity_residual"] < mpf(10) ** -70
 
 
 def test_landing_matches_polynomial_on_circle_grid(params411):

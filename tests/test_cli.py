@@ -18,6 +18,15 @@ def run(*args, **kw):
                           **kw)
 
 
+def test_public_names_resolve():
+    # a stale __all__ entry makes `from rsadyn import *` raise AttributeError
+    import rsadyn
+    namespace = {}
+    exec("from rsadyn import *", namespace)
+    for name in rsadyn.__all__:
+        assert namespace[name] is getattr(rsadyn, name)
+
+
 def test_salem_41():
     out = run("salem", "--n", "4", "--m", "1")
     assert out.returncode == 0

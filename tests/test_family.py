@@ -4,10 +4,10 @@ import pytest
 from mpmath import cos, exp, mp, mpc, mpf, pi, sqrt, workprec
 
 from rsadyn import (FamilyParams, ProjectivePoint,
-                    ValidationError, build_params, fixed_points, line_orbit,
+                    ValidationError, build_params, fixed_points,
                     map_affine, map_affine_inverse, map_homogeneous,
                     multipliers_at_fixed, multiplicative_relation_search,
-                    orbit_identities, orbit_telescoping)
+                    orbit_identities)
 from rsadyn import family
 from rsadyn.errors import (ConsistencyError, ExceptionalLocusError,
                            IndeterminatePointError)
@@ -82,6 +82,17 @@ def test_map_affine_simple_point(params411):
         assert abs(img[1] - (params411.c + 1)) < TOL30
 
 
+def test_map_affine_converts_inside_workprec(params411):
+    # called outside any workprec, the point must not be rounded to a
+    # double before the step
+    z = fixed_points(params411)[0]
+    for step in (map_affine, map_affine_inverse):
+        outside = step(params411, z)
+        with workprec(params411.precision_bits):
+            inside = step(params411, z)
+        assert outside == inside
+
+
 def test_map_affine_rejects_exceptional(params411):
     with pytest.raises(ExceptionalLocusError):
         map_affine(params411, (mpc(1), mpc(0)))
@@ -129,13 +140,16 @@ def test_projective_functoriality(params411):
 def test_line_orbit_start_and_second_to_last(params411):
     p = params411
     with workprec(256):
-        orbit, report = line_orbit(p)
-        assert abs(orbit[0] - p.c) < TOL30
+        assert abs(p.orbit[0] - p.c) < TOL30
         # w_{n-2} = delta / c
-        assert abs(orbit[-2] - p.delta / p.c) < TOL30
-        assert report["off_diagonal"] < TOL30
-        assert report["nu_squared_residual"] < TOL30
-        assert report["fixed_point_derivative_residual"] < TOL30
+        assert abs(p.orbit[-2] - p.delta / p.c) < TOL30
+        # c's angle is tied to j: the fixed points of the line map, the roots
+        # of w^2 - c w + delta, carry derivative delta / w^2 = exp(+-2 pi i j/n)
+        disc = sqrt(p.c * p.c - 4 * p.delta)
+        rot = exp(2j * pi * p.j / p.n)
+        for wfix in ((p.c + disc) / 2, (p.c - disc) / 2):
+            deriv = p.delta / (wfix * wfix)
+            assert min(abs(deriv - rot), abs(deriv - 1 / rot)) < TOL30
 
 
 def test_pairing_identity_by_direct_iteration(params721):
@@ -167,12 +181,6 @@ def test_telescoping_first_increment(params411):
         g0 = p.c
         g1 = line_map(p, g0)
         assert abs((g1 - g0) + p.delta / g0) < TOL30
-        assert orbit_telescoping(p, 1) < TOL30
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_telescoping_against_iteration(params511, k):
-    assert orbit_telescoping(params511, k) < mpf(10) ** -25
 
 
 def test_increment_law(params721):

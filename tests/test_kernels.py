@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsadyn.numeric import as_complex
 from rsadyn.probes import _chart_states, candidate_times, classify_point_mp
 from rsadyn import _kernels
 
@@ -24,7 +23,7 @@ def setup(params411):
 
 def test_numpy_backend_matches_scalar(setup):
     p, T, X, Y, cands = setup
-    delta, c = as_complex(p.delta), as_complex(p.c)
+    delta, c = complex(p.delta), complex(p.c)
     cls_np, st_np = _kernels.classify_block(T, X, Y, delta, c, p.n, cands,
                                             1e-3)
     scalar = [_kernels.classify_point(T[i], X[i], Y[i], delta, c, p.n,
@@ -41,7 +40,7 @@ def test_numpy_backend_matches_scalar(setup):
 @example(u0=0.0, du=1.0, v0=1e-103, dv=0.0, w=2, h=2)
 def test_block_matches_scalar_on_line_windows(setup, u0, du, v0, dv, w, h):
     p, _, _, _, cands = setup
-    delta, c = as_complex(p.delta), as_complex(p.c)
+    delta, c = complex(p.delta), complex(p.c)
     T, X, Y = (Z.ravel() for Z in _chart_states(
         "line", (u0, u0 + du, v0, v0 + dv), (w, h)))
     cls_np, st_np = _kernels.classify_block(T, X, Y, delta, c, p.n, cands,
@@ -57,7 +56,7 @@ def test_numpy_block_bookkeeping_under_permutation(setup):
     # candidate time); permuting the block must permute the result, so a
     # cell's class never lands on another cell's index
     p, _, _, _, cands = setup
-    delta, c = as_complex(p.delta), as_complex(p.c)
+    delta, c = complex(p.delta), complex(p.c)
     cells = [(0, 1, 0.45), (0, 1, 1.1),             # line: recurrent at 4
              (0.005, 1, 0.3),                       # recurrent at 9
              (0.01, 1, 0.5), (0.2, 1, 0.7), (1, 2, 2),  # recurrent at 31
@@ -87,7 +86,7 @@ def test_numpy_block_bookkeeping_under_permutation(setup):
 
 def test_numpy_backend_deterministic(setup):
     p, T, X, Y, cands = setup
-    delta, c = as_complex(p.delta), as_complex(p.c)
+    delta, c = complex(p.delta), complex(p.c)
     a = _kernels.classify_block(T, X, Y, delta, c, p.n, cands, 1e-3)
     b = _kernels.classify_block(T, X, Y, delta, c, p.n, cands, 1e-3)
     assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
@@ -97,9 +96,9 @@ def test_line_states_never_indeterminate(setup):
     # the whole invariant line iterates linearly, including the blown-up
     # points and both coordinate vertices
     p, _, _, _, cands = setup
-    delta, c = as_complex(p.delta), as_complex(p.c)
+    delta, c = complex(p.delta), complex(p.c)
     specials = [(0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j)]
-    specials += [(0j, 1 + 0j, as_complex(w)) for w in p.orbit]
+    specials += [(0j, 1 + 0j, complex(w)) for w in p.orbit]
     for (t, x, y) in specials:
         cl, _ = _kernels.classify_point(t, x, y, delta, c, p.n, cands, 1e-3)
         assert cl == _kernels.CLASS_RECURRENT
@@ -107,7 +106,7 @@ def test_line_states_never_indeterminate(setup):
 
 def test_h_orbit_distances_line_point(setup):
     p, _, _, _, _ = setup
-    delta, c = as_complex(p.delta), as_complex(p.c)
+    delta, c = complex(p.delta), complex(p.c)
     dists = _kernels.h_orbit_distances(0j, 1 + 0j, 0.45 + 0j, delta, c,
                                        p.n, 16)
     assert dists.shape == (16,)
@@ -136,7 +135,7 @@ def _return_distances_reference(t, x, y, delta, c, n, times):
 
 def test_return_distances_match_scalar_loop(setup):
     p, _, _, _, _ = setup
-    delta, c = as_complex(p.delta), as_complex(p.c)
+    delta, c = complex(p.delta), complex(p.c)
     times = (4, 9, 22, 31, 5013)
     samples = [(1e-6j, 1, 0.45), (1e-6, 1, 1.1), (-2e-6, 1, 0.3 + 0.2j),
                (1e-4, 1, 0.8 - 0.3j), (0.005, 1, 0.3),   # near the line
@@ -183,7 +182,7 @@ def test_classes_read_off_return_distances(setup):
     # classify_block and return_distances run one walk; its classes must
     # be those its distance rows give at the candidate times
     p, T, X, Y, cands = setup
-    delta, c = as_complex(p.delta), as_complex(p.c)
+    delta, c = complex(p.delta), complex(p.c)
     cells = [(0, 1, 0.45), (0, 1, 1.1), (0.005, 1, 0.3), (0.01, 1, 0.5),
              (0.2, 1, 0.7), (1, 2, 2), (1e-103, 1, 0), (0, 0, 0),
              (0.1, 1, 0.25), (1, 0.1, 0.1), (1, 1j, 0.3)]

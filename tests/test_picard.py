@@ -10,7 +10,7 @@ from rsadyn.errors import ValidationError
 from rsadyn.numeric import totient
 from rsadyn.picard import (bareiss_det, berkowitz_charpoly, entropy,
                            intersection_matrix_S, is_negative_definite,
-                           leading_principal_minors, pic_data,
+                           leading_principal_minors,
                            quadratic_growth_fixture, t_action_matrix)
 from rsadyn.salem import IntPolynomial
 
@@ -148,15 +148,6 @@ def test_charpoly_random_oracle_agreement():
     for size in (3, 5, 7):
         a = [[rng.randrange(-4, 5) for _ in range(size)] for _ in range(size)]
         assert berkowitz_charpoly(a) == faddeev_leverrier_charpoly(a)
-
-
-def test_pic_data_bundle():
-    data = pic_data(4, 1)
-    assert data.det_S == -27
-    assert len(data.T_matrix) == 4
-    assert data.t_labels == ("g[0,1]", "g[1,1]", "g[2,1]", "g[3,1]")
-    js = data.to_json()
-    assert js["det_S"] == "-27"
 
 
 # -- entropy --------------------------------------------------------------------

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workprec
 
-from rsadyn import (IntPolynomial, NotSalemError, certify_not_root_of_unity,
-                    find_roots, salem_certificate, salem_polynomial)
+from rsadyn import (IntPolynomial, NotSalemError, find_roots,
+                    salem_certificate, salem_polynomial)
 from rsadyn.errors import (InternalConsistencyError, NumericFailureError,
                            ValidationError)
 from rsadyn.numeric import unconditional_cyclotomic_bound
@@ -303,9 +303,8 @@ def naive_gcd_with_unity(p, k):
 
 def test_certify_41_unconditional():
     p = salem_polynomial(4, 1)
-    ok, report = certify_not_root_of_unity(p, 30)
-    assert ok and report["unconditional"]
-    # phi(k) <= 4 forces k <= 12
+    assert cyclotomic_part(p, 30) == (p, [])
+    # phi(k) <= 4 forces k <= 12, so a sweep to 30 is unconditional
     assert unconditional_cyclotomic_bound(4) == 12
     # oracle cross-check
     for k in range(1, 31):
@@ -314,15 +313,15 @@ def test_certify_41_unconditional():
 
 def test_certify_t4_minus_1_false():
     p = IntPolynomial([-1, 0, 0, 0, 1])
-    ok, report = certify_not_root_of_unity(p, 8)
-    assert not ok
+    _, factors = cyclotomic_part(p, 8)
+    assert factors
     assert naive_gcd_with_unity(p, 4).degree() > 0
 
 
 def test_certify_with_root_one_false():
     p = IntPolynomial([-1, 1]) * salem_polynomial(4, 1)
-    ok, _ = certify_not_root_of_unity(p, 10)
-    assert not ok
+    _, factors = cyclotomic_part(p, 10)
+    assert factors
 
 
 def test_cyclotomic_polynomials():
@@ -411,6 +410,15 @@ def test_certificate_51():
         assert 1 < cert.lambda_root < 2
         assert abs(mpc(cert.lambda_root).imag) == 0
         assert len(cert.unit_roots) == 5 - 2
+
+
+def test_certificate_json_keeps_full_precision():
+    # serialized outside any workprec: the printed lambda must be a root of
+    # the polynomial to the certificate's precision, not a 53-bit double
+    p = salem_polynomial(4, 1)
+    lam = salem_certificate(p, 256).to_json()["lambda"]
+    assert abs(p(Fraction(lam["re"]))) < Fraction(1, 10 ** 70)
+    assert Fraction(lam["im"]) == 0
 
 
 def test_certificate_rejects_t2_plus_1():

@@ -426,11 +426,6 @@ def test_resonance_class_validation():
         ResonanceClass(2, 4)
     with pytest.raises(ValidationError):
         ResonanceClass(0, 1)
-    with workprec(128):
-        lam = exp(2j * pi * sqrt(mpf(2)))
-        ResonanceClass(1, 2).validate(lam ** 2, 1 / lam, mpf(10) ** -20)
-        with pytest.raises(ValidationError):
-            ResonanceClass(1, 1).validate(lam ** 2, 1 / lam, mpf(10) ** -20)
 
 
 def test_closure_properties():
