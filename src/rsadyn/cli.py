@@ -282,8 +282,7 @@ def cmd_linearize(args):
             fps = family.fixed_points(params)
             md = family.multipliers_at_fixed(params, fps[0])
             if md.rank2_criterion and md.unit_modulus:
-                from . import probes
-                birk = probes.birkhoff_linearize(params, fps[0],
+                birk = family.birkhoff_linearize(params, fps[0],
                                                  seed=args.seed)
                 report["birkhoff"] = {
                     "n_values": birk["n_values"],

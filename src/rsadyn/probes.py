@@ -4,7 +4,6 @@ Covers: orbit iteration through the level-1 and level-2 fiber charts,
 with return-event recording; candidate
 return times from the continued fraction of the transverse multiplier's
 angle; near-identity return measurement close to the invariant line;
-Birkhoff-average linearization at the unit-modulus affine fixed points;
 recurrence rasters over 2-plane chart slices; and slice-radius bracketing
 along the radial leaves.
 
@@ -27,8 +26,7 @@ import numpy as np
 from mpmath import arg, floor, mpc, mpf, pi, workprec
 
 from . import _kernels, family
-from .errors import (IndeterminatePointError, NumericFailureError,
-                     ValidationError)
+from .errors import IndeterminatePointError, ValidationError
 from .numeric import check_precision, proj_distance, proj_normalize
 
 _CHART_GUARD = 1e-2      # iterate: radius of the fiber-chart neighborhoods
@@ -334,88 +332,10 @@ def near_identity_returns(params, n_candidates=5, n_samples=100, seed=0):
     return {"candidates": qs, "sup_distances": sups}
 
 
-# ---------------------------------------------------------------------------
-# Birkhoff-average linearization at a unit-modulus fixed point
-# ---------------------------------------------------------------------------
-
-def birkhoff_linearize(params, fp, n_values=(1, 4, 16, 64, 256), seed=0):
-    """Residual curve of the averaged conjugacy at an affine fixed point.
-
-    In eigencoordinates w at the fixed point, Phi_N = (1/N) sum A^-k h^k;
-    the residual r(N) = max over samples |Phi_N(h(w)) - A Phi_N(w)| tends to
-    0 when the samples sit in the rotation domain (the orbit stays bounded,
-    and the sum telescopes to O(1/N)). Samples whose orbit leaves a guard
-    ball are dropped and reported; all dropping is an inconclusive error.
-
-    Hardware precision: A is unitary up to rounding, the orbit is bounded,
-    and residuals of interest are ~ ball_radius / N >> 1e-13.
-    """
-    import random
-    rng = random.Random(seed)
-    n_samples, ball_radius = 24, 1e-3
-    mult = family.multipliers_at_fixed(params, fp)
-    if not mult.rank2_criterion:
-        raise ValidationError("fixed point fails the rank-2 criterion")
-
-    delta = complex(params.delta)
-    c = complex(params.c)
-    fx, fy = complex(fp[0]), complex(fp[1])
-    jac = np.array([[0.0 + 0.0j, 1.0 + 0.0j],
-                    [-delta, c - 1.0 / (fy * fy)]])
-    evals, evecs = np.linalg.eig(jac)
-    pmat = evecs
-    pinv = np.linalg.inv(pmat)
-    avals = evals
-
-    def h(w):
-        z = pmat @ w + np.array([fx, fy])
-        img = np.array([z[1], -delta * z[0] + c * z[1] + 1.0 / z[1]])
-        return pinv @ (img - np.array([fx, fy]))
-
-    n_max = max(n_values)
-    guard = 50.0 * ball_radius
-    orbits = []
-    dropped = 0
-    for _ in range(n_samples):
-        w = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                      complex(rng.uniform(-1, 1), rng.uniform(-1, 1))])
-        w = w / max(1.0, np.linalg.norm(w) / ball_radius)
-        orbit = [w]
-        ok = True
-        for _ in range(n_max + 1):
-            w = h(w)
-            if np.linalg.norm(w) > guard:
-                ok = False
-                break
-            orbit.append(w)
-        if ok:
-            orbits.append(orbit)
-        else:
-            dropped += 1
-    if not orbits:
-        raise NumericFailureError("all Birkhoff samples escaped the guard ball")
-
-    apow_inv = [np.array([1.0 + 0.0j, 1.0 + 0.0j])]
-    for _ in range(n_max + 1):
-        apow_inv.append(apow_inv[-1] / avals)
-
-    # sums_z[:, N-1] = sum_{k<N} A^-k h^k(w), sums_hz the same on h^(k+1)(w);
-    # cumsum adds along the orbit in the order of a running loop
-    stacked = np.array(orbits)
-    weights = np.array(apow_inv[:n_max])
-    sums_z = np.cumsum(weights * stacked[:, :n_max], axis=1)
-    sums_hz = np.cumsum(weights * stacked[:, 1:n_max + 1], axis=1)
-    residuals = []
-    for nval in n_values:
-        phi_z = sums_z[:, nval - 1] / nval
-        phi_hz = sums_hz[:, nval - 1] / nval
-        residuals.append(float(np.max(np.abs(phi_hz - avals * phi_z))))
-    return {
-        "n_values": list(n_values),
-        "residuals": residuals,
-        "dropped_samples": dropped,
-        "multipliers": (complex(avals[0]), complex(avals[1])),
-    }
+# The Birkhoff average lives in family, next to the multipliers it uses, and
+# runs without numpy. The name stays bound here only because the benchmark's
+# tracer lists probes.birkhoff_linearize among the functions it wraps.
+birkhoff_linearize = family.birkhoff_linearize
 
 
 # ---------------------------------------------------------------------------

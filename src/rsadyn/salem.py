@@ -35,13 +35,18 @@ class IntPolynomial:
 
     Coefficients are stored ascending by degree with no trailing zeros; the
     zero polynomial has an empty coefficient tuple. Instances are immutable
-    and hashable.
+    and hashable. A coefficient must equal its int(): ints and integral
+    Fractions are accepted, anything else raises ValidationError.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
+        coeffs = list(coeffs)
         cs = [int(c) for c in coeffs]
+        if cs != coeffs:
+            bad = next(c for c, i in zip(coeffs, cs) if c != i)
+            raise ValidationError("non-integral coefficient %r" % (bad,))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -103,7 +103,8 @@ def test_degree_80_certifies_at_64_bits():
 
 
 # numpy is needed only by `probes` and `_kernels`: with its import
-# blocked, these commands give the same report and exit code
+# blocked, these commands give the same report and exit code. linearize
+# (4,1,1) runs the Birkhoff average, (7,2,1) skips it
 NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
             "from rsadyn.cli import main; raise SystemExit(main(sys.argv[1:]))")
 
@@ -111,10 +112,12 @@ NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
 @pytest.mark.parametrize("args,rc", [
     ("salem --n 4 --m 1", 0),
     ("verify --n 4 --m 1 --j 1", 0),
+    ("linearize --n 4 --m 1 --j 1 --degree 8", 0),
     ("linearize --n 7 --m 2 --j 1 --degree 8", 0),
     ("linearize --n 4 --m 1 --j 1 --demo-resonant", 5),
     ("linearize --n 4 --m 1 --j 1 --degree 8 --mismatch-c 0.01", 5),
-], ids=["salem", "verify", "linearize-721", "demo-resonant", "mismatch-c"])
+], ids=["salem", "verify", "linearize-411", "linearize-721", "demo-resonant",
+        "mismatch-c"])
 def test_commands_run_without_numpy(args, rc):
     blocked = subprocess.run([sys.executable, "-c", NO_NUMPY] + args.split(),
                              capture_output=True, text=True)

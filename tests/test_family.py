@@ -246,6 +246,25 @@ def test_unit_modulus_iff_criterion(params411):
         assert md.unit_modulus == crit
 
 
+@pytest.mark.parametrize("member", [(4, 1, 1), (5, 1, 1), (5, 1, 2)])
+def test_eigenbasis_diagonalizes_jacobian(member):
+    # the Birkhoff basis comes from the certified multipliers in closed form;
+    # np.linalg.eigvals of the Jacobian of map_affine is the oracle
+    import numpy as np
+    p = build_params(*member)
+    fp = fixed_points(p)[0]
+    md = multipliers_at_fixed(p, fp)
+    lams = (complex(md.lambda1), complex(md.lambda2))
+    jac = np.array([[0, 1], [-complex(p.delta),
+                             complex(p.c) - 1 / complex(fp[1]) ** 2]])
+    pmat, pinv = (np.array(m) for m in family._eigenbasis(*lams))
+    assert np.abs(jac @ pmat - pmat @ np.diag(lams)).max() < 1e-12
+    assert np.abs(np.linalg.norm(pmat, axis=0) - 1).max() < 1e-12
+    assert np.abs(pinv @ pmat - np.eye(2)).max() < 1e-12
+    for e in np.linalg.eigvals(jac):
+        assert min(abs(e - lam) for lam in lams) < 1e-12
+
+
 def test_degenerate_parameter_guard(params411):
     # synthetic params with c = 1 + delta would degenerate; real members never do
     p = params411

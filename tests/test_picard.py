@@ -135,6 +135,12 @@ def test_charpoly_identity_matrix():
     assert berkowitz_charpoly(ident) == prod
 
 
+def test_charpoly_rejects_non_integer_matrix():
+    # t - 1/2 has no IntPolynomial; it used to come back truncated to t
+    with pytest.raises(ValidationError):
+        berkowitz_charpoly([[Fraction(1, 2)]])
+
+
 @pytest.mark.parametrize("n,m", [(4, 3), (5, 4), (8, 5), (6, 6)])
 def test_charpoly_cross_check_oracle(n, m):
     a = t_action_matrix(n, m)

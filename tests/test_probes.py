@@ -6,10 +6,10 @@ from mpmath import exp, mp, mpc, mpf, pi, sqrt, workprec
 
 from rsadyn import family, fixed_points
 from rsadyn.errors import ValidationError
-from rsadyn.probes import (birkhoff_linearize, candidate_times,
-                           classify_point_mp, default_budget, iterate,
-                           near_identity_returns, return_times, siegel_raster,
-                           slice_radius)
+from rsadyn.family import birkhoff_linearize
+from rsadyn.probes import (candidate_times, classify_point_mp, default_budget,
+                           iterate, near_identity_returns, return_times,
+                           siegel_raster, slice_radius)
 from rsadyn import _kernels
 
 
@@ -180,18 +180,21 @@ def test_birkhoff_residuals(params411):
 
 
 def test_birkhoff_linear_map_exact():
-    # for h = A the average is the identity and the residual vanishes;
-    # emulate by sampling the residual formula directly on a linear map
+    # for h = A the average is the identity and the residual vanishes: the
+    # averaging code of birkhoff_linearize, fed linear orbits A^k z, sees it
     rng = np.random.default_rng(0)
-    avals = np.exp(2j * np.pi * np.array([0.123456, 0.654321]))
+    lams = tuple(complex(a) for a in
+                 np.exp(2j * np.pi * np.array([0.123456, 0.654321])))
+    orbits = []
     for _ in range(5):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        orbit = [z]
+        orbit = [tuple(complex(v) for v in z)]
         for _ in range(32):
-            orbit.append(avals * orbit[-1])
-        phi_z = sum(orbit[k] / avals ** k for k in range(32)) / 32
-        phi_hz = sum(orbit[k + 1] / avals ** k for k in range(32)) / 32
-        assert np.max(np.abs(phi_hz - avals * phi_z)) < 1e-12
+            orbit.append(tuple(a * v for a, v in zip(lams, orbit[-1])))
+        orbits.append(orbit)
+    assert max(family._birkhoff_residuals(orbits, lams, (1, 4, 32))) < 1e-12
+    # with the multipliers swapped the orbits are no longer A-linear
+    assert family._birkhoff_residuals(orbits, lams[::-1], (1,))[0] > 0.1
 
 
 # -- rasters ------------------------------------------------------------------------

@@ -81,6 +81,15 @@ def test_inexact_division_raises():
         IntPolynomial([1, 0, 1]).divmod_exact(IntPolynomial([1, 1]))
 
 
+def test_rejects_non_integral_coefficients():
+    # int() would truncate these silently: t - 1/2 would become t
+    p = IntPolynomial([Fraction(-4, 2), 1, 0])
+    assert p.coeffs == (-2, 1) and type(p.coeffs[0]) is int
+    for bad in (Fraction(-1, 2), 0.5, mpf("2.5")):
+        with pytest.raises(ValidationError):
+            IntPolynomial([bad, 1])
+
+
 POLY = st.lists(st.integers(-20, 20), max_size=8).map(IntPolynomial)
 NONZERO_POLY = POLY.filter(bool)
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
