@@ -168,9 +168,6 @@ def fiber_map_level2(params, pt):
 # marked-orbit pattern verification
 # ---------------------------------------------------------------------------
 
-_POINTS_PER_FIBER = 10    # fiber_orbit_check: sampled points per cycle check
-
-
 def _cycle_factor(params, chart_map, level, axis, along):
     """Multiplier of n steps of chart_map transverse to an invariant axis.
 
@@ -186,69 +183,64 @@ def _cycle_factor(params, chart_map, level, axis, along):
     return pt.coords[axis] / start
 
 
-def fiber_orbit_check(params, seed=0):
+def fiber_orbit_check(params):
     """Track marked points through the charts and verify the orbit pattern.
 
-    Checks, with residuals reported: (a) the level-1 and level-2 fiber
-    cycles close after n steps, the level-1 on-fiber composite being
-    multiplication by 1/lambda and the transverse one (s1 read off
-    fiber_map_level1) by lambda; (b) the exceptional curve {y=0} enters the
-    level-2 cycle at fiber coordinate 1 and lands after nm steps on the
+    Checks, with residuals reported: (a) the level-1 fiber cycle closes
+    after n steps, the on-fiber composite being multiplication by 1/lambda
+    and the transverse one (s1 read off fiber_map_level1) by lambda; (b)
+    the exceptional curve {y=0} enters the level-2 cycle at fiber coordinate
+    1, stays on the level-2 fibers, and lands after nm steps on the
     inverse-exceptional point (delta, 0) on fiber n-1; (c) the map's image
     of the contracted curve enters the level-2 chart along direction
     delta * x / t; (d) the fiber_map_level2 step onto the inverse-exceptional
     line has Jacobian determinant 1/delta, nonvanishing (local
     diffeomorphism).
+
+    (a) runs at one fiber point, e = 1.25 + 0.5i: both multipliers are
+    constant along the fiber, so another point measures the same numbers,
+    and a composite that is not e -> e/lambda (a scaling off 1/lambda or a
+    term nonlinear in e) already shows at a generic point.
     """
-    import random
-    rng = random.Random(seed)
     n, m = params.n, params.m
     with workprec(params.precision_bits):
-        d, c, lam = params.delta, params.c, params.lam
+        d, lam = params.delta, params.lam
         tol = params.tolerance
         check_tol = tolerance_for(params.precision_bits // 2)
         report = {}
 
         # (a) level-1 cycle: n steps return to the start fiber; on-fiber
         # coordinate is multiplied by 1/lambda, transverse s1 by lambda
-        worst = worst_transverse = mpf(0)
-        for _ in range(_POINTS_PER_FIBER):
-            e = mpc(rng.uniform(0.25, 2.0), rng.uniform(-1.0, 1.0))
-            pt = FiberChartPoint(level=1, s=0, coords=(mpc(0), e))
-            for _ in range(n):
-                pt = fiber_map_level1(params, pt)
-            if pt.s != 0 or abs(pt.coords[0]) > tol:
-                raise PatternViolationError("level-1 cycle left the fiber", step=n)
-            worst = max(worst, abs(pt.coords[1] - e / lam))
-            worst_transverse = max(worst_transverse, abs(_cycle_factor(
-                params, fiber_map_level1, 1, 0, e) - lam))
-        report["level1_cycle_residual"] = worst
-        if worst > check_tol:
+        e = mpc("1.25", "0.5")
+        pt = FiberChartPoint(level=1, s=0, coords=(mpc(0), e))
+        for _ in range(n):
+            pt = fiber_map_level1(params, pt)
+        if pt.s != 0 or abs(pt.coords[0]) > tol:
+            raise PatternViolationError("level-1 cycle left the fiber", step=n)
+        residual = abs(pt.coords[1] - e / lam)
+        report["level1_cycle_residual"] = residual
+        if residual > check_tol:
             raise PatternViolationError(
                 "level-1 on-fiber composite is not 1/lambda "
-                "(residual %s)" % salem.mp_str(worst))
-        report["level1_transverse_residual"] = worst_transverse
-        if worst_transverse > check_tol:
+                "(residual %s)" % salem.mp_str(residual))
+        transverse = abs(_cycle_factor(params, fiber_map_level1, 1, 0, e)
+                         - lam)
+        report["level1_transverse_residual"] = transverse
+        if transverse > check_tol:
             raise PatternViolationError("level-1 transverse factor is not lambda")
 
-        # (a') level-2 cycle closes: on-fiber points return to the start fiber
-        for _ in range(_POINTS_PER_FIBER):
-            xi = mpc(rng.uniform(0.25, 2.0), rng.uniform(-1.0, 1.0))
-            pt = FiberChartPoint(level=2, s=0, coords=(xi, mpc(0)))
-            for _ in range(n):
-                pt = fiber_map_level2(params, pt)
-            if pt.s != 0 or abs(pt.coords[1]) > tol:
-                raise PatternViolationError("level-2 cycle left the fiber", step=n)
-        report["level2_cycle_closed"] = True
-
         # (b) exceptional-curve chain: fiber coordinate orbit from 1 on fiber
-        # 0 reaches delta on fiber n-1 after nm-1 steps
+        # 0 stays on the level-2 fibers and reaches delta on fiber n-1 after
+        # nm-1 steps
         pt = FiberChartPoint(level=2, s=0, coords=(mpc(1), mpc(0)))
-        for step in range(n * m - 1):
+        for _ in range(n * m - 1):
             pt = fiber_map_level2(params, pt)
         if pt.s != (n - 1) % n:
             raise PatternViolationError("exceptional chain ended on fiber %d, "
                                         "expected %d" % (pt.s, n - 1))
+        if abs(pt.coords[1]) > tol:
+            raise PatternViolationError("exceptional chain left the level-2 "
+                                        "fiber", step=n * m - 1)
         landing_res = abs(pt.coords[0] - d)
         report["chain_landing_residual"] = landing_res
         if landing_res > check_tol:

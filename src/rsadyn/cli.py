@@ -9,13 +9,13 @@ Birkhoff curve), `raster` (recurrence rasters to PGM/CSV).
 Contract: a single JSON report on stdout, diagnostics on stderr. Exit
 codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A non-finite
-`--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` below
-2^(-precision/4) in modulus, `--demo-resonant` with a `--degree` below 3,
-and a raster with an unparseable or non-finite window, resolution or base
-point, a negative budget, fewer than one thread, an eps outside (0, 1), or
-a base point with the line chart, are argument errors (exit 2), each
-reported once through `main`. `--seed` is taken by `verify` and
-`linearize`, the commands that draw samples.
+`--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` outside
+2^(-precision/4) <= |mismatch| < 1, `--demo-resonant` with a `--degree`
+below 3, and a raster with an unparseable or non-finite window,
+resolution or base point, a negative budget, fewer than one thread, an
+eps outside (0, 1), or a base point with the line chart, are argument
+errors (exit 2), each reported once through `main`. Only `linearize`,
+whose Birkhoff average draws samples, takes `--seed`.
 A negative value in exponent notation, or a window list that starts with
 a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
 separated by a space, the parser reads it as an option name.
@@ -73,8 +73,6 @@ def build_parser():
     p = sub.add_parser("verify", help="run the verification suite for one "
                                       "family member")
     _add_family_flags(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the fiber-orbit sample points")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="relative perturbation of delta for the landing "
                         "sharpness check; give a negative value in exponent "
@@ -89,11 +87,11 @@ def build_parser():
                    help="run the synthetic obstruction fixture instead; its "
                         "resonant monomial x^2 y needs --degree >= 3")
     p.add_argument("--mismatch-c", type=float, default=0.0,
-                   help="relative scaling of c: a nonzero value leaves the "
-                        "parameter locus and must produce an obstruction; "
-                        "its modulus must be at least 2^(-precision/4); give "
-                        "a negative value in exponent notation as "
-                        "--mismatch-c=-1e-3")
+                   help="relative scaling of c by 1 + mismatch: a nonzero "
+                        "value leaves the parameter locus and must produce "
+                        "an obstruction; its modulus must be at least "
+                        "2^(-precision/4) and below 1; give a negative value "
+                        "in exponent notation as --mismatch-c=-1e-3")
 
     p = sub.add_parser("raster", help="recurrence raster to PGM/CSV")
     _add_family_flags(p)
@@ -172,7 +170,7 @@ def cmd_verify(args):
         }
 
         try:
-            orbit_report = blowup.fiber_orbit_check(params, seed=args.seed)
+            orbit_report = blowup.fiber_orbit_check(params)
             checks["fiber_orbit"] = {"pass": True,
                                      "chain_landing_residual": mp.nstr(
                                          orbit_report["chain_landing_residual"], 8)}
@@ -243,12 +241,14 @@ def cmd_linearize(args):
         with workprec(bits):
             # the factor is formed at working precision (in float, 1 + a
             # mismatch below about 1e-16 is exactly 1); below the solver's
-            # vanish floor the forcing it leaves would read as zero
+            # vanish floor the forcing it leaves would read as zero; from
+            # modulus 1 on the factor can vanish, give -c (the member j ->
+            # n-j) or push the forcing under that floor
             mismatch = mpf(args.mismatch_c)
-            if abs(mismatch) < mpf(2) ** (-(bits // 4)):
+            if not mpf(2) ** (-(bits // 4)) <= abs(mismatch) < 1:
                 raise ValidationError(
-                    "a nonzero --mismatch-c must be at least 2^-%d in "
-                    "modulus at --precision %d, got %r"
+                    "a nonzero --mismatch-c must be at least 2^-%d and below "
+                    "1 in modulus at --precision %d, got %r"
                     % (bits // 4, bits, args.mismatch_c))
             params = family.with_mismatched_c(params, 1 + mismatch)
     d = args.degree
@@ -279,11 +279,10 @@ def cmd_linearize(args):
                               bits)
             report["line_point"] = line_entry
 
-            fps = family.fixed_points(params)
-            md = family.multipliers_at_fixed(params, fps[0])
+            md = family.multipliers_at_fixed(
+                params, family.fixed_points(params)[0])
             if md.rank2_criterion and md.unit_modulus:
-                birk = family.birkhoff_linearize(params, fps[0],
-                                                 seed=args.seed)
+                birk = family.birkhoff_linearize(params, md, seed=args.seed)
                 report["birkhoff"] = {
                     "n_values": birk["n_values"],
                     "residuals": birk["residuals"],

@@ -388,30 +388,30 @@ def _birkhoff_residuals(orbits, lams, n_values):
     return [worst[nval] for nval in n_values]
 
 
-def birkhoff_linearize(params, fp, n_values=(1, 4, 16, 64, 256), seed=0):
-    """Residual curve of the averaged conjugacy at an affine fixed point.
+def birkhoff_linearize(params, mult, n_values=(1, 4, 16, 64, 256), seed=0):
+    """Residual curve of the averaged conjugacy at mult.fixed_point.
 
     In eigencoordinates w at the fixed point, Phi_N = (1/N) sum A^-k h^k;
     the residual r(N) = max over samples |Phi_N(h(w)) - A Phi_N(w)| tends to
     0 when the samples sit in the rotation domain (the orbit stays bounded,
     and the sum telescopes to O(1/N)). The samples are drawn in the
     unit-normalised eigenbasis (1, lambda_k) of the multipliers that
-    multipliers_at_fixed certifies. Samples whose orbit leaves a guard ball
-    are dropped and reported; all dropping is an inconclusive error.
+    multipliers_at_fixed certified in mult, so they are not derived again.
+    Samples whose orbit leaves a guard ball are dropped and reported; all
+    dropping is an inconclusive error.
 
     Hardware precision: A is unitary up to rounding, the orbit is bounded,
     and residuals of interest are ~ ball_radius / N >> 1e-13.
     """
     rng = random.Random(seed)
     n_samples, ball_radius = 24, 1e-3
-    mult = multipliers_at_fixed(params, fp)
     if not mult.rank2_criterion:
         raise ValidationError("fixed point fails the rank-2 criterion")
 
     lams = (complex(mult.lambda1), complex(mult.lambda2))
     ((p11, p12), (p21, p22)), ((q11, q12), (q21, q22)) = _eigenbasis(*lams)
     delta, c = complex(params.delta), complex(params.c)
-    fx, fy = complex(fp[0]), complex(fp[1])
+    fx, fy = (complex(v) for v in mult.fixed_point)
 
     def h(w):
         x = p11 * w[0] + p12 * w[1] + fx

@@ -179,14 +179,20 @@ def test_fiber_orbit_check(params411):
         assert rep["last_step_jacobian"] > mpf("0.5")
 
 
-def _scaled(chart_map, axis):
-    # chart_map with coordinate `axis` of its output scaled by 1 + 1e-6
+def _perturbed(chart_map, axis, term):
+    # chart_map with 1e-6 * term(output coords) added to coordinate `axis`
+    # of its output
     def mutant(params, pt):
         out = chart_map(params, pt)
         coords = list(out.coords)
-        coords[axis] = coords[axis] * (1 + mpf(10) ** -6)
+        coords[axis] = coords[axis] + mpf(10) ** -6 * term(out.coords)
         return FiberChartPoint(level=out.level, s=out.s, coords=tuple(coords))
     return mutant
+
+
+def _scaled(chart_map, axis):
+    # chart_map with coordinate `axis` of its output scaled by 1 + 1e-6
+    return _perturbed(chart_map, axis, lambda co: co[axis])
 
 
 def test_fiber_orbit_check_reads_level1_map(params411, monkeypatch):
@@ -194,6 +200,24 @@ def test_fiber_orbit_check_reads_level1_map(params411, monkeypatch):
     monkeypatch.setattr(blowup, "fiber_map_level1",
                         _scaled(fiber_map_level1, 0))
     with pytest.raises(PatternViolationError):
+        fiber_orbit_check(params411)
+
+
+@pytest.mark.parametrize("name,axis,term,message", [
+    ("fiber_map_level1", 1, lambda co: co[1], "not 1/lambda"),
+    ("fiber_map_level1", 1, lambda co: co[1] ** 2, "not 1/lambda"),
+    ("fiber_map_level1", 0, lambda co: co[1], "level-1 cycle left the fiber"),
+    ("fiber_map_level2", 1, lambda co: 1, "chain left the level-2 fiber"),
+], ids=["e1-scaled", "e1-quadratic", "s1-off-fiber", "x2-off-fiber"])
+def test_fiber_orbit_check_catches_mutants(params411, monkeypatch, name,
+                                           axis, term, message):
+    # one fiber point suffices: a composite off e -> e/lambda, linear or
+    # not, shows at e = 1.25 + 0.5i, and a map that leaves the fiber (s1 on
+    # level 1, x2 on level 2) is caught on the level-1 cycle and on the
+    # exceptional chain
+    monkeypatch.setattr(blowup, name,
+                        _perturbed(getattr(blowup, name), axis, term))
+    with pytest.raises(PatternViolationError, match=message):
         fiber_orbit_check(params411)
 
 

@@ -227,6 +227,27 @@ def test_non_finite_flag_exit_2(command):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("mismatch", ["-2", "-1", "1e20", "1e80"])
+def test_mismatch_c_modulus_one_exit_2(mismatch):
+    # 1 + mismatch scales c: from modulus 1 on it can vanish (-1), turn c
+    # into -c, the member with j -> n-j (-2), push the forcing under the
+    # 2^-64 floor (1e20) or divide by zero in the solve (1e80). 0.01 and
+    # -1e-3 still exit 5 (test_linearize_mismatch_exit_5,
+    # test_negative_value_equals_form)
+    out = run("linearize", "--n", "4", "--m", "1", "--j", "1", "--degree",
+              "6", "--mismatch-c=" + mismatch)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "below 1" in out.stderr
+
+
+def test_verify_takes_no_seed():
+    # the fiber-orbit check runs at one fixed fiber point and draws nothing
+    out = run("verify", "--n", "4", "--m", "1", "--j", "1", "--seed", "1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["verify", "linearize", "raster"])
 def test_sqrt_branch_flag_is_gone(command, tmp_path):
     # the other square-root branch is the member with j -> n - j

@@ -6,7 +6,7 @@ from mpmath import exp, mp, mpc, mpf, pi, sqrt, workprec
 
 from rsadyn import family, fixed_points
 from rsadyn.errors import ValidationError
-from rsadyn.family import birkhoff_linearize
+from rsadyn.family import birkhoff_linearize, multipliers_at_fixed
 from rsadyn.probes import (candidate_times, classify_point_mp, default_budget,
                            iterate, near_identity_returns, return_times,
                            siegel_raster, slice_radius)
@@ -171,8 +171,8 @@ def test_orbit_csv_roundtrip(params411, tmp_path):
 # -- Birkhoff averaging ------------------------------------------------------------
 
 def test_birkhoff_residuals(params411):
-    fp = fixed_points(params411)[0]
-    rep = birkhoff_linearize(params411, fp, n_values=(1, 16, 256))
+    mult = multipliers_at_fixed(params411, fixed_points(params411)[0])
+    rep = birkhoff_linearize(params411, mult, n_values=(1, 16, 256))
     r1, r16, r256 = rep["residuals"]
     assert r256 < r16                      # decay toward the conjugacy
     assert r1 < 1e-3                       # r(1) = max |h(z) - Az| = O(radius^2)
