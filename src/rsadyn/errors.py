@@ -21,10 +21,6 @@ class NotSalemError(RsadynError):
 class NumericFailureError(RsadynError):
     """An iterative numeric procedure missed its residual target."""
 
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
-
 
 class ConsistencyError(RsadynError):
     """Two independent computations of the same quantity disagree."""

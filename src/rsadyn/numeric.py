@@ -1,14 +1,24 @@
 """Arbitrary-precision complex plumbing shared across modules.
 
-All high-precision state is carried by mpmath values; operations that care
-about precision run inside ``workprec`` blocks keyed by an explicit
-``precision_bits`` argument, so results are reproducible independent of the
-ambient mpmath context.
+High-precision values are mpmath numbers or fixed-point Gaussian integers.
+Operations that care about precision run inside ``workprec`` blocks keyed
+by an explicit ``precision_bits`` argument, so results are reproducible
+independent of the ambient mpmath context.
+
+`GaussianFixed` is the fixed-point type: a complex number (re + i im) 2^-S
+with Python-integer re and im and a binary scale S that the value carries.
+Its scale rule: an operation on two values runs at the larger of their
+scales, lifting the other operand exactly; an int operand is exact, and any
+other number is rounded once to the value's scale. Sums are exact, and
+products and quotients round once to the nearest multiple of 2^-S, ties up,
+as (x + 2^(S-1)) >> S. `shift_round`, `exact_parts` and `fixed_parts` are
+the integer steps it shares with the series engine.
 """
 
 import math
 
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_float, from_man_exp, mpf_sqrt
 
 from .errors import ValidationError
 
@@ -145,3 +155,166 @@ def float_log2(x):
         return float(mp.log(x, 2))
     except (ValueError, ZeroDivisionError):
         return -math.inf
+
+
+def shift_round(x, s):
+    """x * 2^-s on integers, rounded to nearest (ties up) when s > 0."""
+    if s > 0:
+        return (x + (1 << (s - 1))) >> s
+    return x << -s
+
+
+def _mpf_exact(t):
+    """(num, e) with num * 2^-e equal to the mpf tuple t, e >= 0."""
+    sign, man, exp, _ = t
+    if not man:
+        if exp:
+            raise ValidationError("fixed-point values must be finite")
+        return 0, 0
+    if sign:
+        man = -man
+    return (man << exp, 0) if exp >= 0 else (man, -exp)
+
+
+def _real_exact(x):
+    if isinstance(x, int):
+        return int(x), 0
+    return _mpf_exact(x._mpf_ if hasattr(x, "_mpf_") else from_float(x))
+
+
+def exact_parts(v):
+    """(re, im, e) with (re + i im) 2^-e equal to the number v, e >= 0."""
+    if isinstance(v, GaussianFixed):
+        return v.re, v.im, v.scale
+    if hasattr(v, "_mpc_"):
+        (re, er), (im, ei) = (_mpf_exact(t) for t in v._mpc_)
+    elif hasattr(v, "_mpf_") or isinstance(v, (int, float, complex)):
+        (re, er), (im, ei) = _real_exact(v.real), _real_exact(v.imag)
+    else:
+        return exact_parts(mpc(v))
+    e = max(er, ei)
+    return re << (e - er), im << (e - ei), e
+
+
+def fixed_parts(v, scale):
+    """The number v as a Gaussian integer at scale 2^-scale, rounded once."""
+    re, im, e = exact_parts(v)
+    return shift_round(re, e - scale), shift_round(im, e - scale)
+
+
+class GaussianFixed:
+    """The complex number (re + i im) 2^-scale, re and im Python integers.
+
+    Arithmetic follows the module's scale rule. `abs` gives an mpf and
+    `mpc(value)` an mpc, each rounded once at mp.prec. Values are not
+    hashable; treat them as immutable.
+    """
+
+    __slots__ = ("re", "im", "scale")
+
+    def __init__(self, re, im, scale):
+        self.re = re
+        self.im = im
+        self.scale = scale
+
+    @classmethod
+    def from_number(cls, v, scale):
+        """v rounded once to the nearest multiple of 2^-scale, scale >= 1."""
+        if scale < 1:
+            raise ValidationError("fixed-point scale must be >= 1, got %r"
+                                  % (scale,))
+        return cls(*fixed_parts(v, scale), scale)
+
+    @property
+    def _mpc_(self):
+        prec = mp.prec
+        return (from_man_exp(self.re, -self.scale, prec, "n"),
+                from_man_exp(self.im, -self.scale, prec, "n"))
+
+    def __repr__(self):
+        return "GaussianFixed(%d, %d, %d)" % (self.re, self.im, self.scale)
+
+    def _aligned(self, o):
+        """(a, b, c, d, s): both operands' parts at the larger scale s."""
+        if o.__class__ is not GaussianFixed:
+            o = GaussianFixed.from_number(o, self.scale)
+        s, t = self.scale, o.scale
+        if s == t:
+            return self.re, self.im, o.re, o.im, s
+        if s > t:
+            return self.re, self.im, o.re << (s - t), o.im << (s - t), s
+        return self.re << (t - s), self.im << (t - s), o.re, o.im, t
+
+    def __add__(self, o):
+        if o.__class__ is int:
+            return GaussianFixed(self.re + (o << self.scale), self.im,
+                                 self.scale)
+        a, b, c, d, s = self._aligned(o)
+        return GaussianFixed(a + c, b + d, s)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if o.__class__ is int:
+            return GaussianFixed(self.re - (o << self.scale), self.im,
+                                 self.scale)
+        a, b, c, d, s = self._aligned(o)
+        return GaussianFixed(a - c, b - d, s)
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __neg__(self):
+        return GaussianFixed(-self.re, -self.im, self.scale)
+
+    def __mul__(self, o):
+        if o.__class__ is int:
+            return GaussianFixed(self.re * o, self.im * o, self.scale)
+        if o.__class__ is not GaussianFixed:
+            o = GaussianFixed.from_number(o, self.scale)
+        # (ac - bd) 2^-(s + t) at the larger scale: shift by the smaller;
+        # three products, ad + bc = (a + b)(c + d) - ac - bd
+        s, t = self.scale, o.scale
+        if s < t:
+            s, t = t, s
+        a, b, c, d = self.re, self.im, o.re, o.im
+        ac, bd = a * c, b * d
+        half = 1 << (t - 1)
+        return GaussianFixed((ac - bd + half) >> t,
+                             ((a + b) * (c + d) - ac - bd + half) >> t, s)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if o.__class__ is not GaussianFixed:
+            o = GaussianFixed.from_number(o, self.scale)
+        # (a + ib)/(c + id) = (a + ib)(c - id)/n, n = c^2 + d^2, brought to
+        # the larger scale s; floor((2x + n) / 2n) rounds x/n ties up
+        a, b, c, d = self.re, self.im, o.re, o.im
+        s = max(self.scale, o.scale)
+        k = s - self.scale + o.scale + 1
+        n = c * c + d * d
+        return GaussianFixed((((a * c + b * d) << k) + n) // (2 * n),
+                             (((b * c - a * d) << k) + n) // (2 * n), s)
+
+    def __rtruediv__(self, o):
+        if o.__class__ is int:
+            return GaussianFixed(o << self.scale, 0, self.scale) / self
+        return GaussianFixed.from_number(o, self.scale) / self
+
+    def __pow__(self, e):
+        """self ** e through mpc at mp.prec, rounded back to the scale."""
+        return GaussianFixed.from_number(mpc(self) ** e, self.scale)
+
+    def __abs__(self):
+        norm = from_man_exp(self.re * self.re + self.im * self.im,
+                            -2 * self.scale)
+        return mp.make_mpf(mpf_sqrt(norm, mp.prec, "n"))
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, o):
+        return not (self - o)
+
+    __hash__ = None

@@ -151,21 +151,23 @@ def nullspace_int(rows):
 
 def berkowitz_charpoly(matrix):
     """Characteristic polynomial det(tI - M) of an integer matrix, as an
-    IntPolynomial, division-free (Berkowitz)."""
+    IntPolynomial, division-free (Berkowitz). The products with the leading
+    submatrices walk only each row's nonzero entries."""
     k = len(matrix)
     if k == 0:
         raise ValidationError("empty matrix")
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
     vec = [1, -matrix[0][0]]           # descending coefficients
     for r in range(1, k):
-        a = matrix[r][r]
-        row = [matrix[r][j] for j in range(r)]
-        col = [matrix[i][r] for i in range(r)]
-        toep = [1, -a]
-        v = col[:]
+        # row r and rows 0..r-1 of the leading r x r submatrix
+        row = [(j, x) for j, x in nonzero[r] if j < r]
+        lead = [[(j, x) for j, x in nonzero[i] if j < r] for i in range(r)]
+        toep = [1, -matrix[r][r]]
+        v = [matrix[i][r] for i in range(r)]
         for _ in range(r - 1):
-            toep.append(-sum(row[i] * v[i] for i in range(r)))
-            v = [sum(matrix[i][j] * v[j] for j in range(r)) for i in range(r)]
-        toep.append(-sum(row[i] * v[i] for i in range(r)))
+            toep.append(-sum(x * v[j] for j, x in row))
+            v = [sum(x * v[j] for j, x in entries) for entries in lead]
+        toep.append(-sum(x * v[j] for j, x in row))
         vec = [sum(toep[i - j] * vec[j]
                    for j in range(max(0, i - (r + 1)), min(i, r) + 1))
                for i in range(r + 2)]

@@ -8,8 +8,9 @@ landing depth ``m`` is
 an exact integer polynomial of degree nm. For n >= 4 (or n = 3, m >= 2) it is
 a Salem polynomial: one real root lambda > 1, its reciprocal, and all other
 roots on the unit circle. Root isolation runs one Aberth loop twice, on
-Python complex from a circle of start points and then on mpc at arbitrary
-precision, with residuals verified as a backward error. Root-of-unity
+Python complex from a circle of start points and then on fixed-point
+Gaussian integers (`numeric.GaussianFixed`) at high precision, with
+residuals verified as a backward error on the same type. Root-of-unity
 status is certified by exact cyclotomic divisibility sweeps, never by
 numerical argument tests. Every polynomial division, the sweep and the
 recursive construction of the cyclotomic polynomials included, is integer
@@ -18,16 +19,15 @@ quotient coefficient.
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import arg, mpc, mpf, nstr, workprec
+from mpmath import arg, mp, mpc, mpf, nstr, workprec
 
 from .errors import (InternalConsistencyError, NotSalemError,
                      NumericFailureError, ValidationError)
-from .numeric import (check_precision, mpc_to_json, tolerance_for,
-                      unconditional_cyclotomic_bound)
+from .numeric import (GaussianFixed, check_precision, mpc_to_json,
+                      tolerance_for, unconditional_cyclotomic_bound)
 
 
 class IntPolynomial:
@@ -230,14 +230,18 @@ def find_roots(poly, precision_bits):
 
     One Aberth loop (`_aberth`) runs twice: on Python complex from deg
     points on the circle of radius 1 + 1/deg (kept as they are when the
-    coefficients or iterates leave the float range), then on mpc from
-    those values. In both, each root stops at its own residual target, rel
-    * max(1, sum |c_k| |z0|^k) from its start point z0, with rel 2**-40 in
-    complex and 2**(-precision_bits-32) in mpc. Residuals are verified as
-    a backward error: |p(root)| must be below 2**(-precision_bits/2) *
-    max(1, sum |c_k| |root|^k). Failure to converge within 128 +
-    precision_bits steps raises NumericFailureError naming the target
-    missed and carrying the best residual reached.
+    coefficients or iterates leave the float range), then on
+    `GaussianFixed` from those values. In both, each root stops at its own
+    residual target, rel * max(1, sum |c_k| |w|^k) at its start point and
+    at the point reached, with rel 2**-40 in complex and
+    2**(-precision_bits-32) in fixed point. The fixed-point scale is the
+    working precision precision_bits + max(96, precision_bits // 2) plus
+    the binary exponent of the smallest start below 1/2. Residuals are
+    verified as a backward error on the type, at scale precision_bits + 64
+    plus the same small-root bits: |p(root)| must be below
+    2**(-precision_bits/2) * max(1, sum |c_k| |root|^k). Failure to
+    converge within 128 + precision_bits steps raises NumericFailureError
+    naming the target missed.
 
     Returns deg(poly) mpc values sorted by (argument, modulus) so that a
     root index is reproducible across runs and precisions; a real root
@@ -276,16 +280,18 @@ def find_roots(poly, precision_bits):
     # final check, so it stays above the rounding floor of p(z) at high
     # degree (about lambda^80 * 2^-(working bits) at degree 80).
     work = precision_bits + max(96, precision_bits // 2)
+    scale = _fixed_scale(work, starts)
     with workprec(work):
-        roots, miss = _aberth(reduced, [mpc(z) for z in starts],
+        roots, miss = _aberth(reduced,
+                              [GaussianFixed.from_number(z, scale)
+                               for z in starts],
                               mpf(2) ** (-(precision_bits + 32)),
-                              128 + precision_bits, mpf(2) ** -work)
+                              128 + precision_bits, GaussianFixed(1, 0, scale))
         if miss:
-            i, residual, target, best = miss
+            i, residual, target = miss
             raise NumericFailureError(
                 "Aberth iteration missed residual target %s at root %d "
-                "(residual %s)" % (mp_str(target), i, mp_str(residual)),
-                best_residual=best)
+                "(residual %s)" % (mp_str(target), i, mp_str(residual)))
 
     # backward error: |p(z)| against tol * max(1, sum |c_k| |z|^k), the
     # size of the terms whose rounding it measures (at lambda ~ 2 and
@@ -294,11 +300,12 @@ def find_roots(poly, precision_bits):
     with workprec(precision_bits):
         tol = tolerance_for(precision_bits)
         out = [mpc(0)] * nzero + [mpc(z) for z in roots]
-        bad = max(abs(poly(z)) / max(1, absolute(abs(z))) for z in out)
+        check = _fixed_scale(precision_bits + 64, out)
+        bad = max(abs(poly(GaussianFixed.from_number(z, check)))
+                  / max(1, absolute(abs(z))) for z in out)
         if bad >= tol:
             raise NumericFailureError(
-                "scaled root residual %s above tolerance" % mp_str(bad),
-                best_residual=bad)
+                "scaled root residual %s above tolerance" % mp_str(bad))
         out.sort(key=lambda z: (arg(z.real if abs(z.imag) < tol else z),
                                 abs(z)))
     return out
@@ -308,30 +315,43 @@ def mp_str(x):
     return nstr(x, 8)
 
 
+def _fixed_scale(bits, points):
+    """Fixed-point scale that keeps `bits` significant bits on every point:
+    bits, plus the binary exponent of the smallest point below 1/2."""
+    return bits + max(0, max(-mp.frexp(abs(z))[1] for z in points))
+
+
 def _aberth(poly, roots, rel, steps, eps):
     """Aberth simultaneous iteration on poly from the start points roots.
 
-    Runs in the roots' own number type, complex or mpc, whose unit
-    roundoff is eps. A root stays put, and is not evaluated again, once
-    |poly(z)| is below its target rel * max(1, sum |c_k| |z0|^k), the
-    scale taken at 53 bits at its start point z0. Returns (roots, miss):
-    miss is None when every root met its target within `steps` iterations,
-    else (index, residual, target, best) for the root furthest above its
-    target, with best the smallest largest residual seen.
+    Runs in the roots' own number type: Python complex with eps = 2^-53, or
+    `GaussianFixed` with eps = 2^-scale as a value of that type (eps is the
+    type's unit roundoff). A root stays put, and is not evaluated again,
+    once |poly(z)| is below rel * max(1, sum |c_k| |w|^k), the scale taken
+    at 53 bits, both at its start point w = z0 and at the point w = z
+    reached. Returns (roots, miss): miss is None when every root met its
+    target within `steps` iterations, else (index, residual, target) for
+    the root furthest above its target.
     """
     absolute = IntPolynomial([abs(c) for c in poly.coeffs])
-    with workprec(53):
-        scales = [max(1, absolute(abs(z))) for z in roots]
-    targets = [rel * sc for sc in scales]
+
+    def target_at(z):
+        with workprec(53):
+            return rel * max(1, absolute(abs(z)))
+
+    targets = [target_at(z) for z in roots]
     dpoly = poly.derivative()
     values = [None] * len(roots)
     live = range(len(roots))
-    best = math.inf
     for _ in range(steps):
         for i in live:
             values[i] = poly(roots[i])
         residuals = [abs(v) for v in values]
-        best = min(best, max(residuals))
+        for i in live:
+            if residuals[i] < targets[i]:
+                # a start far from its root (10^60 t^2 - 1 from the circle)
+                # carries a scale the root does not have
+                targets[i] = min(targets[i], target_at(roots[i]))
         live = [i for i, (r, t) in enumerate(zip(residuals, targets))
                 if r >= t]
         if not live:
@@ -351,7 +371,7 @@ def _aberth(poly, roots, rel, steps, eps):
             new_roots[i] = z - (w / denom if denom != 0 else w)
         roots = new_roots
     i = max(range(len(roots)), key=lambda i: residuals[i] / targets[i])
-    return roots, (i, residuals[i], targets[i], best)
+    return roots, (i, residuals[i], targets[i])
 
 
 def cyclotomic_part(poly, k_max=None):
@@ -460,7 +480,10 @@ def salem_certificate(poly, precision_bits):
         # unit roots certified off the roots of unity: roots of the
         # cyclotomic-free core
         core_tol = tolerance_for(precision_bits // 2)
-        nonunity = tuple(z for z in unit if abs(core(z)) < core_tol)
+        check = precision_bits + 64
+        nonunity = tuple(
+            z for z in unit
+            if abs(core(GaussianFixed.from_number(z, check))) < core_tol)
 
         return SalemCertificate(
             poly=poly,

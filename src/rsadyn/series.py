@@ -30,62 +30,20 @@ from itertools import accumulate
 from types import MappingProxyType
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_float, from_man_exp
+from mpmath.libmp import from_man_exp
 
 from .blowup import level2_step
 from .family import line_map
 from .errors import (CompositionDomainError, ConsistencyError,
                      PropertyViolationError, StructureViolationError,
                      ValidationError)
-from .numeric import fit_slope, mpc_to_json, tolerance_for
+from .numeric import (exact_parts, fit_slope, fixed_parts, mpc_to_json,
+                      shift_round, tolerance_for)
 
 
 def _guard_scale():
     """Fractional bits every operation keeps at least: 64 guard bits."""
     return mp.prec + 64
-
-
-def _shifted(x, s):
-    """x * 2^-s on integers, rounded to nearest (ties up) when s > 0."""
-    if s > 0:
-        return (x + (1 << (s - 1))) >> s
-    return x << -s
-
-
-def _mpf_exact(t):
-    """(num, e) with num * 2^-e equal to the mpf tuple t, e >= 0."""
-    sign, man, exp, _ = t
-    if not man:
-        if exp:
-            raise ValidationError("series coefficients must be finite")
-        return 0, 0
-    if sign:
-        man = -man
-    return (man << exp, 0) if exp >= 0 else (man, -exp)
-
-
-def _real_exact(x):
-    if isinstance(x, int):
-        return int(x), 0
-    return _mpf_exact(x._mpf_ if hasattr(x, "_mpf_") else from_float(x))
-
-
-def _exact(v):
-    """(re, im, e) with (re + i im) 2^-e equal to the number v, e >= 0."""
-    if hasattr(v, "_mpc_"):
-        (re, er), (im, ei) = (_mpf_exact(t) for t in v._mpc_)
-    elif hasattr(v, "_mpf_") or isinstance(v, (int, float, complex)):
-        (re, er), (im, ei) = _real_exact(v.real), _real_exact(v.imag)
-    else:
-        return _exact(mpc(v))
-    e = max(er, ei)
-    return re << (e - er), im << (e - ei), e
-
-
-def _fixed(v, scale):
-    """The number v as a Gaussian integer at scale 2^-scale, rounded once."""
-    re, im, e = _exact(v)
-    return _shifted(re, e - scale), _shifted(im, e - scale)
 
 
 class BivariateSeries:
@@ -96,7 +54,7 @@ class BivariateSeries:
 
     def __init__(self, trunc, coeffs=None):
         self.trunc = int(trunc)
-        exact = [(k, _exact(v)) for k, v in (coeffs or {}).items()
+        exact = [(k, exact_parts(v)) for k, v in (coeffs or {}).items()
                  if k[0] + k[1] <= self.trunc]
         self.scale = max([_guard_scale()] + [e for _, (_, _, e) in exact])
         self._c = {k: (re << (self.scale - e), im << (self.scale - e))
@@ -135,7 +93,7 @@ class BivariateSeries:
         return mpc(0) if pair is None else self._value(pair)
 
     def __setitem__(self, key, value):
-        re, im, e = _exact(value)
+        re, im, e = exact_parts(value)
         if e > self.scale:
             self._c = self._at(e)
             self.scale = e
@@ -180,11 +138,11 @@ class BivariateSeries:
     def __mul__(self, other):
         if not isinstance(other, BivariateSeries):
             scale = max(self.scale, _guard_scale())
-            sr, si = _fixed(other, scale)
+            sr, si = fixed_parts(other, scale)
             out = {}
             for k, (re, im) in self._c.items():
-                re, im = (_shifted(re * sr - im * si, self.scale),
-                          _shifted(re * si + im * sr, self.scale))
+                re, im = (shift_round(re * sr - im * si, self.scale),
+                          shift_round(re * si + im * sr, self.scale))
                 if re or im:
                     out[k] = (re, im)
             return BivariateSeries._raw(self.trunc, scale, out)
@@ -216,7 +174,7 @@ class BivariateSeries:
         for p in range(width * width):
             re, im = acc_re[p], acc_im[p]
             if re or im:
-                re, im = _shifted(re, s), _shifted(im, s)
+                re, im = shift_round(re, s), shift_round(im, s)
                 if re or im:
                     out[divmod(p, width)] = (re, im)
         return BivariateSeries._raw(trunc, scale, out)
@@ -275,8 +233,8 @@ def inverse_unit(f):
                     tr += fr * gr - fi * gi
                     ti += fr * gi + fi * gr
             if tr or ti:
-                re = _shifted(ti * inv_i - tr * inv_r, 2 * scale)
-                im = _shifted(-tr * inv_i - ti * inv_r, 2 * scale)
+                re = shift_round(ti * inv_i - tr * inv_r, 2 * scale)
+                im = shift_round(-tr * inv_i - ti * inv_r, 2 * scale)
                 if re or im:
                     g[(i, j)] = (re, im)
     return BivariateSeries._raw(f.trunc, scale, g)

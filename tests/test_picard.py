@@ -141,7 +141,11 @@ def test_charpoly_rejects_non_integer_matrix():
         berkowitz_charpoly([[Fraction(1, 2)]])
 
 
-@pytest.mark.parametrize("n,m", [(4, 3), (5, 4), (8, 5), (6, 6)])
+# every family member with 3 <= n <= 10 and nm <= 40
+CENSUS = [(n, m) for n in range(3, 11) for m in range(1, 40 // n + 1)]
+
+
+@pytest.mark.parametrize("n,m", CENSUS)
 def test_charpoly_cross_check_oracle(n, m):
     a = t_action_matrix(n, m)
     assert berkowitz_charpoly(a) == faddeev_leverrier_charpoly(a)
@@ -154,6 +158,10 @@ def test_charpoly_random_oracle_agreement():
     for size in (3, 5, 7):
         a = [[rng.randrange(-4, 5) for _ in range(size)] for _ in range(size)]
         assert berkowitz_charpoly(a) == faddeev_leverrier_charpoly(a)
+    # dense: no zero entry for the sparse walk to skip
+    a = [[rng.choice([-1, 1]) * rng.randrange(1, 10) for _ in range(12)]
+         for _ in range(12)]
+    assert berkowitz_charpoly(a) == faddeev_leverrier_charpoly(a)
 
 
 # -- entropy --------------------------------------------------------------------

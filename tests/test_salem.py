@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import mp, mpc, mpf, sqrt, workprec
 
 from rsadyn import (IntPolynomial, NotSalemError, find_roots,
                     salem_certificate, salem_polynomial)
@@ -268,13 +268,64 @@ def test_reciprocal_pair_order_across_precisions(bits):
             assert real[1] == real[0] + 1, (n, m)
 
 
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("n,m", [(4, 5), (8, 5), (3, 13)])
+def test_roots_match_polyroots_oracle(n, m, bits):
+    # mpmath's Durand-Kerner at bits + 32, an independent root finder
+    from mpmath import polyroots
+    p = salem_polynomial(n, m)
+    roots = find_roots(p, bits)
+    with workprec(bits + 32):
+        oracle = polyroots(list(reversed(p.coeffs)), maxsteps=200,
+                           extraprec=32)
+    with workprec(bits + 64):
+        tol = mpf(2) ** -(bits - 8)
+        assert max(min(abs(z - w) for w in oracle) for z in roots) < tol
+        assert max(min(abs(z - w) for z in roots) for w in oracle) < tol
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+@pytest.mark.parametrize("coeffs", [
+    [-1, 0, 10 ** 60],                                 # 10^60 t^2 - 1
+    [-1, 0, 3 * 10 ** 61],
+    [-10 ** 60, 0, 1],                                 # t^2 - 10^60
+], ids=["tiny", "tiny-irrational", "huge"])
+def test_tiny_and_huge_roots_pass_backward_error(coeffs, bits):
+    # fixed point holds absolute precision: the tiny roots need scale bits
+    # beyond the working bits to keep their relative accuracy
+    roots = find_roots(IntPolynomial(coeffs), bits)
+    with workprec(bits + 64):
+        root = sqrt(mpf(-coeffs[0]) / coeffs[2])
+        want = [root, -root]                           # argument 0, then pi
+        assert all(abs(z - w) < abs(w) * mpf(2) ** -(bits - 8)
+                   for z, w in zip(roots, want))
+
+
+def test_aberth_on_fixed_point_from_degenerate_starts():
+    # the collision guard (z - zj) or 256 eps and the nudge off p'(0) = 0
+    # run on the type; equal starts stay equal, so only the nudged run
+    # converges
+    from rsadyn.numeric import GaussianFixed
+    from rsadyn.salem import _aberth
+    p = IntPolynomial([1, 0, 1])
+    eps = GaussianFixed(1, 0, 160)
+    with workprec(160):
+        for starts in ([0.5 + 0.5j, 0.5 + 0.5j], [0, 1]):
+            roots, miss = _aberth(p, [GaussianFixed.from_number(z, 160)
+                                      for z in starts],
+                                  mpf(2) ** -128, 200, eps)
+            assert all(isinstance(z, GaussianFixed) for z in roots)
+        assert miss is None
+        assert sorted(float(mpc(z).imag) for z in roots) == [-1.0, 1.0]
+
+
 @pytest.mark.parametrize("coeffs", [
     [-10 ** 400, 0, 1],                                # t^2 - 10^400
     [1, 0, 0, 0, 0, 0, 10 ** 310, 0, 0, 0, 1],          # t^10 + 10^310 t^6 + 1
 ], ids=["t2", "t10"])
 def test_float_overflow_fails_as_numeric_failure(coeffs):
-    # a coefficient beyond the float range starts the mpc run from the
-    # circle, which does not converge in its step budget
+    # a coefficient beyond the float range starts the fixed-point run from
+    # the circle, which does not converge in its step budget
     with pytest.raises(NumericFailureError):
         find_roots(IntPolynomial(coeffs), 256)
 
