@@ -2,9 +2,10 @@
 
 Oracles used here and nowhere else: sympy exact expansion/factorization for
 the polynomial identities, Fraction-evaluated sign changes for root
-brackets, Fraction long division for exact divisibility, the Moebius
-product for the cyclotomic polynomials, and a from-scratch Euclidean gcd
-over Q for the root-of-unity certificate.
+brackets, mpmath's polyroots (Durand-Kerner) for root locations, Fraction
+long division for exact divisibility, the Moebius product for the
+cyclotomic polynomials, and a from-scratch Euclidean gcd over Q for the
+root-of-unity certificate.
 """
 
 from fractions import Fraction
@@ -13,14 +14,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf, sqrt, workprec
+from mpmath import mp, mpc, mpf, polyroots, sqrt, workprec
 
 from rsadyn import (IntPolynomial, NotSalemError, find_roots,
                     salem_certificate, salem_polynomial)
 from rsadyn.errors import (InternalConsistencyError, NumericFailureError,
                            ValidationError)
-from rsadyn.numeric import unconditional_cyclotomic_bound
-from rsadyn.salem import cyclotomic, cyclotomic_part
+from rsadyn.numeric import GaussianFixed, unconditional_cyclotomic_bound
+from rsadyn.salem import _aberth, cyclotomic, cyclotomic_part
 
 
 # -- construction ------------------------------------------------------------
@@ -272,7 +273,6 @@ def test_reciprocal_pair_order_across_precisions(bits):
 @pytest.mark.parametrize("n,m", [(4, 5), (8, 5), (3, 13)])
 def test_roots_match_polyroots_oracle(n, m, bits):
     # mpmath's Durand-Kerner at bits + 32, an independent root finder
-    from mpmath import polyroots
     p = salem_polynomial(n, m)
     roots = find_roots(p, bits)
     with workprec(bits + 32):
@@ -305,8 +305,6 @@ def test_aberth_on_fixed_point_from_degenerate_starts():
     # the collision guard (z - zj) or 256 eps and the nudge off p'(0) = 0
     # run on the type; equal starts stay equal, so only the nudged run
     # converges
-    from rsadyn.numeric import GaussianFixed
-    from rsadyn.salem import _aberth
     p = IntPolynomial([1, 0, 1])
     eps = GaussianFixed(1, 0, 160)
     with workprec(160):
