@@ -13,8 +13,9 @@ distance against the starting point, sampled at the candidate return times.
 
 Every scalar kernel is built from one n-fold step (`step`) and one
 squared-distance helper (`_dist2`), each defined once. They are plain
-Python over any complex-like type, so the mpmath mirror in the probes runs
-the same cell classifier (`_classify_cell`) on mpmath values.
+Python over any complex-like type, so the precision-doubling mirror in the
+probes runs the same cell classifier (`_classify_cell`) on fixed-point
+`numeric.GaussianFixed` values.
 
 The array kernels share one lockstep walk (`_lockstep`): one renormalized
 numpy map step (`_block_step`, the arithmetic of `step` per cell) and the

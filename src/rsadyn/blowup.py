@@ -108,14 +108,13 @@ def fiber_map_level1(params, pt):
             w = _omega(params, s)
             den = s1 * e1 + w
             if abs(den) < tol:
-                raise ChartEscapeError("level-1 chart denominator vanished",
-                                       coordinate=den)
+                raise ChartEscapeError("level-1 chart denominator vanished")
             out = (s1 / den, d * e1 / w + s1 / den)
         else:
             den = -d * e1 + c * s1 * e1 * e1 + s1
             if abs(den) < tol:
                 raise ChartEscapeError("level-1 chart left its domain near the "
-                                       "level-2 center", coordinate=den)
+                                       "level-2 center")
             out = (s1 * e1 / den, e1)
         return FiberChartPoint(level=1, s=(s + 1) % n, coords=out)
 
@@ -216,7 +215,7 @@ def fiber_orbit_check(params):
         for _ in range(n):
             pt = fiber_map_level1(params, pt)
         if pt.s != 0 or abs(pt.coords[0]) > tol:
-            raise PatternViolationError("level-1 cycle left the fiber", step=n)
+            raise PatternViolationError("level-1 cycle left the fiber")
         residual = abs(pt.coords[1] - e / lam)
         report["level1_cycle_residual"] = residual
         if residual > check_tol:
@@ -240,13 +239,13 @@ def fiber_orbit_check(params):
                                         "expected %d" % (pt.s, n - 1))
         if abs(pt.coords[1]) > tol:
             raise PatternViolationError("exceptional chain left the level-2 "
-                                        "fiber", step=n * m - 1)
+                                        "fiber")
         landing_res = abs(pt.coords[0] - d)
         report["chain_landing_residual"] = landing_res
         if landing_res > check_tol:
             raise PatternViolationError(
                 "exceptional chain missed the inverse-exceptional point "
-                "(residual %s)" % salem.mp_str(landing_res), step=n * m - 1)
+                "(residual %s)" % salem.mp_str(landing_res))
 
         # (c) contracted-line image direction: map [1 : x : y], y -> 0, and
         # read the image in the level-1 chart over fiber 0 ([s1 : s1 e1 : 1])

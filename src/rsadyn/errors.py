@@ -12,10 +12,9 @@ class ValidationError(RsadynError):
 class NotSalemError(RsadynError):
     """Root distribution violates the Salem definition (CLI exit code 3)."""
 
-    def __init__(self, reason, offending_root=None):
+    def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
-        self.offending_root = offending_root
 
 
 class NumericFailureError(RsadynError):
@@ -45,25 +44,13 @@ class DegenerateParameterError(RsadynError):
 class ChartEscapeError(RsadynError):
     """A chart map left its domain of validity."""
 
-    def __init__(self, message, coordinate=None):
-        super().__init__(message)
-        self.coordinate = coordinate
-
 
 class DivisionDegeneracyError(RsadynError):
     """A denominator in a telescoped identity vanished."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 class PatternViolationError(RsadynError):
     """A marked orbit failed to land on the expected exceptional fiber."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
 
 
 class CompositionDomainError(RsadynError):
@@ -80,7 +67,3 @@ class FixtureMismatchError(RsadynError):
 
 class PropertyViolationError(RsadynError):
     """A sampled closure/property check found a counterexample."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness

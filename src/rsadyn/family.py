@@ -101,8 +101,7 @@ def _c_orbit(c, delta, n, tol):
     orbit = [c]
     for _ in range(n - 2):
         if abs(orbit[-1]) < tol:
-            raise DivisionDegeneracyError("line orbit hit zero",
-                                          index=len(orbit) - 1)
+            raise DivisionDegeneracyError("line orbit hit zero")
         orbit.append(c - delta / orbit[-1])
     return tuple(orbit)
 

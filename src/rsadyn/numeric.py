@@ -12,7 +12,9 @@ scales, lifting the other operand exactly; an int operand is exact, and any
 other number is rounded once to the value's scale. Sums are exact, and
 products and quotients round once to the nearest multiple of 2^-S, ties up,
 as (x + 2^(S-1)) >> S. `shift_round`, `exact_parts` and `fixed_parts` are
-the integer steps it shares with the series engine.
+the integer steps it shares with the series engine. `fixed_scale` picks a
+scale for a set of points: fixed point holds absolute precision, so a
+small point needs extra bits to keep its relative precision.
 """
 
 import math
@@ -202,12 +204,25 @@ def fixed_parts(v, scale):
     return shift_round(re, e - scale), shift_round(im, e - scale)
 
 
+def fixed_scale(bits, points):
+    """Fixed-point scale that keeps `bits` significant bits on every point:
+    bits, plus the binary exponent of the smallest point below 1/2."""
+    return bits + max(0, max(-mp.frexp(abs(z))[1] for z in points))
+
+
 class GaussianFixed:
     """The complex number (re + i im) 2^-scale, re and im Python integers.
 
-    Arithmetic follows the module's scale rule. `abs` gives an mpf and
-    `mpc(value)` an mpc, each rounded once at mp.prec. Values are not
-    hashable; treat them as immutable.
+    Arithmetic follows the module's scale rule; a product of two real
+    values takes one integer multiply. `.real` and `.imag` are real values
+    of the type at the same scale. `==`, and `<` and `>` between real
+    values, compare exactly, never rounding the other operand: against the
+    type, int, float (through `float.as_integer_ratio`) and any number
+    `exact_parts` reads. `abs` gives an mpf and `mpc(value)` an mpc, each
+    rounded once at mp.prec. Values are not hashable; treat them as
+    immutable. Root isolation in `salem` and the precision-doubling mirror
+    `probes.classify_point_mp` (the kernels' cell classifier, unchanged)
+    compute on it.
     """
 
     __slots__ = ("re", "im", "scale")
@@ -224,6 +239,14 @@ class GaussianFixed:
             raise ValidationError("fixed-point scale must be >= 1, got %r"
                                   % (scale,))
         return cls(*fixed_parts(v, scale), scale)
+
+    @property
+    def real(self):
+        return GaussianFixed(self.re, 0, self.scale)
+
+    @property
+    def imag(self):
+        return GaussianFixed(self.im, 0, self.scale)
 
     @property
     def _mpc_(self):
@@ -273,13 +296,16 @@ class GaussianFixed:
         if o.__class__ is not GaussianFixed:
             o = GaussianFixed.from_number(o, self.scale)
         # (ac - bd) 2^-(s + t) at the larger scale: shift by the smaller;
-        # three products, ad + bc = (a + b)(c + d) - ac - bd
+        # three products, ad + bc = (a + b)(c + d) - ac - bd, or one when
+        # both values are real (then the imaginary part rounds to 0)
         s, t = self.scale, o.scale
         if s < t:
             s, t = t, s
         a, b, c, d = self.re, self.im, o.re, o.im
-        ac, bd = a * c, b * d
         half = 1 << (t - 1)
+        if not (b or d):
+            return GaussianFixed((a * c + half) >> t, 0, s)
+        ac, bd = a * c, b * d
         return GaussianFixed((ac - bd + half) >> t,
                              ((a + b) * (c + d) - ac - bd + half) >> t, s)
 
@@ -315,6 +341,43 @@ class GaussianFixed:
         return bool(self.re or self.im)
 
     def __eq__(self, o):
-        return not (self - o)
+        if o.__class__ is GaussianFixed and o.scale == self.scale:
+            return self.re == o.re and self.im == o.im
+        if o.__class__ is int:
+            return not self.im and self.re == o << self.scale
+        if o.__class__ is float:
+            if self.im or not math.isfinite(o):
+                return False
+            p, q = o.as_integer_ratio()
+            return self.re * q == p << self.scale
+        re, im, e = exact_parts(o)
+        return (self.re << e == re << self.scale
+                and self.im << e == im << self.scale)
+
+    def _real_pair(self, o):
+        """Integers (x, y) with x < y exactly when self < o, both real."""
+        if o.__class__ is GaussianFixed and o.scale == self.scale:
+            x, y, im = self.re, o.re, o.im
+        elif o.__class__ is int:
+            x, y, im = self.re, o << self.scale, 0
+        elif o.__class__ is float:
+            if not math.isfinite(o):
+                raise ValidationError("fixed-point values must be finite")
+            p, q = o.as_integer_ratio()
+            x, y, im = self.re * q, p << self.scale, 0
+        else:
+            re, im, e = exact_parts(o)
+            x, y = self.re << e, re << self.scale
+        if self.im or im:
+            raise TypeError("GaussianFixed ordering needs real values")
+        return x, y
+
+    def __lt__(self, o):
+        x, y = self._real_pair(o)
+        return x < y
+
+    def __gt__(self, o):
+        x, y = self._real_pair(o)
+        return x > y
 
     __hash__ = None

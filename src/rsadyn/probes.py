@@ -9,7 +9,8 @@ along the radial leaves.
 
 The raster and slice probes run in hardware precision through the kernels
 in ._kernels (a numpy block loop and plain-Python scalar cells), and the
-precision-doubling mirror runs the same cell classifier on mpmath values;
+precision-doubling mirror runs the same cell classifier on fixed-point
+Gaussian integers (`numeric.GaussianFixed`);
 everything else is mpmath at the parameter pack's precision, or plain
 complex where hardware precision demonstrably suffices (documented per
 function).
@@ -27,7 +28,8 @@ from mpmath import arg, floor, mpc, mpf, pi, workprec
 
 from . import _kernels, family
 from .errors import IndeterminatePointError, ValidationError
-from .numeric import check_precision, proj_distance, proj_normalize
+from .numeric import (GaussianFixed, check_precision, fixed_scale,
+                      proj_distance, proj_normalize)
 
 _CHART_GUARD = 1e-2      # iterate: radius of the fiber-chart neighborhoods
 
@@ -486,20 +488,30 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
                       classes=classes, return_steps=steps)
 
 
-def classify_point_mp(params, point, candidates, eps, precision_bits=None):
-    """mpmath mirror of the kernel cell classifier (precision studies).
+_TINY2_BITS = 1 - math.frexp(_kernels._TINY2)[1]   # 2^-B <= _TINY2 < 2^(1-B)
 
-    Runs the kernels' own `_classify_cell` on mpmath values at
-    precision_bits (default: the parameter pack's precision), with the same
-    candidate schedule; used by the precision-doubling stability check.
+
+def classify_point_mp(params, point, candidates, eps, precision_bits=None):
+    """Fixed-point mirror of the kernel cell classifier (precision studies).
+
+    Runs the kernels' own `_classify_cell` on `GaussianFixed` values with
+    the same candidate schedule; used by the precision-doubling stability
+    check. precision_bits defaults to the parameter pack's precision. The
+    point, delta, c and eps are each rounded once to the scale
+    S = max(precision_bits, B) + 64 + k: B = 399 is the bit position of
+    the indeterminacy floor `_kernels._TINY2` (1e-120), so squared
+    magnitudes near it are resolved, and k is the binary exponent of the
+    smallest start coordinate below 1/2 (`numeric.fixed_scale`, the
+    small-root bits of `salem.find_roots`), so a tiny coordinate keeps
+    its precision instead of rounding to 0.
     """
     bits = check_precision(params.precision_bits if precision_bits is None
                            else precision_bits)
-    with workprec(bits):
-        t, x, y = (mpc(v) for v in point)
-        cl, st = _kernels._classify_cell(
-            t, x, y, mpc(params.delta), mpc(params.c), params.n,
-            np.asarray(candidates, dtype=np.int64), mpf(eps) ** 2)
+    scale = fixed_scale(max(bits, _TINY2_BITS) + 64, point)
+    t, x, y, delta, c, e = (GaussianFixed.from_number(v, scale) for v in
+                            (*point, params.delta, params.c, eps))
+    cl, st = _kernels._classify_cell(t, x, y, delta, c, params.n,
+                                     [int(q) for q in candidates], e * e)
     return int(cl), int(st)
 
 

@@ -22,12 +22,13 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import arg, mp, mpc, mpf, nstr, workprec
+from mpmath import arg, mpc, mpf, nstr, workprec
 
 from .errors import (InternalConsistencyError, NotSalemError,
                      NumericFailureError, ValidationError)
-from .numeric import (GaussianFixed, check_precision, mpc_to_json,
-                      tolerance_for, unconditional_cyclotomic_bound)
+from .numeric import (GaussianFixed, check_precision, fixed_scale,
+                      mpc_to_json, tolerance_for,
+                      unconditional_cyclotomic_bound)
 
 
 class IntPolynomial:
@@ -280,7 +281,7 @@ def find_roots(poly, precision_bits):
     # final check, so it stays above the rounding floor of p(z) at high
     # degree (about lambda^80 * 2^-(working bits) at degree 80).
     work = precision_bits + max(96, precision_bits // 2)
-    scale = _fixed_scale(work, starts)
+    scale = fixed_scale(work, starts)
     with workprec(work):
         roots, miss = _aberth(reduced,
                               [GaussianFixed.from_number(z, scale)
@@ -300,7 +301,7 @@ def find_roots(poly, precision_bits):
     with workprec(precision_bits):
         tol = tolerance_for(precision_bits)
         out = [mpc(0)] * nzero + [mpc(z) for z in roots]
-        check = _fixed_scale(precision_bits + 64, out)
+        check = fixed_scale(precision_bits + 64, out)
         bad = max(abs(poly(GaussianFixed.from_number(z, check)))
                   / max(1, absolute(abs(z))) for z in out)
         if bad >= tol:
@@ -313,12 +314,6 @@ def find_roots(poly, precision_bits):
 
 def mp_str(x):
     return nstr(x, 8)
-
-
-def _fixed_scale(bits, points):
-    """Fixed-point scale that keeps `bits` significant bits on every point:
-    bits, plus the binary exponent of the smallest point below 1/2."""
-    return bits + max(0, max(-mp.frexp(abs(z))[1] for z in points))
 
 
 def _aberth(poly, roots, rel, steps, eps):
@@ -456,24 +451,18 @@ def salem_certificate(poly, precision_bits):
         if not large:
             raise NotSalemError("no root of modulus > 1")
         if len(large) > 1:
-            raise NotSalemError("more than one root of modulus > 1",
-                                offending_root=large[1])
+            raise NotSalemError("more than one root of modulus > 1")
         lam = large[0]
         if abs(lam.imag) > tol:
-            raise NotSalemError("the root of modulus > 1 is not real",
-                                offending_root=lam)
+            raise NotSalemError("the root of modulus > 1 is not real")
         lam = mpf(lam.real)
         if len(small) != 1:
             raise NotSalemError("expected exactly one root inside the unit circle")
         if abs(small[0] - 1 / lam) > tol:
-            raise NotSalemError("1/lambda is not a root",
-                                offending_root=small[0])
+            raise NotSalemError("1/lambda is not a root")
         if len(unit) != poly.degree() - 2:
-            stray = [z for z in roots
-                     if z not in large and z not in small and z not in unit]
             raise NotSalemError("a root is neither lambda, 1/lambda nor on the "
-                                "unit circle",
-                                offending_root=stray[0] if stray else None)
+                                "unit circle")
         if not poly.is_palindromic():
             raise NotSalemError("coefficients are not palindromic")
 

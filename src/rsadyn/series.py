@@ -345,7 +345,7 @@ def closure_property_check(rc, samples=200, seed=0):
     and the binomial memberships of mixed powers
     (x + main)^(j1) (y + upper)^(j2). Region membership is read from
     `classify_monomial`; only the p-shifted bounds are written out here.
-    Raises PropertyViolationError with a witness on any failure.
+    Raises PropertyViolationError on any failure.
     """
     import random
     rng = random.Random(seed)
@@ -383,8 +383,7 @@ def closure_property_check(rc, samples=200, seed=0):
             mi, mj = sample_main()
             acc = (acc[0] + mi, acc[1] + mj)
         if not acc[0] * b > a * acc[1] + p * b:       # i > r j + p
-            raise PropertyViolationError("main-region power bound failed",
-                                         witness=(acc, p))
+            raise PropertyViolationError("main-region power bound failed")
         checked["main_power"] += 1
 
         acc = (0, 0)
@@ -392,8 +391,7 @@ def closure_property_check(rc, samples=200, seed=0):
             ui, uj = sample_upper()
             acc = (acc[0] + ui, acc[1] + uj)
         if not acc[0] * b >= a * (acc[1] - p):        # i >= r (j - p)
-            raise PropertyViolationError("upper-region power bound failed",
-                                         witness=(acc, p))
+            raise PropertyViolationError("upper-region power bound failed")
         checked["upper_power"] += 1
 
         # mixed binomials (x + main)^(j1) (y + upper)^(j2)
@@ -412,14 +410,12 @@ def closure_property_check(rc, samples=200, seed=0):
                 if in_main:
                     if not is_main(i, j):
                         raise PropertyViolationError(
-                            "mixed binomial left the main region",
-                            witness=(j1, j2, s, u, (i, j)))
+                            "mixed binomial left the main region")
                     checked["mixed_main"] += 1
                 if in_upper:
                     if not is_upper(i, j):
                         raise PropertyViolationError(
-                            "mixed binomial left the upper region",
-                            witness=(j1, j2, s, u, (i, j)))
+                            "mixed binomial left the upper region")
                     checked["mixed_upper"] += 1
     return checked
 

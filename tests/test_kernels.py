@@ -1,12 +1,23 @@
-"""Block, scalar and mpmath agreement and determinism of the hot kernels."""
+"""Block, scalar and fixed-point agreement and determinism of the hot kernels."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mpc, mpf, workprec
 
 from rsadyn.probes import _chart_states, candidate_times, classify_point_mp
 from rsadyn import _kernels
+
+
+# start cells of every (class, step) kind the classifier returns
+BOOKKEEPING_CELLS = [
+    (0, 1, 0.45), (0, 1, 1.1),                  # line: recurrent at 4
+    (0.005, 1, 0.3),                            # recurrent at 9
+    (0.01, 1, 0.5), (0.2, 1, 0.7), (1, 2, 2),   # recurrent at 31
+    (1e-103, 1, 0),                             # indeterminate at step 0
+    (0, 0, 0),                                  # dead at the start
+    (0.1, 1, 0.25), (1, 0.1, 0.1), (1, 1j, 0.3)]  # non-recurrent
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +68,7 @@ def test_numpy_block_bookkeeping_under_permutation(setup):
     # cell's class never lands on another cell's index
     p, _, _, _, cands = setup
     delta, c = complex(p.delta), complex(p.c)
-    cells = [(0, 1, 0.45), (0, 1, 1.1),             # line: recurrent at 4
-             (0.005, 1, 0.3),                       # recurrent at 9
-             (0.01, 1, 0.5), (0.2, 1, 0.7), (1, 2, 2),  # recurrent at 31
-             (1e-103, 1, 0),                        # indeterminate at step 0
-             (0, 0, 0),                             # dead at the start
-             (0.1, 1, 0.25), (1, 0.1, 0.1), (1, 1j, 0.3)]  # non-recurrent
-    cells = cells * 2
+    cells = BOOKKEEPING_CELLS * 2
     T, X, Y = (np.array(col, dtype=np.complex128) for col in zip(*cells))
     perm = np.random.default_rng(8).permutation(len(cells))
     cls, stp = _kernels.classify_block(T, X, Y, delta, c, p.n, cands, 1e-3)
@@ -74,7 +79,7 @@ def test_numpy_block_bookkeeping_under_permutation(setup):
               for t, x, y in cells]
     got = [(int(cl), int(step)) for cl, step in zip(cls, stp)]
     assert got == scalar
-    # the 256-bit mirror runs the same cell classifier on mpmath values
+    # the 256-bit mirror runs the same cell classifier on fixed point
     assert [classify_point_mp(p, cell, cands, 1e-3, precision_bits=256)
             for cell in cells] == scalar
     recurrent, indet, nonrec = (_kernels.CLASS_RECURRENT,
@@ -82,6 +87,32 @@ def test_numpy_block_bookkeeping_under_permutation(setup):
                                 _kernels.CLASS_NONRECURRENT)
     assert set(got) == {(recurrent, 4), (recurrent, 9), (recurrent, 31),
                         (indet, 0), (indet, -1), (nonrec, -1)}
+
+
+def _mpc_oracle(p, cell, cands, eps, bits):
+    """The kernels' cell classifier run on mpc at `bits`."""
+    with workprec(bits):
+        t, x, y = (mpc(v) for v in cell)
+        cl, step = _kernels._classify_cell(t, x, y, mpc(p.delta), mpc(p.c),
+                                           p.n, cands, mpf(eps) ** 2)
+    return int(cl), int(step)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_fixed_point_mirror_matches_mpc_oracle(setup, bits):
+    # (class, step) of the fixed-point mirror equals the same classifier on
+    # mpc. The first image of [1e-30 : 1 : 0] has a squared magnitude
+    # within float rounding of the 1e-120 floor, which only a scale well
+    # past the floor's 399 bits resolves (at 64 bits without the floor's
+    # bits it reads (1, 0)); [1e-200 : 1 : 0] needs the small-coordinate
+    # bits, or its t rounds to 0 and the line point reads (2, 4)
+    p, _, _, _, cands = setup
+    cells = BOOKKEEPING_CELLS + [(1e-30, 1, 0), (1e-200, 1, 0)]
+    got = [classify_point_mp(p, cell, cands, 1e-3, precision_bits=bits)
+           for cell in cells]
+    assert got == [_mpc_oracle(p, cell, cands, 1e-3, bits) for cell in cells]
+    assert got[-2:] == [(_kernels.CLASS_RECURRENT, 4),
+                        (_kernels.CLASS_INDETERMINATE, 0)]
 
 
 def test_numpy_backend_deterministic(setup):
