@@ -14,9 +14,8 @@ from .errors import (ChartEscapeError, CompositionDomainError,
                      NumericFailureError, PatternViolationError,
                      PropertyViolationError, RsadynError,
                      StructureViolationError, ValidationError)
-from .family import (FamilyParams, MultiplierData, ProjectivePoint,
-                     build_params, fixed_points, map_affine,
-                     map_affine_inverse, map_homogeneous,
+from .family import (FamilyParams, MultiplierData, build_params,
+                     fixed_points, map_affine, map_affine_inverse,
                      multipliers_at_fixed, multiplicative_relation_search,
                      orbit_identities, with_mismatched_c)
 from .salem import (IntPolynomial, SalemCertificate, cyclotomic, find_roots,
@@ -26,10 +25,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntPolynomial", "SalemCertificate", "FamilyParams", "MultiplierData",
-    "ProjectivePoint",
     "salem_polynomial", "find_roots", "salem_certificate", "cyclotomic",
     "build_params", "with_mismatched_c", "map_affine", "map_affine_inverse",
-    "map_homogeneous", "orbit_identities",
+    "orbit_identities",
     "fixed_points", "multipliers_at_fixed", "multiplicative_relation_search",
     "RsadynError", "ValidationError", "NotSalemError", "NumericFailureError",
     "ConsistencyError", "InternalConsistencyError", "ExceptionalLocusError",

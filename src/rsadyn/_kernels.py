@@ -1,4 +1,4 @@
-"""Hot orbit-classification kernels: plain Python cells, numpy block loops.
+"""Hot orbit-classification kernels: numpy block loops.
 
 The raster, slice and near-identity probes iterate the homogeneous map
 
@@ -11,120 +11,33 @@ c y); using that branch keeps the whole line (including the blown-up
 points) iterable. Recurrence is detected by the projective cross-product
 distance against the starting point, sampled at the candidate return times.
 
-Every scalar kernel is built from one n-fold step (`step`) and one
-squared-distance helper (`_dist2`), each defined once. They are plain
-Python over any complex-like type, so the precision-doubling mirror in the
-probes runs the same cell classifier (`_classify_cell`) on fixed-point
-`numeric.GaussianFixed` values.
+The scalar step (`family.step`), the squared-distance helpers (`_dist2`,
+`_norm2`) and the cell classifier (`_classify_cell`) live in `family`,
+which loads without numpy; `classify_point` runs that classifier on
+complex for one start point.
 
 The array kernels share one lockstep walk (`_lockstep`): one renormalized
-numpy map step (`_block_step`, the arithmetic of `step` per cell) and the
-distance from `_dist2`, stepping only the cells still unresolved or alive
-(their arrays shrink as cells drop out). `classify_block` classifies
-blocks of raster cells on it, and `return_distances` reads the distance
-to the start of many samples at a list of return times (near-identity
-returns; `h_orbit_distances` is its one-sample form) from the same walk
-run with a zero recurrence radius. Results are deterministic run-to-run
-and across thread counts (cells are independent).
+numpy map step (`_block_step`, the arithmetic of `family.step` per cell)
+and the distance from `_dist2`, stepping only the cells still unresolved
+or alive (their arrays shrink as cells drop out). `classify_block`
+classifies blocks of raster cells on it, and `return_distances` reads the
+distance to the start of many samples at a list of return times
+(near-identity returns; `h_orbit_distances` is its one-sample form) from
+the same walk run with a zero recurrence radius. Results are deterministic
+run-to-run and across thread counts (cells are independent).
 """
 
 import numpy as np
 
-CLASS_NONRECURRENT = 0
-CLASS_INDETERMINATE = 1
-CLASS_RECURRENT = 2
-
-_TINY2 = 1e-120  # squared-magnitude floor: an essentially exact [0:0:0] hit
-
+# the class codes stay readable here, beside the classes they label (the
+# probes and the benchmark's tracer read them as _kernels.CLASS_*)
+from .family import (CLASS_INDETERMINATE, CLASS_NONRECURRENT,
+                     CLASS_RECURRENT, _TINY2, _classify_cell, _dist2,
+                     _norm2)
 
 # the one backend, recorded in benchmark provenance
 BACKEND = "numpy"
 HAVE_NUMBA = False
-
-
-def _norm2(t, x, y):
-    """Squared norm |t|^2 + |x|^2 + |y|^2."""
-    return (t.real * t.real + t.imag * t.imag
-            + x.real * x.real + x.imag * x.imag
-            + y.real * y.real + y.imag * y.imag)
-
-
-def step(t, x, y, delta, c, n):
-    """n map steps, each renormalized so the largest coordinate is 1.
-
-    Returns (t, x, y, alive); alive is False once an image vanishes (an
-    indeterminate hit), and the coordinates are then meaningless.
-    """
-    for _ in range(n):
-        if t == 0:
-            nt = 0j
-            nx = y
-            ny = -delta * x + c * y
-        else:
-            nt = t * y
-            nx = y * y
-            ny = -delta * x * y + c * y * y + t * t
-        a2t = nt.real * nt.real + nt.imag * nt.imag
-        a2x = nx.real * nx.real + nx.imag * nx.imag
-        a2y = ny.real * ny.real + ny.imag * ny.imag
-        m2 = a2t
-        if a2x > m2:
-            m2 = a2x
-        if a2y > m2:
-            m2 = a2y
-        if m2 < _TINY2:
-            return t, x, y, False
-        if a2t == m2:
-            piv = nt
-        elif a2x == m2:
-            piv = nx
-        else:
-            piv = ny
-        t = nt / piv
-        x = nx / piv
-        y = ny / piv
-    return t, x, y, True
-
-
-def _dist2(t, x, y, t0, x0, y0, den0):
-    """Squared projective distance to the start as (numerator, denominator).
-
-    The numerator is |p x p0|^2, the denominator |p|^2 den0 with
-    den0 = |p0|^2; callers compare num < eps^2 den without dividing.
-    """
-    c1 = x * y0 - y * x0
-    c2 = y * t0 - t * y0
-    c3 = t * x0 - x * t0
-    num = (c1.real * c1.real + c1.imag * c1.imag
-           + c2.real * c2.real + c2.imag * c2.imag
-           + c3.real * c3.real + c3.imag * c3.imag)
-    return num, _norm2(t, x, y) * den0
-
-
-def _classify_cell(t, x, y, delta, c, n, candidates, eps2):
-    """Classify one start point; returns (class, step).
-
-    step is the return time for a recurrent cell, the n-fold step that hit
-    an indeterminate image, or -1 (non-recurrent, or dead at the start).
-    """
-    m2 = max(t.real * t.real + t.imag * t.imag,
-             x.real * x.real + x.imag * x.imag,
-             y.real * y.real + y.imag * y.imag)
-    if m2 < _TINY2:
-        return CLASS_INDETERMINATE, -1
-    t0, x0, y0 = t, x, y
-    den0 = _norm2(t0, x0, y0)
-    h = 0
-    for target in candidates:
-        while h < target:
-            t, x, y, alive = step(t, x, y, delta, c, n)
-            if not alive:
-                return CLASS_INDETERMINATE, h
-            h += 1
-        num, den = _dist2(t, x, y, t0, x0, y0, den0)
-        if num < eps2 * den:
-            return CLASS_RECURRENT, target
-    return CLASS_NONRECURRENT, -1
 
 
 def _mag2(Z):
@@ -135,9 +48,10 @@ def _mag2(Z):
 def _block_step(T, X, Y, delta, c):
     """One renormalized map step of complex128 arrays; returns (T, X, Y, dead).
 
-    Per cell the arithmetic is that of one pass of `step`. dead is None
-    when every image is live; otherwise it is the mask of the cells whose
-    image vanished, and those cells are dropped from the returned arrays.
+    Per cell the arithmetic is that of one pass of `family.step`. dead is
+    None when every image is live; otherwise it is the mask of the cells
+    whose image vanished, and those cells are dropped from the returned
+    arrays.
     """
     NT = T * Y
     NX = Y * Y

@@ -247,16 +247,15 @@ def fiber_orbit_check(params):
                 "exceptional chain missed the inverse-exceptional point "
                 "(residual %s)" % salem.mp_str(landing_res))
 
-        # (c) contracted-line image direction: map [1 : x : y], y -> 0, and
-        # read the image in the level-1 chart over fiber 0 ([s1 : s1 e1 : 1])
-        # and then the level-2 chart ((s1, e1) = (xi x2, x2)); the entry
-        # point satisfies (xi - 1)/x2 -> delta x
+        # (c) contracted-line image direction: map [1 : x : y], y -> 0, by
+        # the scalar homogeneous step, and read the image in the level-1
+        # chart over fiber 0 ([s1 : s1 e1 : 1]) and then the level-2 chart
+        # ((s1, e1) = (xi x2, x2)); the entry point satisfies
+        # (xi - 1)/x2 -> delta x
         y = mpf(2) ** (-(params.precision_bits // 3))
         worst3 = mpf(0)
         for x in (mpf("0.5"), mpf(1), mpf(2)):
-            img = family.map_homogeneous(params,
-                                         family.ProjectivePoint(1, x, y))
-            t_img, x_img, y_img = img.coords()
+            t_img, x_img, y_img, _ = family.step(1, x, y, d, params.c, 1)
             s1, e1 = t_img / y_img, x_img / t_img
             xi, x2 = s1 / e1, e1
             worst3 = max(worst3, abs((xi - 1) / x2 - d * x))

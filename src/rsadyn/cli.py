@@ -15,7 +15,9 @@ below 3, and a raster with an unparseable or non-finite window,
 resolution or base point, a negative budget, fewer than one thread, an
 eps outside (0, 1), or a base point with the line chart, are argument
 errors (exit 2), each reported once through `main`. Only `linearize`,
-whose Birkhoff average draws samples, takes `--seed`.
+whose Birkhoff average draws samples, takes `--seed`. Only `raster` needs
+numpy (the `raster` extra); without it the command exits 2 and names the
+extra.
 A negative value in exponent notation, or a window list that starts with
 a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
 separated by a space, the parser reads it as an option name.
@@ -335,6 +337,13 @@ def _line_basepoint(params):
 
 
 def cmd_raster(args):
+    try:
+        from . import probes
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        _diag("raster needs numpy: pip install rsadyn[raster]")
+        return EXIT_ARGS
     params = family.build_params(args.n, args.m, args.j, args.root_index,
                                  args.precision)
     try:
@@ -352,7 +361,6 @@ def cmd_raster(args):
                                   % args.basepoint)
         basepoint = (complex(re1, im1), complex(re2, im2))
     budget = args.budget or None      # 0 = default; negatives are rejected
-    from . import probes
     grid = probes.siegel_raster(params, args.chart, (x0, x1, y0, y1), (w, h),
                                 budget=budget, eps=args.eps,
                                 threads=args.threads, basepoint=basepoint)

@@ -9,6 +9,15 @@ polynomial and gcd(j, n) = 1. In homogeneous coordinates
 
     f[t : x : y] = [t y : y^2 : -delta x y + c y^2 + t^2].
 
+`step` is the one scalar statement of that homogeneous map: n steps, each
+renormalized so the largest-modulus coordinate is 1, and on {t = 0} the
+linear action (x, y) -> (y, -delta x + c y), so the whole line (the
+blown-up points included) iterates. It is plain Python over any
+complex-like type: check (c) of `blowup.fiber_orbit_check` runs it on mpc,
+the raster cells (`_classify_cell`, with the distance helper `_dist2`) on
+complex, and the precision-doubling mirror on `numeric.GaussianFixed`.
+The numpy block kernels in `_kernels` repeat its arithmetic per cell.
+
 The restriction to the invariant line at infinity {t = 0} is the Moebius map
 g(w) = c - delta / w, elliptic of period n; its forward orbit of c vanishes
 at step n-1, which is the consistency check validating a (root index, j)
@@ -28,10 +37,8 @@ from mpmath import arg, cos, mp, mpc, mpf, pi, sqrt, workprec
 from . import salem
 from .errors import (ConsistencyError, DegenerateParameterError,
                      DivisionDegeneracyError, ExceptionalLocusError,
-                     IndeterminatePointError, NumericFailureError,
-                     ValidationError)
-from .numeric import (check_precision, mpc_from_json, mpc_to_json,
-                      proj_distance, proj_normalize, tolerance_for)
+                     NumericFailureError, ValidationError)
+from .numeric import check_precision, mpc_to_json, tolerance_for
 
 
 @dataclass(frozen=True)
@@ -70,24 +77,6 @@ class FamilyParams:
             "orbit_mid": mpc_to_json(self.orbit_mid, bits)
                          if self.orbit_mid is not None else None,
         }
-
-    @classmethod
-    def from_json(cls, data):
-        bits = int(data["precision"])
-        with workprec(bits):
-            return cls(
-                n=int(data["n"]), m=int(data["m"]), j=int(data["j"]),
-                root_index=int(data["root_index"]),
-                precision_bits=bits,
-                delta=mpc_from_json(data["delta"], bits),
-                sqrt_delta=mpc_from_json(data["sqrt_delta"], bits),
-                c=mpc_from_json(data["c"], bits),
-                lam=mpc_from_json(data["lambda"], bits),
-                orbit=tuple(mpc_from_json(w, bits) for w in data["orbit"]),
-                orbit_mid=mpc_from_json(data["orbit_mid"], bits)
-                          if data["orbit_mid"] is not None else None,
-                tolerance=tolerance_for(bits),
-            )
 
 
 def line_map(params, w):
@@ -179,28 +168,6 @@ def with_mismatched_c(params, factor):
 # map evaluation
 # ---------------------------------------------------------------------------
 
-class ProjectivePoint:
-    """Point of the projective plane, stored with largest-|.| coordinate 1."""
-
-    __slots__ = ("t", "x", "y")
-
-    def __init__(self, t, x, y):
-        coords = (mpc(t), mpc(x), mpc(y))
-        if all(abs(cc) == 0 for cc in coords):
-            raise ValidationError("projective point needs a nonzero coordinate")
-        self.t, self.x, self.y = proj_normalize(coords)
-
-    def coords(self):
-        return (self.t, self.x, self.y)
-
-    def distance(self, other):
-        return proj_distance(self.coords(), other.coords())
-
-    def __repr__(self):
-        return "ProjectivePoint[%s : %s : %s]" % (
-            salem.mp_str(self.t), salem.mp_str(self.x), salem.mp_str(self.y))
-
-
 def map_affine(params, z):
     """One step of f(x, y) = (y, -delta x + c y + 1/y)."""
     with workprec(params.precision_bits):
@@ -219,17 +186,100 @@ def map_affine_inverse(params, z):
         return ((params.c * x - y + 1 / x) / params.delta, x)
 
 
-def map_homogeneous(params, point):
-    """One step of f[t:x:y] = [t y : y^2 : -delta x y + c y^2 + t^2]."""
-    with workprec(params.precision_bits):
-        t, x, y = point.coords()
-        nt = t * y
-        nx = y * y
-        ny = -params.delta * x * y + params.c * y * y + t * t
-        if max(abs(nt), abs(nx), abs(ny)) < params.tolerance:
-            raise IndeterminatePointError(
-                "image vanished: point of indeterminacy [0:1:0]")
-        return ProjectivePoint(nt, nx, ny)
+# ---------------------------------------------------------------------------
+# homogeneous map step and the recurrence cell classifier
+# ---------------------------------------------------------------------------
+
+CLASS_NONRECURRENT = 0
+CLASS_INDETERMINATE = 1
+CLASS_RECURRENT = 2
+
+_TINY2 = 1e-120  # squared-magnitude floor: an essentially exact [0:0:0] hit
+
+
+def _norm2(t, x, y):
+    """Squared norm |t|^2 + |x|^2 + |y|^2."""
+    return (t.real * t.real + t.imag * t.imag
+            + x.real * x.real + x.imag * x.imag
+            + y.real * y.real + y.imag * y.imag)
+
+
+def step(t, x, y, delta, c, n):
+    """n map steps, each renormalized so the largest coordinate is 1.
+
+    Returns (t, x, y, alive); alive is False once an image vanishes (an
+    indeterminate hit), and the coordinates are then meaningless.
+    """
+    for _ in range(n):
+        if t == 0:
+            nt = 0j
+            nx = y
+            ny = -delta * x + c * y
+        else:
+            nt = t * y
+            nx = y * y
+            ny = -delta * x * y + c * y * y + t * t
+        a2t = nt.real * nt.real + nt.imag * nt.imag
+        a2x = nx.real * nx.real + nx.imag * nx.imag
+        a2y = ny.real * ny.real + ny.imag * ny.imag
+        m2 = a2t
+        if a2x > m2:
+            m2 = a2x
+        if a2y > m2:
+            m2 = a2y
+        if m2 < _TINY2:
+            return t, x, y, False
+        if a2t == m2:
+            piv = nt
+        elif a2x == m2:
+            piv = nx
+        else:
+            piv = ny
+        t = nt / piv
+        x = nx / piv
+        y = ny / piv
+    return t, x, y, True
+
+
+def _dist2(t, x, y, t0, x0, y0, den0):
+    """Squared projective distance to the start as (numerator, denominator).
+
+    The numerator is |p x p0|^2, the denominator |p|^2 den0 with
+    den0 = |p0|^2; callers compare num < eps^2 den without dividing.
+    """
+    c1 = x * y0 - y * x0
+    c2 = y * t0 - t * y0
+    c3 = t * x0 - x * t0
+    num = (c1.real * c1.real + c1.imag * c1.imag
+           + c2.real * c2.real + c2.imag * c2.imag
+           + c3.real * c3.real + c3.imag * c3.imag)
+    return num, _norm2(t, x, y) * den0
+
+
+def _classify_cell(t, x, y, delta, c, n, candidates, eps2):
+    """Classify one start point; returns (class, step).
+
+    step is the return time for a recurrent cell, the n-fold step that hit
+    an indeterminate image, or -1 (non-recurrent, or dead at the start).
+    """
+    m2 = max(t.real * t.real + t.imag * t.imag,
+             x.real * x.real + x.imag * x.imag,
+             y.real * y.real + y.imag * y.imag)
+    if m2 < _TINY2:
+        return CLASS_INDETERMINATE, -1
+    t0, x0, y0 = t, x, y
+    den0 = _norm2(t0, x0, y0)
+    h = 0
+    for target in candidates:
+        while h < target:
+            t, x, y, alive = step(t, x, y, delta, c, n)
+            if not alive:
+                return CLASS_INDETERMINATE, h
+            h += 1
+        num, den = _dist2(t, x, y, t0, x0, y0, den0)
+        if num < eps2 * den:
+            return CLASS_RECURRENT, target
+    return CLASS_NONRECURRENT, -1
 
 
 # ---------------------------------------------------------------------------

@@ -54,25 +54,6 @@ def mpc_to_json(z, bits):
                 "im": mp.nstr(zz.imag, d, strip_zeros=False)}
 
 
-def mpc_from_json(obj, bits):
-    with workprec(bits):
-        return mpc(mpf(obj["re"]), mpf(obj["im"]))
-
-
-def proj_normalize(coords):
-    """Scale a projective coordinate tuple so its largest-|.| entry is 1.
-
-    Ties pick the first maximal index, which keeps the representative
-    deterministic. Raises ZeroDivisionError on the zero vector.
-    """
-    mags = [abs(c) for c in coords]
-    best = max(range(len(coords)), key=lambda i: (mags[i], -i))
-    pivot = coords[best]
-    if pivot == 0:
-        raise ZeroDivisionError("cannot normalize the zero vector")
-    return tuple(c / pivot for c in coords)
-
-
 def proj_distance(p, q):
     """Fubini-Study-style projective distance |p x q| / (|p| |q|).
 

@@ -1,37 +1,31 @@
 """High-precision and hardware-precision dynamical probes.
 
-Covers: orbit iteration through the level-1 and level-2 fiber charts,
-with return-event recording; candidate
-return times from the continued fraction of the transverse multiplier's
-angle; near-identity return measurement close to the invariant line;
-recurrence rasters over 2-plane chart slices; and slice-radius bracketing
-along the radial leaves.
+Covers: candidate return times from the continued fraction of the
+transverse multiplier's angle; near-identity return measurement close to
+the invariant line; recurrence rasters over 2-plane chart slices; and
+slice-radius bracketing along the radial leaves.
 
 The raster and slice probes run in hardware precision through the kernels
-in ._kernels (a numpy block loop and plain-Python scalar cells), and the
-precision-doubling mirror runs the same cell classifier on fixed-point
-Gaussian integers (`numeric.GaussianFixed`);
-everything else is mpmath at the parameter pack's precision, or plain
-complex where hardware precision demonstrably suffices (documented per
-function).
+in ._kernels (a numpy block loop, and `family`'s plain-Python scalar
+cells), and the precision-doubling mirror runs the same cell classifier on
+fixed-point Gaussian integers (`numeric.GaussianFixed`); everything else
+is mpmath at the parameter pack's precision, or plain complex where
+hardware precision demonstrably suffices (documented per function).
 """
 
 import cmath
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, takewhile
 
 import numpy as np
 from mpmath import arg, floor, mpc, mpf, pi, workprec
 
 from . import _kernels, family
-from .errors import IndeterminatePointError, ValidationError
-from .numeric import (GaussianFixed, check_precision, fixed_scale,
-                      proj_distance, proj_normalize)
-
-_CHART_GUARD = 1e-2      # iterate: radius of the fiber-chart neighborhoods
+from .errors import ValidationError
+from .numeric import GaussianFixed, check_precision, fixed_scale
 
 
 # ---------------------------------------------------------------------------
@@ -103,193 +97,6 @@ def default_budget(lam, precision_bits=256, at_least=10 ** 4):
     """First return-time candidate >= at_least (the default raster budget)."""
     return next((q for q in _denominators(lam, precision_bits)
                  if q >= at_least), at_least)
-
-
-# ---------------------------------------------------------------------------
-# chart-aware orbit iteration (mpmath)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OrbitRecord:
-    """One iterated orbit with chart tags and recorded near-returns."""
-
-    points: list
-    chart_tags: list
-    indeterminate_hit: bool
-    return_events: list = field(default_factory=list)
-
-    def to_csv(self, path):
-        """Columns: iterate, chart_tag, re1, im1, re2, im2."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iterate", "chart_tag", "re1", "im1",
-                             "re2", "im2"])
-            for k, (tag, pt) in enumerate(zip(self.chart_tags, self.points)):
-                c1, c2 = pt
-                writer.writerow([k, tag,
-                                 float(mpf(c1.real)), float(mpf(c1.imag)),
-                                 float(mpf(c2.real)), float(mpf(c2.imag))])
-
-
-def _embed_homog(state, params):
-    """Homogeneous [t:x:y] representative of any chart state."""
-    kind = state[0]
-    if kind == "homog":
-        return state[1]
-    if kind == "fiber1":
-        _, s, (xi, t1) = state
-        if s == 0:
-            return (t1 * xi, t1, mpc(1))
-        w = params.orbit[s - 1]
-        return (t1 * xi, mpc(1), t1 + w)
-    if kind == "fiber2":
-        _, s, (xi2, x2) = state
-        return _embed_homog(("fiber1", s, (1 / x2, xi2 * x2 * x2)), params)
-    raise ValidationError("unknown chart state %r" % (kind,))
-
-
-def _blown_up_points(params):
-    """Homogeneous coordinates of the blown-up line points, index = fiber."""
-    pts = [(mpc(0), mpc(0), mpc(1))]                       # fiber 0 over [0:0:1]
-    for s in range(1, params.n):
-        pts.append((mpc(0), mpc(1), params.orbit[s - 1]))  # w_{n-1} = 0 -> e1
-    return pts
-
-
-def _fiber1_step(params, s, xi, t1):
-    """Level-1 chart step (xi, t1)_s -> (xi', t1')_{s+1}.
-
-    Charts adapted to the line: {t1 = 0} is the fiber with coordinate xi,
-    {xi = 0} is the line's strict transform with coordinate t1. The middle
-    step is written through b = delta/w + t1 xi^2/(t1 + w) so the on-fiber
-    limit t1 = 0 (where xi -> w xi / delta) needs no special case.
-    """
-    d, c = params.delta, params.c
-    n = params.n
-    if s == 0:
-        den = -d + t1 * xi * xi
-        return (xi / den, t1 * den)
-    if s <= n - 2:
-        w = params.orbit[s - 1]
-        den = t1 + w
-        b = d / w + t1 * xi * xi / den
-        return (xi / b, t1 * b / den)
-    den = -d + c * t1 + t1 * xi * xi
-    return (xi, t1 / den)
-
-
-def iterate(params, z0, nsteps, eps=1e-3):
-    """Iterate the map with chart awareness, recording returns.
-
-    z0 may be an affine pair or a homogeneous triple. Points take the
-    kernels' homogeneous map step; within _CHART_GUARD of a blown-up line
-    point the orbit moves into the level-1 fiber charts, and near a
-    level-2 center on into the level-2 charts (fiber_map_level2), so it
-    passes through the blowup structure. An indeterminate hit ends the
-    orbit (indeterminate_hit). Returns where the projective distance to
-    the start is below eps are recorded as (iterate index, distance).
-    """
-    with workprec(params.precision_bits):
-        if len(z0) == 2:
-            start = (mpc(1), mpc(z0[0]), mpc(z0[1]))
-        else:
-            start = tuple(mpc(v) for v in z0)
-
-        centers = _blown_up_points(params)
-        state = ("homog", start)
-        points = [_state_coords(state)]
-        tags = [_state_tag(state)]
-        events = []
-        indet = False
-        for k in range(1, nsteps + 1):
-            state = _advance_state(params, state, centers)
-            if state is None:
-                indet = True
-                break
-            emb = _embed_homog(state, params)
-            dist = proj_distance(emb, start)
-            if dist < eps:
-                events.append((k, dist))
-            points.append(_state_coords(state))
-            tags.append(_state_tag(state))
-        return OrbitRecord(points=points, chart_tags=tags,
-                           indeterminate_hit=indet, return_events=events)
-
-
-def _state_tag(state):
-    if state[0] == "homog":
-        return "homog"
-    return "%s[%d]" % (state[0], state[1])
-
-
-def _state_coords(state):
-    if state[0] == "homog":
-        t, x, y = state[1]
-        if abs(t) > 0:
-            return (x / t, y / t)
-        return (x, y)      # a line point as its [x : y] pair
-    return tuple(state[2])
-
-
-def _advance_state(params, state, centers):
-    """One map step with chart transitions; None signals an indeterminate hit.
-
-    Transitions carry hysteresis: a homogeneous point within _CHART_GUARD of
-    a blown-up line point enters that fiber's level-1 chart; the level-1
-    chart hands off to level 2 when the fiber coordinate exceeds
-    1/_CHART_GUARD, and each chart is left again only past a looser bound,
-    so states do not flap. Homogeneous points take the kernels' map step.
-    """
-    if state[0] == "homog":
-        t, x, y = state[1]
-        for s, center in enumerate(centers):
-            if proj_distance((t, x, y), center) < _CHART_GUARD:
-                if s == 0:
-                    if abs(y) == 0:
-                        return None
-                    t1 = x / y
-                    xi = (t / y) / t1 if t1 != 0 else mpc(0)
-                else:
-                    w = params.orbit[s - 1]
-                    if abs(x) == 0:
-                        return None
-                    t1 = y / x - w
-                    xi = (t / x) / t1 if t1 != 0 else mpc(0)
-                return _advance_state(params, ("fiber1", s, (xi, t1)),
-                                      centers)
-        t, x, y, alive = _kernels.step(t, x, y, params.delta, params.c, 1)
-        return ("homog", (t, x, y)) if alive else None
-
-    if state[0] == "fiber1":
-        _, s, (xi, t1) = state
-        if abs(xi) > 1 / _CHART_GUARD:
-            # approaching the level-2 center: transfer to the level-2 chart
-            return _advance_state(params,
-                                  ("fiber2", s, (t1 * xi * xi, 1 / xi)),
-                                  centers)
-        try:
-            nxi, nt1 = _fiber1_step(params, s, xi, t1)
-        except ZeroDivisionError:
-            return None
-        s2 = (s + 1) % params.n
-        if abs(nt1) > 4 * _CHART_GUARD:
-            # left the fiber neighborhood along the line direction
-            emb = _embed_homog(("fiber1", s2, (nxi, nt1)), params)
-            return ("homog", proj_normalize(emb))
-        return ("fiber1", s2, (nxi, nt1))
-
-    _, s, (xi2, x2) = state
-    from .blowup import FiberChartPoint, fiber_map_level2
-    try:
-        pt = fiber_map_level2(params, FiberChartPoint(level=2, s=s,
-                                                      coords=(xi2, x2)))
-    except IndeterminatePointError:
-        return None
-    nxi2, nx2 = pt.coords
-    if abs(nx2) > 2 * _CHART_GUARD and nxi2 != 0:
-        # leave the level-2 chart back through level 1
-        return ("fiber1", pt.s, (1 / nx2, nxi2 * nx2 * nx2))
-    return ("fiber2", pt.s, (nxi2, nx2))
 
 
 # ---------------------------------------------------------------------------
@@ -488,30 +295,30 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
                       classes=classes, return_steps=steps)
 
 
-_TINY2_BITS = 1 - math.frexp(_kernels._TINY2)[1]   # 2^-B <= _TINY2 < 2^(1-B)
+_TINY2_BITS = 1 - math.frexp(family._TINY2)[1]   # 2^-B <= _TINY2 < 2^(1-B)
 
 
 def classify_point_mp(params, point, candidates, eps, precision_bits=None):
     """Fixed-point mirror of the kernel cell classifier (precision studies).
 
-    Runs the kernels' own `_classify_cell` on `GaussianFixed` values with
-    the same candidate schedule; used by the precision-doubling stability
-    check. precision_bits defaults to the parameter pack's precision. The
-    point, delta, c and eps are each rounded once to the scale
-    S = max(precision_bits, B) + 64 + k: B = 399 is the bit position of
-    the indeterminacy floor `_kernels._TINY2` (1e-120), so squared
-    magnitudes near it are resolved, and k is the binary exponent of the
-    smallest start coordinate below 1/2 (`numeric.fixed_scale`, the
-    small-root bits of `salem.find_roots`), so a tiny coordinate keeps
-    its precision instead of rounding to 0.
+    Runs the kernels' own cell classifier, `family._classify_cell`, on
+    `GaussianFixed` values with the same candidate schedule; used by the
+    precision-doubling stability check. precision_bits defaults to the
+    parameter pack's precision. The point, delta, c and eps are each
+    rounded once to the scale S = max(precision_bits, B) + 64 + k: B = 399
+    is the bit position of the indeterminacy floor `family._TINY2`
+    (1e-120), so squared magnitudes near it are resolved, and k is the
+    binary exponent of the smallest start coordinate below 1/2
+    (`numeric.fixed_scale`, the small-root bits of `salem.find_roots`), so
+    a tiny coordinate keeps its precision instead of rounding to 0.
     """
     bits = check_precision(params.precision_bits if precision_bits is None
                            else precision_bits)
     scale = fixed_scale(max(bits, _TINY2_BITS) + 64, point)
     t, x, y, delta, c, e = (GaussianFixed.from_number(v, scale) for v in
                             (*point, params.delta, params.c, eps))
-    cl, st = _kernels._classify_cell(t, x, y, delta, c, params.n,
-                                     [int(q) for q in candidates], e * e)
+    cl, st = family._classify_cell(t, x, y, delta, c, params.n,
+                                   [int(q) for q in candidates], e * e)
     return int(cl), int(st)
 
 

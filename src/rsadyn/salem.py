@@ -167,10 +167,6 @@ class IntPolynomial:
         """JSON form: array of decimal integer strings, ascending degree."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls([int(s) for s in data])
-
 
 def _exact_quotient(num, den):
     """Quotient of two ascending integer coefficient sequences, or None.

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp, mpc, mpf, workprec
 
-from rsadyn import blowup
+from rsadyn import blowup, family
 from rsadyn.blowup import (FiberChartPoint, blowup_multipliers,
                            build_linear_model,
                            fiber_map_level1, fiber_map_level2,
@@ -95,26 +95,6 @@ def test_level1_on_fiber_composite_is_reciprocal_multiplier(params411):
         for w in p.orbit[:-1]:
             prod /= w
         assert abs(pt.coords[1] - e0 * prod) < mpf(10) ** -70
-
-
-def test_probe_fiber1_step_matches_level1_map(params411):
-    # iterate runs probes._fiber1_step in the chart (xi, t1) = (1/e1, s1 e1)
-    # of fiber_map_level1; both must be the same map off the fiber
-    from rsadyn.probes import _fiber1_step
-    p = params411
-    samples = [(mpc("0.3", "0.1"), mpc("0.8", "-0.4")),
-               (mpc("-0.05", "0.2"), mpc("1.7", "0.6")),
-               (mpc("0.6", "-0.35"), mpc("-0.9", "1.1"))]
-    with workprec(256):
-        for s in range(p.n):
-            for s1, e1 in samples:
-                out = fiber_map_level1(p, FiberChartPoint(level=1, s=s,
-                                                          coords=(s1, e1)))
-                ns1, ne1 = out.coords
-                xi, t1 = _fiber1_step(p, s, 1 / e1, s1 * e1)
-                assert out.s == (s + 1) % p.n
-                assert abs(xi - 1 / ne1) < mpf(2) ** -200
-                assert abs(t1 - ns1 * ne1) < mpf(2) ** -200
 
 
 def test_level1_last_step_identity_on_fiber(params411):
@@ -218,6 +198,23 @@ def test_fiber_orbit_check_catches_mutants(params411, monkeypatch, name,
     monkeypatch.setattr(blowup, name,
                         _perturbed(getattr(blowup, name), axis, term))
     with pytest.raises(PatternViolationError, match=message):
+        fiber_orbit_check(params411)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda delta, c: (delta * (1 + mpf(10) ** -6), c),
+    lambda delta, c: (-delta, c),
+], ids=["delta-scaled", "delta-xy-sign"])
+def test_fiber_orbit_check_reads_homogeneous_step(params411, monkeypatch,
+                                                  wrong):
+    # check (c) maps [1 : x : y] by family.step: a map whose -delta x y
+    # term is scaled by 1 + 1e-6, or has its sign flipped, enters the
+    # level-2 chart along the wrong direction
+    step = family.step
+    monkeypatch.setattr(family, "step", lambda t, x, y, delta, c, n:
+                        step(t, x, y, *wrong(delta, c), n))
+    with pytest.raises(PatternViolationError,
+                       match="contracted-line entry direction mismatch"):
         fiber_orbit_check(params411)
 
 

@@ -125,12 +125,44 @@ def test_commands_run_without_numpy(args, rc):
     assert blocked.stdout == run(*args.split()).stdout
 
 
+def test_raster_without_numpy_exits_2(tmp_path):
+    # raster is the one command that needs numpy: without it the command
+    # names the extra that installs it and writes nothing
+    pgm = tmp_path / "r.pgm"
+    blocked = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, "raster", "--n", "4", "--m", "1",
+         "--j", "1", "--res", "4x4", "--out", str(pgm)],
+        capture_output=True, text=True)
+    assert blocked.returncode == 2, blocked.stderr
+    assert blocked.stdout == ""
+    assert "pip install rsadyn[raster]" in blocked.stderr
+    assert not pgm.exists()
+
+
 def test_cli_import_leaves_numpy_out():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, rsadyn, rsadyn.cli; "
                                "print('numpy' in sys.modules)"],
         capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
+
+
+def test_modules_import_without_numpy():
+    # every module but the raster path imports with numpy blocked, so a
+    # stray top-level numpy import cannot load it into salem, verify or
+    # linearize
+    code = ("import pkgutil, sys; sys.modules['numpy'] = None; "
+            "import rsadyn; "
+            "names = sorted(m.name for m in pkgutil.iter_modules("
+            "rsadyn.__path__) if m.name not in ('probes', '_kernels')); "
+            "[__import__('rsadyn.' + name) for name in names]; "
+            "print(' '.join(names))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert set(out.stdout.split()) >= {"blowup", "cli", "errors", "family",
+                                       "numeric", "picard", "salem",
+                                       "series"}
 
 
 def test_verify_rejects_bad_j():

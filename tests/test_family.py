@@ -1,17 +1,17 @@
 """Parameter pack validation, map evaluation, fixed-point calculus."""
 
+import json
+
 import pytest
 from mpmath import cos, exp, mp, mpc, mpf, pi, sqrt, workprec
 
-from rsadyn import (FamilyParams, ProjectivePoint,
-                    ValidationError, build_params, fixed_points,
-                    map_affine, map_affine_inverse, map_homogeneous,
-                    multipliers_at_fixed, multiplicative_relation_search,
-                    orbit_identities)
+from rsadyn import (ValidationError, build_params, fixed_points,
+                    map_affine, map_affine_inverse, multipliers_at_fixed,
+                    multiplicative_relation_search, orbit_identities)
 from rsadyn import family
-from rsadyn.errors import (ConsistencyError, ExceptionalLocusError,
-                           IndeterminatePointError)
-from rsadyn.family import line_map, with_mismatched_c
+from rsadyn.errors import ConsistencyError, ExceptionalLocusError
+from rsadyn.family import line_map, step, with_mismatched_c
+from rsadyn.numeric import proj_distance
 
 TOL30 = mpf(10) ** -30
 
@@ -65,12 +65,15 @@ def test_j_to_n_minus_j_negates_c(params411):
 
 
 def test_params_json_roundtrip(params411):
-    data = params411.to_json()
-    back = FamilyParams.from_json(data)
+    # the decimal strings of to_json, read back with mpmath, carry the
+    # full 256-bit delta and lambda, not a 53-bit double
+    data = json.loads(json.dumps(params411.to_json()))
     with workprec(256):
-        assert abs(back.delta - params411.delta) < mpf(10) ** -70
-        assert abs(back.lam - params411.lam) < mpf(10) ** -70
-        assert back.n == 4 and back.j == 1
+        def read(obj):
+            return mpc(mpf(obj["re"]), mpf(obj["im"]))
+        assert abs(read(data["delta"]) - params411.delta) < mpf(2) ** -250
+        assert abs(read(data["lambda"]) - params411.lam) < mpf(2) ** -250
+    assert data["n"] == 4 and data["j"] == 1 and data["precision"] == 256
 
 
 # -- map evaluation ------------------------------------------------------------
@@ -105,24 +108,25 @@ def test_inverse_consistency(params411):
         assert max(abs(back[0] - z[0]), abs(back[1] - z[1])) < TOL30
 
 
+def _step_once(params, t, x, y):
+    """One homogeneous map step of [t : x : y] on mpc; asserts it is live."""
+    t, x, y, alive = step(mpc(t), mpc(x), mpc(y), params.delta, params.c, 1)
+    assert alive
+    return t, x, y
+
+
 def test_homogeneous_contracts_exceptional_curve(params411):
     with workprec(256):
-        img = map_homogeneous(params411, ProjectivePoint(1, mpf("0.7"), 0))
-        e2 = ProjectivePoint(0, 0, 1)
-        assert img.distance(e2) < TOL30
+        img = _step_once(params411, 1, mpf("0.7"), 0)
+        assert proj_distance(img, (0, 0, 1)) < TOL30
 
 
 def test_homogeneous_line_restriction(params411):
     with workprec(256):
         w = mpf("0.62") + mpf("0.17") * 1j
-        img = map_homogeneous(params411, ProjectivePoint(0, 1, w))
-        want = ProjectivePoint(0, 1, line_map(params411, w))
-        assert img.distance(want) < TOL30
-
-
-def test_homogeneous_indeterminate_point(params411):
-    with pytest.raises(IndeterminatePointError):
-        map_homogeneous(params411, ProjectivePoint(0, 1, 0))
+        img = _step_once(params411, 0, 1, w)
+        want = (0, 1, line_map(params411, w))
+        assert proj_distance(img, want) < TOL30
 
 
 def test_projective_functoriality(params411):
@@ -130,9 +134,9 @@ def test_projective_functoriality(params411):
     with workprec(256):
         z = (mpf("0.35") - mpf("0.2") * 1j, mpf("0.9") + mpf("0.3") * 1j)
         paff = map_affine(params411, z)
-        phom = map_homogeneous(params411, ProjectivePoint(1, z[0], z[1]))
-        want = ProjectivePoint(1, paff[0], paff[1])
-        assert phom.distance(want) < TOL30
+        phom = _step_once(params411, 1, z[0], z[1])
+        want = (1, paff[0], paff[1])
+        assert proj_distance(phom, want) < TOL30
 
 
 # -- line orbit and identities ---------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mpc, mpf, workprec
 
 from rsadyn.probes import _chart_states, candidate_times, classify_point_mp
-from rsadyn import _kernels
+from rsadyn import _kernels, family
 
 
 # start cells of every (class, step) kind the classifier returns
@@ -93,8 +93,8 @@ def _mpc_oracle(p, cell, cands, eps, bits):
     """The kernels' cell classifier run on mpc at `bits`."""
     with workprec(bits):
         t, x, y = (mpc(v) for v in cell)
-        cl, step = _kernels._classify_cell(t, x, y, mpc(p.delta), mpc(p.c),
-                                           p.n, cands, mpf(eps) ** 2)
+        cl, step = family._classify_cell(t, x, y, mpc(p.delta), mpc(p.c),
+                                         p.n, cands, mpf(eps) ** 2)
     return int(cl), int(step)
 
 
@@ -148,18 +148,18 @@ def _return_distances_reference(t, x, y, delta, c, n, times):
     """Scalar loop: one sample's distances at increasing times, -1 once
     an indeterminate image is hit."""
     t0, x0, y0 = t, x, y
-    den0 = _kernels._norm2(t0, x0, y0)
+    den0 = family._norm2(t0, x0, y0)
     out, h = [], 0
     for target in times:
         while h < target and t is not None:
-            t, x, y, alive = _kernels.step(t, x, y, delta, c, n)
+            t, x, y, alive = family.step(t, x, y, delta, c, n)
             if not alive:
                 t = None
             h += 1
         if t is None:
             out.append(-1.0)
         else:
-            num, den = _kernels._dist2(t, x, y, t0, x0, y0, den0)
+            num, den = family._dist2(t, x, y, t0, x0, y0, den0)
             out.append((num / den) ** 0.5)
     return out
 

@@ -1,14 +1,14 @@
-"""Return times, orbit iteration, rasters, slice radii, Birkhoff averaging."""
+"""Return times, near-identity returns, rasters, slice radii, Birkhoff sums."""
 
 import numpy as np
 import pytest
-from mpmath import exp, mp, mpc, mpf, pi, sqrt, workprec
+from mpmath import exp, mp, mpf, pi, sqrt, workprec
 
 from rsadyn import family, fixed_points
 from rsadyn.errors import ValidationError
 from rsadyn.family import birkhoff_linearize, multipliers_at_fixed
 from rsadyn.probes import (candidate_times, classify_point_mp, default_budget,
-                           iterate, near_identity_returns, return_times,
+                           near_identity_returns, return_times,
                            siegel_raster, slice_radius)
 from rsadyn import _kernels
 
@@ -110,62 +110,6 @@ def test_near_identity_returns_pinned(params411):
               1.9866618124223256e-07, 1.2358362895057316e-09,
               3.4004660689752174e-11]
     assert np.abs(np.array(rep["sup_distances"]) - pinned).max() <= 1e-13
-
-
-# -- iteration -------------------------------------------------------------------
-
-def test_iterate_fixed_point(params411):
-    with workprec(256):
-        fp = fixed_points(params411)[0]
-        rec = iterate(params411, fp, 6, eps=1e-3)
-        assert len(rec.return_events) == 6
-        assert max(d for _, d in rec.return_events) < mpf(10) ** -60
-
-
-def test_iterate_line_point_period(params411):
-    with workprec(256):
-        rec = iterate(params411, (mpc(0), mpc(1), mpc("0.45")), 12, eps=1e-8)
-        assert [k for k, _ in rec.return_events] == [4, 8, 12]
-
-
-def test_iterate_blownup_point_cycles_in_charts(params411):
-    # the contracted-curve target [0:0:1] enters the level-1 charts and
-    # cycles through the fibers without hitting indeterminacy
-    with workprec(256):
-        rec = iterate(params411, (mpc(0), mpc(0), mpc(1)), 9)
-        assert not rec.indeterminate_hit
-        fiber_tags = [t for t in rec.chart_tags if t.startswith("fiber1")]
-        assert len(fiber_tags) >= 8
-        suffix = [int(t[7:-1]) for t in rec.chart_tags[1:]]
-        assert suffix[:5] == [1, 2, 3, 0, 1]
-
-
-def test_iterate_chart_coherence(params411):
-    # away from the blown-up points iterate agrees with the affine map,
-    # from an affine pair and from the same point as a homogeneous triple
-    with workprec(256):
-        z0 = (mpf("0.31") + mpf("0.05") * 1j, mpf("0.8") - mpf("0.1") * 1j)
-        ra = iterate(params411, z0, 10, eps=1e-12)
-        rh = iterate(params411, (mpc(1), z0[0], z0[1]), 10, eps=1e-12)
-        z = z0
-        worst = mpf(0)
-        for za, zh in zip(ra.points[1:], rh.points[1:]):
-            z = family.map_affine(params411, z)
-            worst = max(worst, abs(za[0] - z[0]), abs(za[1] - z[1]),
-                        abs(zh[0] - z[0]), abs(zh[1] - z[1]))
-        assert len(ra.points) == len(rh.points) == 11
-        assert set(ra.chart_tags) == set(rh.chart_tags) == {"homog"}
-        assert worst < mpf(10) ** -60
-
-
-def test_orbit_csv_roundtrip(params411, tmp_path):
-    with workprec(256):
-        rec = iterate(params411, (mpf("0.4"), mpf("0.9")), 5)
-    path = tmp_path / "orbit.csv"
-    rec.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iterate,chart_tag,re1,im1,re2,im2"
-    assert len(lines) == len(rec.points) + 1
 
 
 # -- Birkhoff averaging ------------------------------------------------------------
