@@ -8,15 +8,21 @@ over the nm-step orbit of the exceptional curve {y=0} through the level-2
 fibers. This module implements the induced maps in the explicit fiber
 charts, the exact landing criterion selecting the family polynomial's roots,
 the marked-orbit pattern check, and the multiplier bookkeeping of the
-diagonal linear model. The level-2 chart map is written once,
-`level2_step`, over any ring: `fiber_map_level2` runs it on numbers and
-`series.corner_return_map` on truncated series.
+diagonal linear model. A chart map takes the fiber index s and a
+coordinate pair on fiber s and returns the pair on fiber s+1; callers count
+the fibers. The level-2 chart map is written once, `level2_step`, over any
+ring: `fiber_map_level2` runs it on numbers and `series.corner_return_map`
+on truncated series. On the level-2 fibers it is the Moebius action of the
+landing criterion's matrices, so the criterion is checked once, by
+`landing_condition`.
 
 Chart conventions (pi = blowdown to the plane):
   level 1, s = 0:        pi(s1, e1)_0 = [s1 : s1*e1 : 1]
   level 1, 1 <= s <= n-1: pi(s1, e1)_s = [s1 : 1 : s1*e1 + w_s]
   level 2:                (s1, e1) = (xi*x2, x2), fiber = {x2 = 0}
-where w_s are the invariant-line orbit values (w_{n-1} = 0).
+where w_s are the invariant-line orbit values (w_{n-1} = 0). The level-1
+fiber is {s1 = 0} with fiber coordinate e1, the level-2 fiber has fiber
+coordinate xi, and {xi = 0} is the level-1 fiber's strict transform.
 """
 
 from dataclasses import dataclass, field
@@ -68,55 +74,39 @@ def landing_condition(n, m, delta, precision_bits=256):
 # fiber chart maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberChartPoint:
-    """A point in one of the exceptional-fiber charts.
-
-    level 1 uses coordinates (s1, e1)_s: the fiber is {s1 = 0} with fiber
-    coordinate e1. level 2 uses (xi, x2)_s: the fiber is {x2 = 0} with fiber
-    coordinate xi, and {xi = 0} is the level-1 fiber's strict transform.
-    """
-
-    level: int
-    s: int
-    coords: tuple
-
-
 def _omega(params, s):
     # orbit[s-1] = w_s for 1 <= s <= n-1; w_{n-1} is the vanishing endpoint
     return params.orbit[s - 1]
 
 
-def fiber_map_level1(params, pt):
+def fiber_map_level1(params, s, s1, e1):
     """Induced map on the level-1 charts, fiber s to fiber s+1 (mod n).
 
-    On-fiber restriction: e1 -> -delta e1 (s=0), e1 -> delta e1 / w_s
+    (s1, e1) is a point of the chart over fiber s (taken mod n), and the
+    return value its image in the chart over fiber s+1. On-fiber
+    restriction: e1 -> -delta e1 (s=0), e1 -> delta e1 / w_s
     (1 <= s <= n-2), e1 -> e1 (s = n-1); the full chart maps extend these
     off the fiber.
     """
-    if pt.level != 1:
-        raise ValidationError("level-1 chart point required")
     n = params.n
-    s = pt.s % n
+    s %= n
     with workprec(params.precision_bits):
-        s1, e1 = mpc(pt.coords[0]), mpc(pt.coords[1])
+        s1, e1 = mpc(s1), mpc(e1)
         d, c = params.delta, params.c
         tol = params.tolerance
         if s == 0:
-            out = (s1, -d * e1 + s1)
-        elif s <= n - 2:
+            return s1, -d * e1 + s1
+        if s <= n - 2:
             w = _omega(params, s)
             den = s1 * e1 + w
             if abs(den) < tol:
                 raise ChartEscapeError("level-1 chart denominator vanished")
-            out = (s1 / den, d * e1 / w + s1 / den)
-        else:
-            den = -d * e1 + c * s1 * e1 * e1 + s1
-            if abs(den) < tol:
-                raise ChartEscapeError("level-1 chart left its domain near the "
-                                       "level-2 center")
-            out = (s1 * e1 / den, e1)
-        return FiberChartPoint(level=1, s=(s + 1) % n, coords=out)
+            return s1 / den, d * e1 / w + s1 / den
+        den = -d * e1 + c * s1 * e1 * e1 + s1
+        if abs(den) < tol:
+            raise ChartEscapeError("level-1 chart left its domain near the "
+                                   "level-2 center")
+        return s1 * e1 / den, e1
 
 
 def level2_step(params, s, xi, x2, div):
@@ -140,15 +130,13 @@ def level2_step(params, s, xi, x2, div):
     return div(xi, xi - d + c * x2 * x2 * xi), x2
 
 
-def fiber_map_level2(params, pt):
+def fiber_map_level2(params, s, xi, x2):
     """Induced map on the level-2 charts, fiber s to fiber s+1 (mod n).
 
-    `level2_step` on mpc values; a denominator below tolerance raises
-    IndeterminatePointError.
+    `level2_step` on mpc values, s taken mod n; a denominator below
+    tolerance raises IndeterminatePointError.
     """
-    if pt.level != 2:
-        raise ValidationError("level-2 chart point required")
-    s = pt.s % params.n
+    s %= params.n
     with workprec(params.precision_bits):
         tol = params.tolerance
 
@@ -158,28 +146,26 @@ def fiber_map_level2(params, pt):
                     "level-2 chart denominator vanished")
             return a / b
 
-        out = level2_step(params, s, mpc(pt.coords[0]), mpc(pt.coords[1]),
-                          div)
-        return FiberChartPoint(level=2, s=(s + 1) % params.n, coords=out)
+        return level2_step(params, s, mpc(xi), mpc(x2), div)
 
 
 # ---------------------------------------------------------------------------
 # marked-orbit pattern verification
 # ---------------------------------------------------------------------------
 
-def _cycle_factor(params, chart_map, level, axis, along):
+def _cycle_factor(params, chart_map, axis, along):
     """Multiplier of n steps of chart_map transverse to an invariant axis.
 
-    Starts on fiber 0 at `along` on the axis {coords[axis] = 0} and
-    2^(-7 bits/8) off it, and returns coords[axis] after n steps over its
-    start: no cancellation, nonlinear terms below 2^(-3 bits/4) relative.
+    Starts on fiber 0 at `along` on the axis {coordinate `axis` = 0} and
+    2^(-7 bits/8) off it, and returns that coordinate after n steps over
+    its start: no cancellation, nonlinear terms below 2^(-3 bits/4)
+    relative.
     """
     start = mpf(2) ** (-(7 * params.precision_bits // 8))
-    pt = FiberChartPoint(level=level, s=0, coords=(
-        (start, along) if axis == 0 else (along, start)))
-    for _ in range(params.n):
-        pt = chart_map(params, pt)
-    return pt.coords[axis] / start
+    pt = (start, along) if axis == 0 else (along, start)
+    for s in range(params.n):
+        pt = chart_map(params, s, *pt)
+    return pt[axis] / start
 
 
 def fiber_orbit_check(params):
@@ -187,21 +173,21 @@ def fiber_orbit_check(params):
 
     Checks, with residuals reported: (a) the level-1 fiber cycle closes
     after n steps, the on-fiber composite being multiplication by 1/lambda
-    and the transverse one (s1 read off fiber_map_level1) by lambda; (b)
-    the exceptional curve {y=0} enters the level-2 cycle at fiber coordinate
-    1, stays on the level-2 fibers, and lands after nm steps on the
-    inverse-exceptional point (delta, 0) on fiber n-1; (c) the map's image
-    of the contracted curve enters the level-2 chart along direction
-    delta * x / t; (d) the fiber_map_level2 step onto the inverse-exceptional
-    line has Jacobian determinant 1/delta, nonvanishing (local
-    diffeomorphism).
+    and the transverse one (s1 read off fiber_map_level1) by lambda; (c)
+    the map's image of the contracted curve enters the level-2 chart along
+    direction delta * x / t; (d) the fiber_map_level2 step onto the
+    inverse-exceptional line has Jacobian determinant 1/delta, nonvanishing
+    (local diffeomorphism). The exceptional chain through the level-2
+    fibers is not run: on those fibers fiber_map_level2 is the Moebius
+    action of landing_condition's matrices M1 and M2, so
+    `landing_condition` already decides where the chain lands.
 
     (a) runs at one fiber point, e = 1.25 + 0.5i: both multipliers are
     constant along the fiber, so another point measures the same numbers,
     and a composite that is not e -> e/lambda (a scaling off 1/lambda or a
     term nonlinear in e) already shows at a generic point.
     """
-    n, m = params.n, params.m
+    n = params.n
     with workprec(params.precision_bits):
         d, lam = params.delta, params.lam
         tol = params.tolerance
@@ -211,41 +197,22 @@ def fiber_orbit_check(params):
         # (a) level-1 cycle: n steps return to the start fiber; on-fiber
         # coordinate is multiplied by 1/lambda, transverse s1 by lambda
         e = mpc("1.25", "0.5")
-        pt = FiberChartPoint(level=1, s=0, coords=(mpc(0), e))
-        for _ in range(n):
-            pt = fiber_map_level1(params, pt)
-        if pt.s != 0 or abs(pt.coords[0]) > tol:
+        pt = (mpc(0), e)
+        for s in range(n):
+            pt = fiber_map_level1(params, s, *pt)
+        if abs(pt[0]) > tol:
             raise PatternViolationError("level-1 cycle left the fiber")
-        residual = abs(pt.coords[1] - e / lam)
+        residual = abs(pt[1] - e / lam)
         report["level1_cycle_residual"] = residual
         if residual > check_tol:
             raise PatternViolationError(
                 "level-1 on-fiber composite is not 1/lambda "
                 "(residual %s)" % salem.mp_str(residual))
-        transverse = abs(_cycle_factor(params, fiber_map_level1, 1, 0, e)
+        transverse = abs(_cycle_factor(params, fiber_map_level1, 0, e)
                          - lam)
         report["level1_transverse_residual"] = transverse
         if transverse > check_tol:
             raise PatternViolationError("level-1 transverse factor is not lambda")
-
-        # (b) exceptional-curve chain: fiber coordinate orbit from 1 on fiber
-        # 0 stays on the level-2 fibers and reaches delta on fiber n-1 after
-        # nm-1 steps
-        pt = FiberChartPoint(level=2, s=0, coords=(mpc(1), mpc(0)))
-        for _ in range(n * m - 1):
-            pt = fiber_map_level2(params, pt)
-        if pt.s != (n - 1) % n:
-            raise PatternViolationError("exceptional chain ended on fiber %d, "
-                                        "expected %d" % (pt.s, n - 1))
-        if abs(pt.coords[1]) > tol:
-            raise PatternViolationError("exceptional chain left the level-2 "
-                                        "fiber")
-        landing_res = abs(pt.coords[0] - d)
-        report["chain_landing_residual"] = landing_res
-        if landing_res > check_tol:
-            raise PatternViolationError(
-                "exceptional chain missed the inverse-exceptional point "
-                "(residual %s)" % salem.mp_str(landing_res))
 
         # (c) contracted-line image direction: map [1 : x : y], y -> 0, by
         # the scalar homogeneous step, and read the image in the level-1
@@ -271,9 +238,8 @@ def fiber_orbit_check(params):
         h = mpf(2) ** (-(params.precision_bits // 3))
 
         def last_step(xi, x2):
-            pt = fiber_map_level2(params, FiberChartPoint(
-                level=2, s=n - 1, coords=(xi, x2)))
-            return 1 / pt.coords[0], pt.coords[1]
+            xi, x2 = fiber_map_level2(params, n - 1, xi, x2)
+            return 1 / xi, x2
 
         (u_p, v_p), (u_m, v_m) = last_step(d + h, 0), last_step(d - h, 0)
         (u_q, v_q), (u_r, v_r) = last_step(d + h, h), last_step(d + h, -h)
@@ -385,8 +351,8 @@ def build_linear_model(params):
 
         # corner cross-check against the nonlinear side: n steps of the
         # level-2 chart map along E2 = {x2 = 0} and E1 = {xi = 0}
-        xi_factor = _cycle_factor(params, fiber_map_level2, 2, 0, mpc(0))
-        x_factor = _cycle_factor(params, fiber_map_level2, 2, 1, mpc(0))
+        xi_factor = _cycle_factor(params, fiber_map_level2, 0, mpc(0))
+        x_factor = _cycle_factor(params, fiber_map_level2, 1, mpc(0))
         res_xi = abs(xi_factor - corner.mult_along)
         res_x = abs(x_factor - corner.mult_normal)
         if res_xi > check_tol or res_x > check_tol:

@@ -20,6 +20,10 @@ the classes g_{s,l} (projections of the level-3 fibers) as the cycle
     g_{n-1,m} -> sum_l ( -g_{0,l} + sum_{s!=0} g_{s,l} ),
 
 whose characteristic polynomial is exactly the degree-nm family polynomial.
+
+The push-forward on all of H^2 is `orbit_data_pushforward`, the standard
+quadratic-map rule on the lengths of the three blown-up orbits; the
+quadratic-growth fixture's push-forward is that rule at lengths (2, 4, 4).
 """
 
 import math
@@ -241,13 +245,43 @@ def entropy(n, m, precision_bits=256):
 # quadratic-growth fixture
 # ---------------------------------------------------------------------------
 
+def orbit_data_pushforward(lengths):
+    """Push-forward on H^2 of a quadratic map blown up along three orbits.
+
+    `lengths` are the orbit lengths of the three chains; the basis is H,
+    then each chain's exceptional classes in orbit order. Column j is the
+    image of basis class j under the standard quadratic-map rule
+    (Bedford-Kim 2006, McMullen 2007):
+
+        H -> 2H - (first class of each chain),
+        a class -> the next class of its chain,
+        the last class of a chain -> H - (first classes of the other two).
+    """
+    if len(lengths) != 3 or min(lengths) < 1:
+        raise ValidationError("need three chains of length >= 1")
+    size = 1 + sum(lengths)
+    firsts = [1 + sum(lengths[:i]) for i in range(3)]
+    k = [[0] * size for _ in range(size)]
+    k[0][0] = 2
+    for i, (first, length) in enumerate(zip(firsts, lengths)):
+        k[first][0] = -1
+        for j in range(first, first + length - 1):
+            k[j + 1][j] = 1
+        last = first + length - 1
+        k[0][last] = 1
+        for other in firsts[:i] + firsts[i + 1:]:
+            k[other][last] = -1
+    return k
+
+
 def _fixture_pushforward():
     """Push-forward of k(x,y) = (y, -x + 1 + a/y) on its 11-class lattice.
 
-    Basis order: H, E1a (over [0:0:1]), E1b (over [0:1:0]), E2_1..E2_4 over
-    the level-1 fiber orbit 0 in E1a -> 1 in E1b -> 1 in E1a -> 0 in E1b,
-    E3_1..E3_4 over the level-2 fiber orbit of the contracted line. Columns
-    are images of basis classes, derived from the curve images
+    The orbit-data rule at lengths (2, 4, 4). Basis order: H, E1a (over
+    [0:0:1]), E1b (over [0:1:0]), E2_1..E2_4 over the level-1 fiber orbit
+    0 in E1a -> 1 in E1b -> 1 in E1a -> 0 in E1b, E3_1..E3_4 over the
+    level-2 fiber orbit of the contracted line. The rule's images agree
+    with the curve images
 
         line_at_inf -> itself,      E1a(str) <-> E1b(str),
         E2_1 -> E2_2 -> E2_3 -> E2_4 -> E2_1   (strict, 4-cycle),
@@ -255,24 +289,7 @@ def _fixture_pushforward():
 
     with incidences {x=0} = H - E1a - E2_1 and {y=0} = H - E1b - E2_4.
     """
-    cols = {
-        0:  {0: 2, 1: -1, 3: -1, 7: -1},   # H -> 2H - E1a - E2_1 - E3_1
-        1:  {2: 1},                        # E1a -> E1b
-        2:  {0: 1, 3: -1, 7: -1},          # E1b -> H - E2_1 - E3_1
-        3:  {4: 1},                        # E2_1 -> E2_2
-        4:  {5: 1},
-        5:  {6: 1},
-        6:  {0: 1, 1: -1, 7: -1},          # E2_4 -> H - E1a - E3_1
-        7:  {8: 1},                        # E3_1 -> E3_2
-        8:  {9: 1},
-        9:  {10: 1},
-        10: {0: 1, 1: -1, 3: -1},          # E3_4 -> H - E1a - E2_1
-    }
-    k = [[0] * 11 for _ in range(11)]
-    for j, col in cols.items():
-        for i, v in col.items():
-            k[i][j] = v
-    return k
+    return orbit_data_pushforward((2, 4, 4))
 
 
 def _fixture_s_generators():
@@ -298,8 +315,8 @@ def quadratic_growth_fixture():
 
     Builds the full 11x11 push-forward from the blowup orbit data of
     k(x, y) = (y, -x + 1 + a/y) (two level-1 fibers, a level-2 4-cycle, a
-    level-3 orbit of length 4) and verifies the three gate facts on
-    it: all eigenvalues of modulus 1, a size-3 Jordan block at eigenvalue 1
+    level-3 orbit of length 4) by the orbit-data rule, and verifies the
+    three gate facts on it: all eigenvalues of modulus 1, a size-3 Jordan block at eigenvalue 1
     (exact rank test on powers of K - I), and log-log growth slope 2 of
     ||K^k|| over 100 <= k <= 1000.
 

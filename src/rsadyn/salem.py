@@ -60,9 +60,6 @@ class IntPolynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -76,21 +73,6 @@ class IntPolynomial:
 
     def __repr__(self):
         return "IntPolynomial(%r)" % (list(self.coeffs),)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append("%st" % ("" if c == 1 else "-" if c == -1 else c))
-            else:
-                parts.append("%st^%d" % ("" if c == 1 else "-" if c == -1 else c, k))
-        return " + ".join(parts).replace("+ -", "- ")
 
     # -- ring operations ---------------------------------------------------
 
@@ -113,7 +95,7 @@ class IntPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
+        if not self or not other:
             return IntPolynomial([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -141,8 +123,8 @@ class IntPolynomial:
     def divides(self, other):
         """True when self divides other exactly over Z (integer long
         division with no fractional quotient coefficient and no remainder)."""
-        if self.is_zero():
-            return other.is_zero()
+        if not self:
+            return not other
         return _exact_quotient(other.coeffs, self.coeffs) is not None
 
     def derivative(self):

@@ -4,10 +4,9 @@ import pytest
 from mpmath import mp, mpc, mpf, workprec
 
 from rsadyn import blowup, family
-from rsadyn.blowup import (FiberChartPoint, blowup_multipliers,
-                           build_linear_model,
+from rsadyn.blowup import (blowup_multipliers, build_linear_model,
                            fiber_map_level1, fiber_map_level2,
-                           fiber_orbit_check, landing_condition)
+                           fiber_orbit_check, landing_condition, level2_step)
 from rsadyn.errors import (ConsistencyError, IndeterminatePointError,
                            PatternViolationError, ValidationError)
 
@@ -71,13 +70,12 @@ def test_level1_origin_chain(params411):
     from rsadyn.errors import ChartEscapeError
     p = params411
     with workprec(256):
-        pt = FiberChartPoint(level=1, s=0, coords=(mpc(0), mpc(0)))
+        pt = (mpc(0), mpc(0))
         for s in range(p.n - 1):
-            pt = fiber_map_level1(p, pt)
-            assert pt.s == s + 1
-            assert abs(pt.coords[0]) < TOL30 and abs(pt.coords[1]) < TOL30
+            pt = fiber_map_level1(p, s, *pt)
+            assert abs(pt[0]) < TOL30 and abs(pt[1]) < TOL30
         with pytest.raises(ChartEscapeError):
-            fiber_map_level1(p, pt)
+            fiber_map_level1(p, p.n - 1, *pt)
 
 
 def test_level1_on_fiber_composite_is_reciprocal_multiplier(params411):
@@ -86,25 +84,23 @@ def test_level1_on_fiber_composite_is_reciprocal_multiplier(params411):
     p = params411
     with workprec(256):
         e0 = mpc("0.7", "0.2")
-        pt = FiberChartPoint(level=1, s=0, coords=(mpc(0), e0))
-        for _ in range(p.n):
-            pt = fiber_map_level1(p, pt)
-        assert pt.s == 0 and abs(pt.coords[0]) < TOL30
-        assert abs(pt.coords[1] - e0 / p.lam) < mpf(10) ** -70
+        pt = (mpc(0), e0)
+        for s in range(p.n):
+            pt = fiber_map_level1(p, s, *pt)
+        assert abs(pt[0]) < TOL30
+        assert abs(pt[1] - e0 / p.lam) < mpf(10) ** -70
         prod = -p.delta ** (p.n - 1)
         for w in p.orbit[:-1]:
             prod /= w
-        assert abs(pt.coords[1] - e0 * prod) < mpf(10) ** -70
+        assert abs(pt[1] - e0 * prod) < mpf(10) ** -70
 
 
 def test_level1_last_step_identity_on_fiber(params411):
     p = params411
     with workprec(256):
         e0 = mpc("0.3", "-0.6")
-        pt = fiber_map_level1(p, FiberChartPoint(level=1, s=p.n - 1,
-                                                 coords=(mpc(0), e0)))
-        assert pt.s == 0
-        assert abs(pt.coords[1] - e0) == 0
+        _, e1 = fiber_map_level1(p, p.n - 1, mpc(0), e0)
+        assert abs(e1 - e0) == 0
 
 
 # -- level-2 chart maps ----------------------------------------------------------
@@ -112,39 +108,50 @@ def test_level1_last_step_identity_on_fiber(params411):
 def test_level2_first_step(params411):
     p = params411
     with workprec(256):
-        pt = fiber_map_level2(p, FiberChartPoint(level=2, s=0,
-                                                 coords=(mpc(1), mpc(0))))
-        assert pt.s == 1
-        assert abs(pt.coords[0] - 1 / (1 - p.delta)) < mpf(10) ** -70
-        assert abs(pt.coords[1]) == 0
+        xi, x2 = fiber_map_level2(p, 0, mpc(1), mpc(0))
+        assert abs(xi - 1 / (1 - p.delta)) < mpf(10) ** -70
+        assert abs(x2) == 0
 
 
 @pytest.mark.parametrize("fixture", ["params411", "params721"])
 def test_level2_chain_lands_on_inverse_exceptional(fixture, request):
     p = request.getfixturevalue(fixture)
     with workprec(256):
-        pt = FiberChartPoint(level=2, s=0, coords=(mpc(1), mpc(0)))
-        for _ in range(p.n * p.m - 1):
-            pt = fiber_map_level2(p, pt)
-        assert pt.s == p.n - 1
-        assert abs(pt.coords[0] - p.delta) < TOL30
+        pt = (mpc(1), mpc(0))
+        for k in range(p.n * p.m - 1):
+            pt = fiber_map_level2(p, k, *pt)   # fiber index taken mod n
+        assert abs(pt[0] - p.delta) < TOL30
+
+
+@pytest.mark.parametrize("fixture", ["params411", "params721"])
+def test_level2_on_fiber_is_moebius(fixture, request):
+    # on the level-2 fiber x2 = 0 the chart step is the Moebius map
+    # xi -> xi/(xi - delta) on fibers 0 and n-1 and xi -> xi/(xi + delta)
+    # elsewhere (landing_condition's M2 and M1 acting on 1/xi), and it
+    # keeps x2 = 0
+    p = request.getfixturevalue(fixture)
+    with workprec(256):
+        d = p.delta
+        for s in range(p.n):
+            sign = -1 if s in (0, p.n - 1) else 1
+            for xi in (mpc("0.7", "0.2"), mpc("-1.3", "0.9"), mpc(3)):
+                got, x2 = level2_step(p, s, xi, mpc(0), lambda a, b: a / b)
+                assert abs(got - xi / (xi + sign * d)) < mpf(10) ** -70
+                assert x2 == 0
 
 
 def test_level2_last_chart_fixes_x(params411):
     p = params411
     with workprec(256):
         x2 = mpc("0.05", "0.02")
-        pt = fiber_map_level2(p, FiberChartPoint(level=2, s=p.n - 1,
-                                                 coords=(mpc("0.4"), x2)))
-        assert pt.s == 0
-        assert abs(pt.coords[1] - x2) == 0
+        _, x2_img = fiber_map_level2(p, p.n - 1, mpc("0.4"), x2)
+        assert abs(x2_img - x2) == 0
 
 
 def test_level2_denominator_guard(params411):
     p = params411
     with pytest.raises(IndeterminatePointError):
-        fiber_map_level2(p, FiberChartPoint(level=2, s=0,
-                                            coords=(p.delta, mpc(0))))
+        fiber_map_level2(p, 0, p.delta, mpc(0))
 
 
 # -- orbit pattern and multiplier tree ---------------------------------------------
@@ -154,7 +161,6 @@ def test_fiber_orbit_check(params411):
     with workprec(256):
         assert rep["level1_cycle_residual"] < mpf(10) ** -60
         assert rep["level1_transverse_residual"] < mpf(10) ** -60
-        assert rep["chain_landing_residual"] < TOL30
         assert rep["entry_direction_residual"] < mpf(10) ** -20
         assert rep["last_step_jacobian"] > mpf("0.5")
 
@@ -162,11 +168,11 @@ def test_fiber_orbit_check(params411):
 def _perturbed(chart_map, axis, term):
     # chart_map with 1e-6 * term(output coords) added to coordinate `axis`
     # of its output
-    def mutant(params, pt):
-        out = chart_map(params, pt)
-        coords = list(out.coords)
-        coords[axis] = coords[axis] + mpf(10) ** -6 * term(out.coords)
-        return FiberChartPoint(level=out.level, s=out.s, coords=tuple(coords))
+    def mutant(params, s, *pt):
+        out = chart_map(params, s, *pt)
+        coords = list(out)
+        coords[axis] = coords[axis] + mpf(10) ** -6 * term(out)
+        return tuple(coords)
     return mutant
 
 
@@ -187,14 +193,12 @@ def test_fiber_orbit_check_reads_level1_map(params411, monkeypatch):
     ("fiber_map_level1", 1, lambda co: co[1], "not 1/lambda"),
     ("fiber_map_level1", 1, lambda co: co[1] ** 2, "not 1/lambda"),
     ("fiber_map_level1", 0, lambda co: co[1], "level-1 cycle left the fiber"),
-    ("fiber_map_level2", 1, lambda co: 1, "chain left the level-2 fiber"),
-], ids=["e1-scaled", "e1-quadratic", "s1-off-fiber", "x2-off-fiber"])
+], ids=["e1-scaled", "e1-quadratic", "s1-off-fiber"])
 def test_fiber_orbit_check_catches_mutants(params411, monkeypatch, name,
                                            axis, term, message):
     # one fiber point suffices: a composite off e -> e/lambda, linear or
-    # not, shows at e = 1.25 + 0.5i, and a map that leaves the fiber (s1 on
-    # level 1, x2 on level 2) is caught on the level-1 cycle and on the
-    # exceptional chain
+    # not, shows at e = 1.25 + 0.5i, and a map that leaves the fiber (s1
+    # off 0) is caught on the level-1 cycle
     monkeypatch.setattr(blowup, name,
                         _perturbed(getattr(blowup, name), axis, term))
     with pytest.raises(PatternViolationError, match=message):

@@ -73,6 +73,29 @@ def test_verify_perturbed_fails_landing(precision):
     assert "landing" in out.stderr
 
 
+def test_verify_failing_fiber_orbit_exit_4(monkeypatch, capsys):
+    # in process, with a level-1 chart map whose fiber coordinate is off by
+    # 1 + 1e-6: fiber_orbit_check raises, and verify reports the failure
+    # under its own check and exits 4
+    from rsadyn import blowup, cli
+    level1 = blowup.fiber_map_level1
+
+    def wrong(params, s, s1, e1):
+        s1, e1 = level1(params, s, s1, e1)
+        return s1, e1 * (1 + 1e-6)
+
+    monkeypatch.setattr(blowup, "fiber_map_level1", wrong)
+    rc = cli.main(["verify", "--n", "4", "--m", "1", "--j", "1"])
+    out = capsys.readouterr()
+    assert rc == 4
+    report = json.loads(out.out)
+    entry = report["checks"]["fiber_orbit"]
+    assert set(entry) == {"pass", "error"} and entry["pass"] is False
+    assert "1/lambda" in entry["error"]
+    assert report["pass"] is False
+    assert "verification failed at check: fiber_orbit" in out.err
+
+
 # degree >= 35: at 64 bits lambda^nm * 2^-64 alone is above the absolute
 # tolerance 2^-32, so the root residual is checked as a backward error
 @pytest.mark.parametrize("n,m", [(8, 5), (10, 4)])
@@ -312,13 +335,14 @@ def test_raster_outputs_and_determinism(tmp_path):
 def test_raster_unwritable_exit_6(tmp_path):
     out = run("raster", "--n", "4", "--m", "1", "--j", "1",
               "--window", "0.2,1.3,0.0,0.03", "--res", "8x8",
-              "--budget", "64", "--out", "/nonexistent-dir/x.pgm")
+              "--budget", "64", "--out", str(tmp_path / "missing" / "x.pgm"))
     assert out.returncode == 6
 
 
-def test_raster_bad_window_exit_2():
+def test_raster_bad_window_exit_2(tmp_path):
     out = run("raster", "--n", "4", "--m", "1", "--j", "1",
-              "--window", "oops", "--res", "8x8", "--out", "/tmp/x.pgm")
+              "--window", "oops", "--res", "8x8",
+              "--out", str(tmp_path / "x.pgm"))
     assert out.returncode == 2
 
 

@@ -10,7 +10,7 @@ from rsadyn.errors import ValidationError
 from rsadyn.numeric import totient
 from rsadyn.picard import (bareiss_det, berkowitz_charpoly, entropy,
                            intersection_matrix_S, is_negative_definite,
-                           leading_principal_minors,
+                           leading_principal_minors, orbit_data_pushforward,
                            quadratic_growth_fixture, t_action_matrix)
 from rsadyn.salem import IntPolynomial
 
@@ -162,6 +162,74 @@ def test_charpoly_random_oracle_agreement():
     a = [[rng.choice([-1, 1]) * rng.randrange(1, 10) for _ in range(12)]
          for _ in range(12)]
     assert berkowitz_charpoly(a) == faddeev_leverrier_charpoly(a)
+
+
+# -- push-forward from the orbit data -----------------------------------------------
+
+def orbit_charpoly_target(n, m):
+    # salem_polynomial(n, m) (t - 1) (t^n - 1)^2
+    tn = IntPolynomial([-1] + [0] * (n - 1) + [1])
+    return salem_polynomial(n, m) * IntPolynomial([-1, 1]) * tn * tn
+
+
+@pytest.mark.parametrize("n,m", CENSUS)
+def test_orbit_data_charpoly(n, m):
+    k = orbit_data_pushforward((n, n, n * m))
+    assert berkowitz_charpoly(k) == orbit_charpoly_target(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(4, 1), (5, 2), (3, 2), (7, 2)])
+def test_orbit_data_isometry(n, m):
+    # preserves diag(1, -1, .., -1), fixes K = -3H + sum E, unimodular
+    k = orbit_data_pushforward((n, n, n * m))
+    size = len(k)
+    gram = [[0] * size for _ in range(size)]
+    gram[0][0] = 1
+    for i in range(1, size):
+        gram[i][i] = -1
+    kt = [list(col) for col in zip(*k)]
+    ktgk = [[sum(kt[i][a] * gram[a][a] * k[a][j] for a in range(size))
+             for j in range(size)] for i in range(size)]
+    assert ktgk == gram
+    canonical = [-3] + [1] * (size - 1)
+    assert [sum(row[j] * canonical[j] for j in range(size)) for row in k] \
+        == canonical
+    assert abs(bareiss_det(k)) == 1
+
+
+@pytest.mark.parametrize("n,m", [(4, 1), (5, 2), (3, 2), (7, 2)])
+def test_orbit_data_wrong_lengths_fail_charpoly(n, m):
+    for lengths in ((n, n, n * m + 1), (n + 1, n - 1, n * m)):
+        k = orbit_data_pushforward(lengths)
+        assert berkowitz_charpoly(k) != orbit_charpoly_target(n, m)
+
+
+def test_orbit_data_rebuilds_fixture_table():
+    # the fixture's push-forward as hand-derived from its curve images:
+    # column j lists the image of basis class j (H, E1a, E1b, E2_1..E2_4,
+    # E3_1..E3_4)
+    cols = {
+        0:  {0: 2, 1: -1, 3: -1, 7: -1},   # H -> 2H - E1a - E2_1 - E3_1
+        1:  {2: 1},                        # E1a -> E1b
+        2:  {0: 1, 3: -1, 7: -1},          # E1b -> H - E2_1 - E3_1
+        3:  {4: 1},                        # E2_1 -> E2_2
+        4:  {5: 1},
+        5:  {6: 1},
+        6:  {0: 1, 1: -1, 7: -1},          # E2_4 -> H - E1a - E3_1
+        7:  {8: 1},                        # E3_1 -> E3_2
+        8:  {9: 1},
+        9:  {10: 1},
+        10: {0: 1, 1: -1, 3: -1},          # E3_4 -> H - E1a - E2_1
+    }
+    table = [[cols[j].get(i, 0) for j in range(11)] for i in range(11)]
+    assert orbit_data_pushforward((2, 4, 4)) == table
+
+
+def test_orbit_data_validates_lengths():
+    with pytest.raises(ValidationError):
+        orbit_data_pushforward((4, 4))
+    with pytest.raises(ValidationError):
+        orbit_data_pushforward((4, 0, 4))
 
 
 # -- entropy --------------------------------------------------------------------
