@@ -28,14 +28,12 @@ coordinate xi, and {xi = 0} is the level-1 fiber's strict transform.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mpc, mpf, workprec
+from mpmath import mpc, mpf, sqrt, workprec
 
 from . import family, salem
-from .errors import (ChartEscapeError, ConsistencyError,
-                     IndeterminatePointError, NumericFailureError,
-                     PatternViolationError, ValidationError)
+from .errors import RsadynError, ValidationError
 from .numeric import (check_precision, mat2_mul, mat2_pow, mpc_to_json,
-                      proj_distance, tolerance_for)
+                      tolerance_for)
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +49,9 @@ def landing_condition(n, m, delta, precision_bits=256):
         (M1^(n-2) M2^2)^m (1, 0)^T  is parallel to  (delta, 1)^T,
 
     with M1 = [[1,0],[1,delta]], M2 = [[1,0],[1,-delta]]. The returned
-    residual is the projective distance between the two vectors; it vanishes
-    (to tolerance) iff delta is a root of the degree-nm family polynomial.
+    residual is the projective distance |v x w| / (|v| |w|) between the two
+    vectors; it vanishes (to tolerance) iff delta is a root of the degree-nm
+    family polynomial.
     """
     if n < 3 or m < 1:
         raise ValidationError("landing criterion needs n >= 3, m >= 1")
@@ -66,8 +65,10 @@ def landing_condition(n, m, delta, precision_bits=256):
         total = mat2_pow(cycle, m)
         v = (total[0][0], total[1][0])          # total @ (1, 0)^T
         if max(abs(v[0]), abs(v[1])) < tolerance_for(precision_bits):
-            raise NumericFailureError("landing vector collapsed to zero")
-        return proj_distance(v, (d, mpc(1)))
+            raise RsadynError("landing vector collapsed to zero")
+        cross_sq = abs(v[0] - v[1] * d) ** 2
+        return sqrt(cross_sq / ((abs(v[0]) ** 2 + abs(v[1]) ** 2)
+                                * (abs(d) ** 2 + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +101,12 @@ def fiber_map_level1(params, s, s1, e1):
             w = _omega(params, s)
             den = s1 * e1 + w
             if abs(den) < tol:
-                raise ChartEscapeError("level-1 chart denominator vanished")
+                raise RsadynError("level-1 chart denominator vanished")
             return s1 / den, d * e1 / w + s1 / den
         den = -d * e1 + c * s1 * e1 * e1 + s1
         if abs(den) < tol:
-            raise ChartEscapeError("level-1 chart left its domain near the "
-                                   "level-2 center")
+            raise RsadynError("level-1 chart left its domain near the "
+                              "level-2 center")
         return s1 * e1 / den, e1
 
 
@@ -134,7 +135,7 @@ def fiber_map_level2(params, s, xi, x2):
     """Induced map on the level-2 charts, fiber s to fiber s+1 (mod n).
 
     `level2_step` on mpc values, s taken mod n; a denominator below
-    tolerance raises IndeterminatePointError.
+    tolerance raises RsadynError.
     """
     s %= params.n
     with workprec(params.precision_bits):
@@ -142,8 +143,7 @@ def fiber_map_level2(params, s, xi, x2):
 
         def div(a, b):
             if abs(b) < tol:
-                raise IndeterminatePointError(
-                    "level-2 chart denominator vanished")
+                raise RsadynError("level-2 chart denominator vanished")
             return a / b
 
         return level2_step(params, s, mpc(xi), mpc(x2), div)
@@ -153,33 +153,19 @@ def fiber_map_level2(params, s, xi, x2):
 # marked-orbit pattern verification
 # ---------------------------------------------------------------------------
 
-def _cycle_factor(params, chart_map, axis, along):
-    """Multiplier of n steps of chart_map transverse to an invariant axis.
-
-    Starts on fiber 0 at `along` on the axis {coordinate `axis` = 0} and
-    2^(-7 bits/8) off it, and returns that coordinate after n steps over
-    its start: no cancellation, nonlinear terms below 2^(-3 bits/4)
-    relative.
-    """
-    start = mpf(2) ** (-(7 * params.precision_bits // 8))
-    pt = (start, along) if axis == 0 else (along, start)
-    for s in range(params.n):
-        pt = chart_map(params, s, *pt)
-    return pt[axis] / start
-
-
 def fiber_orbit_check(params):
     """Track marked points through the charts and verify the orbit pattern.
 
-    Checks, with residuals reported: (a) the level-1 fiber cycle closes
-    after n steps, the on-fiber composite being multiplication by 1/lambda
-    and the transverse one (s1 read off fiber_map_level1) by lambda; (c)
-    the map's image of the contracted curve enters the level-2 chart along
-    direction delta * x / t; (d) the fiber_map_level2 step onto the
-    inverse-exceptional line has Jacobian determinant 1/delta, nonvanishing
-    (local diffeomorphism). The exceptional chain through the level-2
-    fibers is not run: on those fibers fiber_map_level2 is the Moebius
-    action of landing_condition's matrices M1 and M2, so
+    Checks: (a) the level-1 fiber cycle closes after n steps, the on-fiber
+    composite being multiplication by 1/lambda and the transverse one (s1
+    read off fiber_map_level1) by lambda; (b) the map's image of the
+    contracted curve enters the level-2 chart along direction delta * x / t;
+    (c) the fiber_map_level2 step onto the inverse-exceptional line has
+    Jacobian determinant 1/delta, nonvanishing (local diffeomorphism).
+    Returns the report of residuals that `verify` prints; raises
+    RsadynError on a failed check. The exceptional chain through the
+    level-2 fibers is not run: on those fibers fiber_map_level2 is the
+    Moebius action of landing_condition's matrices M1 and M2, so
     `landing_condition` already decides where the chain lands.
 
     (a) runs at one fiber point, e = 1.25 + 0.5i: both multipliers are
@@ -201,20 +187,26 @@ def fiber_orbit_check(params):
         for s in range(n):
             pt = fiber_map_level1(params, s, *pt)
         if abs(pt[0]) > tol:
-            raise PatternViolationError("level-1 cycle left the fiber")
+            raise RsadynError("level-1 cycle left the fiber")
         residual = abs(pt[1] - e / lam)
         report["level1_cycle_residual"] = residual
         if residual > check_tol:
-            raise PatternViolationError(
+            raise RsadynError(
                 "level-1 on-fiber composite is not 1/lambda "
                 "(residual %s)" % salem.mp_str(residual))
-        transverse = abs(_cycle_factor(params, fiber_map_level1, 0, e)
-                         - lam)
+        # transverse factor: start 2^(-7 bits/8) off the fiber and read s1
+        # after n steps over its start (no cancellation, nonlinear terms
+        # below 2^(-3 bits/4) relative)
+        start = mpf(2) ** (-(7 * params.precision_bits // 8))
+        pt = (start, e)
+        for s in range(n):
+            pt = fiber_map_level1(params, s, *pt)
+        transverse = abs(pt[0] / start - lam)
         report["level1_transverse_residual"] = transverse
         if transverse > check_tol:
-            raise PatternViolationError("level-1 transverse factor is not lambda")
+            raise RsadynError("level-1 transverse factor is not lambda")
 
-        # (c) contracted-line image direction: map [1 : x : y], y -> 0, by
+        # (b) contracted-line image direction: map [1 : x : y], y -> 0, by
         # the scalar homogeneous step, and read the image in the level-1
         # chart over fiber 0 ([s1 : s1 e1 : 1]) and then the level-2 chart
         # ((s1, e1) = (xi x2, x2)); the entry point satisfies
@@ -228,10 +220,9 @@ def fiber_orbit_check(params):
             worst3 = max(worst3, abs((xi - 1) / x2 - d * x))
         report["entry_direction_residual"] = worst3
         if worst3 > mpf(2) ** (-(params.precision_bits // 4)):
-            raise PatternViolationError("contracted-line entry direction "
-                                        "mismatch")
+            raise RsadynError("contracted-line entry direction mismatch")
 
-        # (d) last step to the inverse-exceptional line: fiber_map_level2 on
+        # (c) last step to the inverse-exceptional line: fiber_map_level2 on
         # fiber n-1 read in (u, v) = (1/xi', x2') is smooth through (delta, 0)
         # with Jacobian determinant 1/delta != 0; central difference
         # quotients straddle the indeterminate point itself
@@ -248,9 +239,9 @@ def fiber_orbit_check(params):
         report["last_step_jacobian"] = abs(jac)
         report["last_step_jacobian_residual"] = abs(jac - 1 / d)
         if abs(jac) < check_tol:
-            raise PatternViolationError("final step is not a local diffeomorphism")
+            raise RsadynError("final step is not a local diffeomorphism")
         if report["last_step_jacobian_residual"] > check_tol:
-            raise PatternViolationError("final step Jacobian is not 1/delta")
+            raise RsadynError("final step Jacobian is not 1/delta")
 
         return report
 
@@ -318,8 +309,8 @@ def build_linear_model(params):
     ray node. The rule runs on exact powers 2^e standing in for lambda^e, so
     it yields the integer exponents, and each multiplier is lambda^e. The
     corner of the level-1 and level-2 fibers carries {lambda^2, 1/lambda},
-    read back off n steps of fiber_map_level2 along each corner axis; the
-    deeper corner carries {lambda^3, lambda^-2}. Raises ConsistencyError on
+    compared with the diagonal of `series.corner_return_map`'s linear part;
+    the deeper corner carries {lambda^3, lambda^-2}. Raises RsadynError on
     a mismatch.
     """
     with workprec(params.precision_bits):
@@ -349,14 +340,15 @@ def build_linear_model(params):
         corner = root.find("e1_x_e2")
         check_tol = tolerance_for(params.precision_bits // 2)
 
-        # corner cross-check against the nonlinear side: n steps of the
-        # level-2 chart map along E2 = {x2 = 0} and E1 = {xi = 0}
-        xi_factor = _cycle_factor(params, fiber_map_level2, 0, mpc(0))
-        x_factor = _cycle_factor(params, fiber_map_level2, 1, mpc(0))
-        res_xi = abs(xi_factor - corner.mult_along)
-        res_x = abs(x_factor - corner.mult_normal)
+        # corner cross-check against the nonlinear side: the diagonal of
+        # the corner return map's linear part (series imports this module)
+        from .series import corner_return_map
+        _, corner_rep = corner_return_map(params, 4, strict_linear=False)
+        eta_xi, eta_x = corner_rep["eta"]
+        res_xi = abs(eta_xi - corner.mult_along)
+        res_x = abs(eta_x - corner.mult_normal)
         if res_xi > check_tol or res_x > check_tol:
-            raise ConsistencyError(
+            raise RsadynError(
                 "corner multipliers disagree with the level-2 cycle: "
                 "(%s, %s)" % (salem.mp_str(res_xi), salem.mp_str(res_x)))
 

@@ -172,8 +172,10 @@ def cmd_verify(args):
         }
 
         try:
-            blowup.fiber_orbit_check(params)
-            checks["fiber_orbit"] = {"pass": True}
+            orbit_rep = blowup.fiber_orbit_check(params)
+            checks["fiber_orbit"] = {key: mp.nstr(value, 8)
+                                     for key, value in orbit_rep.items()}
+            checks["fiber_orbit"]["pass"] = True
         except RsadynError as exc:
             checks["fiber_orbit"] = {"pass": False, "error": str(exc)}
 

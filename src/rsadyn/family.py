@@ -13,7 +13,7 @@ polynomial and gcd(j, n) = 1. In homogeneous coordinates
 renormalized so the largest-modulus coordinate is 1, and on {t = 0} the
 linear action (x, y) -> (y, -delta x + c y), so the whole line (the
 blown-up points included) iterates. It is plain Python over any
-complex-like type: check (c) of `blowup.fiber_orbit_check` runs it on mpc,
+complex-like type: check (b) of `blowup.fiber_orbit_check` runs it on mpc,
 the raster cells (`_classify_cell`, with the distance helper `_dist2`) on
 complex, and the precision-doubling mirror on `numeric.GaussianFixed`.
 The numpy block kernels in `_kernels` repeat its arithmetic per cell.
@@ -35,9 +35,7 @@ from math import gcd, hypot
 from mpmath import arg, cos, mp, mpc, mpf, pi, sqrt, workprec
 
 from . import salem
-from .errors import (ConsistencyError, DegenerateParameterError,
-                     DivisionDegeneracyError, ExceptionalLocusError,
-                     NumericFailureError, ValidationError)
+from .errors import RsadynError, ValidationError
 from .numeric import check_precision, mpc_to_json, tolerance_for
 
 
@@ -86,11 +84,11 @@ def line_map(params, w):
 
 def _c_orbit(c, delta, n, tol):
     """Line orbit w_1..w_{n-1} of c under w -> c - delta / w; raises
-    DivisionDegeneracyError when a value it divides by is below tol."""
+    RsadynError when a value it divides by is below tol."""
     orbit = [c]
     for _ in range(n - 2):
         if abs(orbit[-1]) < tol:
-            raise DivisionDegeneracyError("line orbit hit zero")
+            raise RsadynError("line orbit hit zero")
         orbit.append(c - delta / orbit[-1])
     return tuple(orbit)
 
@@ -126,13 +124,13 @@ def build_params(n, m, j, root_index=0, precision_bits=256):
         tol = tolerance_for(precision_bits)
         delta = candidates[root_index]
         if abs(delta ** 3 + 1) < tol:
-            raise DegenerateParameterError("delta^3 = -1 is outside the family")
+            raise RsadynError("delta^3 = -1 is outside the family")
         sqrt_delta = sqrt(delta)
         c = 2 * sqrt_delta * cos(mpf(j) * pi / n)
 
         orbit = _c_orbit(c, delta, n, tol)
         if abs(orbit[-1]) > tol:
-            raise ConsistencyError(
+            raise RsadynError(
                 "orbit value w_{n-1} = %s fails to vanish: wrong "
                 "(root_index, j) pairing" % salem.mp_str(orbit[-1]))
 
@@ -142,7 +140,7 @@ def build_params(n, m, j, root_index=0, precision_bits=256):
         else:
             orbit_mid = orbit[(n - 1) // 2 - 1]
             if abs(orbit_mid ** 2 - delta) > tol:
-                raise ConsistencyError("orbit midpoint squared differs from delta")
+                raise RsadynError("orbit midpoint squared differs from delta")
             lam = -1 / (delta ** ((n - 1) // 2) * orbit_mid)
 
         return FamilyParams(
@@ -173,17 +171,8 @@ def map_affine(params, z):
     with workprec(params.precision_bits):
         x, y = mpc(z[0]), mpc(z[1])
         if abs(y) < params.tolerance:
-            raise ExceptionalLocusError("y = 0 lies on the exceptional curve")
+            raise RsadynError("y = 0 lies on the exceptional curve")
         return (y, -params.delta * x + params.c * y + 1 / y)
-
-
-def map_affine_inverse(params, z):
-    """One step of f^{-1}(x, y) = ((c x - y + 1/x) / delta, x)."""
-    with workprec(params.precision_bits):
-        x, y = mpc(z[0]), mpc(z[1])
-        if abs(x) < params.tolerance:
-            raise ExceptionalLocusError("x = 0 lies on the inverse exceptional curve")
-        return ((params.c * x - y + 1 / x) / params.delta, x)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +314,7 @@ def fixed_points(params):
     with workprec(params.precision_bits):
         base = 1 + params.delta - params.c
         if abs(base) < params.tolerance:
-            raise DegenerateParameterError("1 + delta - c = 0 is degenerate")
+            raise RsadynError("1 + delta - c = 0 is degenerate")
         y = 1 / sqrt(base)
         return ((y, y), (-y, -y))
 
@@ -350,7 +339,7 @@ def multipliers_at_fixed(params, fp):
     lambda_{1,2} = -((1+delta)/2 - c) +- sqrt(-delta + ((1+delta)/2 - c)^2);
     the product is delta. The same values must match the eigenvalues of the
     Jacobian of map_affine, taken by central differences with step
-    h = 2^(-bits/3), to 2^(-bits/4); raises ConsistencyError otherwise. The
+    h = 2^(-bits/3), to 2^(-bits/4); raises RsadynError otherwise. The
     rank-2 criterion is |Re sqrt(delta) - 2 cos(j pi/n)| <= 1 with the
     principal square root.
     """
@@ -381,7 +370,7 @@ def multipliers_at_fixed(params, fp):
         res = min(max(abs(e1 - lam1), abs(e2 - lam2)),
                   max(abs(e1 - lam2), abs(e2 - lam1)))
         if res > tolerance_for(params.precision_bits // 2):
-            raise ConsistencyError(
+            raise RsadynError(
                 "Jacobian eigenvalues disagree with closed-form multipliers "
                 "by %s" % salem.mp_str(res))
 
@@ -490,7 +479,7 @@ def birkhoff_linearize(params, mult, n_values=(1, 4, 16, 64, 256), seed=0):
         else:
             orbits.append(orbit)
     if not orbits:
-        raise NumericFailureError("all Birkhoff samples escaped the guard ball")
+        raise RsadynError("all Birkhoff samples escaped the guard ball")
 
     return {
         "n_values": list(n_values),

@@ -40,37 +40,13 @@ def tolerance_for(bits):
         return mpf(2) ** (-(bits // 2))
 
 
-def dps_for(bits):
-    """Decimal digits that faithfully carry a ``bits``-bit mantissa."""
-    return int(bits / 3.3219280948873626) + 5
-
-
 def mpc_to_json(z, bits):
     """Serialize one complex value to {re, im} decimal strings."""
-    d = dps_for(bits)
+    d = int(bits / 3.3219280948873626) + 5     # bits / log2(10), plus 5
     with workprec(bits):
         zz = mpc(z)
         return {"re": mp.nstr(zz.real, d, strip_zeros=False),
                 "im": mp.nstr(zz.imag, d, strip_zeros=False)}
-
-
-def proj_distance(p, q):
-    """Fubini-Study-style projective distance |p x q| / (|p| |q|).
-
-    Works for 2- and 3-component tuples; smooth, chart-free and zero exactly
-    on projective equality.
-    """
-    if len(p) == 2:
-        cross_sq = abs(p[0] * q[1] - p[1] * q[0]) ** 2
-    else:
-        c1 = p[1] * q[2] - p[2] * q[1]
-        c2 = p[2] * q[0] - p[0] * q[2]
-        c3 = p[0] * q[1] - p[1] * q[0]
-        cross_sq = abs(c1) ** 2 + abs(c2) ** 2 + abs(c3) ** 2
-    np2 = sum(abs(c) ** 2 for c in p)
-    nq2 = sum(abs(c) ** 2 for c in q)
-    from mpmath import sqrt
-    return sqrt(cross_sq / (np2 * nq2))
 
 
 def mat2_mul(a, b):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from mpmath import log, workprec
 
 from . import salem
-from .errors import FixtureMismatchError, ValidationError
+from .errors import RsadynError, ValidationError
 from .numeric import check_precision, fit_slope
 
 
@@ -337,23 +337,23 @@ def quadratic_growth_fixture():
     # structural gates on the derivation itself
     ktgk = mat_mul(transpose(k), mat_mul(gram, k))
     if ktgk != gram:
-        raise FixtureMismatchError("push-forward does not preserve the form")
+        raise RsadynError("push-forward does not preserve the form")
     if abs(bareiss_det(k)) != 1:
-        raise FixtureMismatchError("push-forward is not unimodular")
+        raise RsadynError("push-forward is not unimodular")
 
     sgens = _fixture_s_generators()
     s_gram = [[sum(u[i] * gram[i][i] * v[i] for i in range(11))
                for v in sgens] for u in sgens]
     if bareiss_det(s_gram) != 0:
-        raise FixtureMismatchError("form on S should be degenerate here")
+        raise RsadynError("form on S should be degenerate here")
     if len(nullspace_int(s_gram)) != 1:
-        raise FixtureMismatchError("form on S should have a 1-dim kernel")
+        raise RsadynError("form on S should have a 1-dim kernel")
 
     # K must permute the S generators (line fixed, E1 swap, E2 4-cycle)
     perm = {0: 0, 1: 2, 2: 1, 3: 4, 4: 5, 5: 6, 6: 3}
     for src, dst in perm.items():
         if mat_vec(k, sgens[src]) != sgens[dst]:
-            raise FixtureMismatchError("push-forward does not permute S")
+            raise RsadynError("push-forward does not permute S")
 
     # supplementary: restriction to T = S-perp (dimension 4: the full form
     # is nondegenerate, dim T = 11 - dim span S; the kernel line of S sits
@@ -362,7 +362,7 @@ def quadratic_growth_fixture():
     tbasis = nullspace_int(pair_rows)
     tdim = len(tbasis)
     if tdim != 4:
-        raise FixtureMismatchError("T should have dimension 4, got %d" % tdim)
+        raise RsadynError("T should have dimension 4, got %d" % tdim)
     tmat = transpose(tbasis)
     image = mat_mul(k, tmat)
     aug_rows = [[Fraction(tmat[i][j]) for j in range(tdim)]
@@ -370,10 +370,10 @@ def quadratic_growth_fixture():
                 for i in range(11)]
     rref, pivots = frac_rref(aug_rows)
     if pivots[:tdim] != list(range(tdim)):
-        raise FixtureMismatchError("restriction to T is inconsistent")
+        raise RsadynError("restriction to T is inconsistent")
     for row in rref[tdim:]:
         if any(x != 0 for x in row):
-            raise FixtureMismatchError("push-forward does not preserve T")
+            raise RsadynError("push-forward does not preserve T")
     restricted = [[rref[i][tdim + j] for j in range(tdim)]
                   for i in range(tdim)]
     if all(x.denominator == 1 for row in restricted for x in row):
@@ -385,8 +385,8 @@ def quadratic_growth_fixture():
     char = berkowitz_charpoly(k)
     core, cyc_factors = salem.cyclotomic_part(char)
     if core.degree() != 0:
-        raise FixtureMismatchError("an eigenvalue leaves the unit circle "
-                                   "(non-cyclotomic factor %r)" % core)
+        raise RsadynError("an eigenvalue leaves the unit circle "
+                          "(non-cyclotomic factor %r)" % core)
 
     # gate 2: a size-3 Jordan block at eigenvalue 1, exactly
     ki = [[Fraction(x) for x in row] for row in k]
@@ -397,8 +397,8 @@ def quadratic_growth_fixture():
     ranks = [frac_rank(p) for p in powers]
     blocks_ge3 = ranks[2] - ranks[3]
     if blocks_ge3 < 1:
-        raise FixtureMismatchError("no size-3 Jordan block at eigenvalue 1 "
-                                   "(ranks %r)" % (ranks,))
+        raise RsadynError("no size-3 Jordan block at eigenvalue 1 "
+                          "(ranks %r)" % (ranks,))
 
     # gate 3: quadratic growth of ||K^k||
     ks, norms = [], []
@@ -411,7 +411,7 @@ def quadratic_growth_fixture():
     slope = fit_slope([math.log(kk) for kk in ks],
                       [math.log(nm) for nm in norms])
     if not 1.9 <= slope <= 2.1:
-        raise FixtureMismatchError("growth slope %.4f outside 2 +- 0.1" % slope)
+        raise RsadynError("growth slope %.4f outside 2 +- 0.1" % slope)
 
     # supplementary: Jordan data of the restriction (size-2 block expected)
     ri = [[Fraction(x) for x in row] for row in restricted]

@@ -24,8 +24,7 @@ from functools import lru_cache
 
 from mpmath import arg, mpc, mpf, nstr, workprec
 
-from .errors import (InternalConsistencyError, NotSalemError,
-                     NumericFailureError, ValidationError)
+from .errors import NotSalemError, RsadynError, ValidationError
 from .numeric import (GaussianFixed, check_precision, fixed_scale,
                       mpc_to_json, tolerance_for,
                       unconditional_cyclotomic_bound)
@@ -110,13 +109,13 @@ class IntPolynomial:
     def divmod_exact(self, divisor):
         """Exact quotient self / divisor as an IntPolynomial.
 
-        Integer long division (`_exact_quotient`). Raises
-        InternalConsistencyError when the division is not exact over the
-        integers (a fractional quotient coefficient or a nonzero remainder).
+        Integer long division (`_exact_quotient`). Raises RsadynError when
+        the division is not exact over the integers (a fractional quotient
+        coefficient or a nonzero remainder).
         """
         q = _exact_quotient(self.coeffs, divisor.coeffs)
         if q is None:
-            raise InternalConsistencyError(
+            raise RsadynError(
                 "polynomial division is not exact over the integers")
         return IntPolynomial(q)
 
@@ -219,8 +218,8 @@ def find_roots(poly, precision_bits):
     verified as a backward error on the type, at scale precision_bits + 64
     plus the same small-root bits: |p(root)| must be below
     2**(-precision_bits/2) * max(1, sum |c_k| |root|^k). Failure to
-    converge within 128 + precision_bits steps raises NumericFailureError
-    naming the target missed.
+    converge within 128 + precision_bits steps raises RsadynError naming
+    the target missed.
 
     Returns deg(poly) mpc values sorted by (argument, modulus) so that a
     root index is reproducible across runs and precisions; a real root
@@ -268,7 +267,7 @@ def find_roots(poly, precision_bits):
                               128 + precision_bits, GaussianFixed(1, 0, scale))
         if miss:
             i, residual, target = miss
-            raise NumericFailureError(
+            raise RsadynError(
                 "Aberth iteration missed residual target %s at root %d "
                 "(residual %s)" % (mp_str(target), i, mp_str(residual)))
 
@@ -283,7 +282,7 @@ def find_roots(poly, precision_bits):
         bad = max(abs(poly(GaussianFixed.from_number(z, check)))
                   / max(1, absolute(abs(z))) for z in out)
         if bad >= tol:
-            raise NumericFailureError(
+            raise RsadynError(
                 "scaled root residual %s above tolerance" % mp_str(bad))
         out.sort(key=lambda z: (arg(z.real if abs(z.imag) < tol else z),
                                 abs(z)))

@@ -34,9 +34,7 @@ from mpmath.libmp import from_man_exp
 
 from .blowup import level2_step
 from .family import line_map
-from .errors import (CompositionDomainError, ConsistencyError,
-                     PropertyViolationError, StructureViolationError,
-                     ValidationError)
+from .errors import RsadynError, ValidationError
 from .numeric import (exact_parts, fit_slope, fixed_parts, mpc_to_json,
                       shift_round, tolerance_for)
 
@@ -210,8 +208,7 @@ def inverse_unit(f):
     scale = max(f.scale, _guard_scale())
     coeffs = f._at(scale)
     if (0, 0) not in coeffs:
-        raise CompositionDomainError("cannot invert a series with zero "
-                                     "constant term")
+        raise RsadynError("cannot invert a series with zero constant term")
     cr, ci = coeffs[(0, 0)]
     norm = cr * cr + ci * ci
     # 1/c at the scale: 2^(2 scale) conj(c) / |c|^2, rounded
@@ -250,7 +247,7 @@ def series_compose(f, g_pair):
     g1, g2 = g_pair
     for g in (g1, g2):
         if g[(0, 0)] != 0:
-            raise CompositionDomainError(
+            raise RsadynError(
                 "composition target has nonzero constant term")
     trunc = min(f.trunc, g1.trunc, g2.trunc)
     rows = {}
@@ -345,7 +342,7 @@ def closure_property_check(rc, samples=200, seed=0):
     and the binomial memberships of mixed powers
     (x + main)^(j1) (y + upper)^(j2). Region membership is read from
     `classify_monomial`; only the p-shifted bounds are written out here.
-    Raises PropertyViolationError on any failure.
+    Raises RsadynError on any failure.
     """
     import random
     rng = random.Random(seed)
@@ -383,7 +380,7 @@ def closure_property_check(rc, samples=200, seed=0):
             mi, mj = sample_main()
             acc = (acc[0] + mi, acc[1] + mj)
         if not acc[0] * b > a * acc[1] + p * b:       # i > r j + p
-            raise PropertyViolationError("main-region power bound failed")
+            raise RsadynError("main-region power bound failed")
         checked["main_power"] += 1
 
         acc = (0, 0)
@@ -391,7 +388,7 @@ def closure_property_check(rc, samples=200, seed=0):
             ui, uj = sample_upper()
             acc = (acc[0] + ui, acc[1] + uj)
         if not acc[0] * b >= a * (acc[1] - p):        # i >= r (j - p)
-            raise PropertyViolationError("upper-region power bound failed")
+            raise RsadynError("upper-region power bound failed")
         checked["upper_power"] += 1
 
         # mixed binomials (x + main)^(j1) (y + upper)^(j2)
@@ -409,12 +406,12 @@ def closure_property_check(rc, samples=200, seed=0):
                 j = gamma + beta * s[1] + delta * u[1]
                 if in_main:
                     if not is_main(i, j):
-                        raise PropertyViolationError(
+                        raise RsadynError(
                             "mixed binomial left the main region")
                     checked["mixed_main"] += 1
                 if in_upper:
                     if not is_upper(i, j):
-                        raise PropertyViolationError(
+                        raise RsadynError(
                             "mixed binomial left the upper region")
                     checked["mixed_upper"] += 1
     return checked
@@ -427,8 +424,8 @@ def closure_property_check(rc, samples=200, seed=0):
 def _assert_small_const(f, floor, what):
     c = f[(0, 0)]
     if abs(c) >= floor:
-        raise ConsistencyError("%s picked up a constant term %s"
-                               % (what, mp.nstr(abs(c), 6)))
+        raise RsadynError("%s picked up a constant term %s"
+                          % (what, mp.nstr(abs(c), 6)))
     out = f.copy()
     out[(0, 0)] = 0
     return out
@@ -471,7 +468,7 @@ def corner_return_map(params, trunc, strict_linear=True):
         lin_res = max(abs(h1[(1, 0)] - ideal[0]), abs(h2[(0, 1)] - ideal[1]),
                       off_res)
         if off_res > check_tol or (strict_linear and lin_res > check_tol):
-            raise ConsistencyError(
+            raise RsadynError(
                 "corner linear part differs from diag(lambda^2, 1/lambda) "
                 "by %s" % mp.nstr(lin_res, 6))
         eta1 = h1[(1, 0)] if not strict_linear else ideal[0]
@@ -487,7 +484,7 @@ def corner_return_map(params, trunc, strict_linear=True):
             if cls == MONOMIAL_RESONANT:
                 resonant_max = max(resonant_max, abs(v))
             elif cls != MONOMIAL_MAIN and abs(v) > assert_floor:
-                raise StructureViolationError(
+                raise RsadynError(
                     "first coordinate monomial %r of size %s outside "
                     "main+resonant" % ((i, j), mp.nstr(abs(v), 6)))
         for (i, j), v in h2.coeffs.items():
@@ -497,7 +494,7 @@ def corner_return_map(params, trunc, strict_linear=True):
                                                       MONOMIAL_UPPER,
                                                       MONOMIAL_RESONANT) \
                     and abs(v) > assert_floor:
-                raise StructureViolationError(
+                raise RsadynError(
                     "second coordinate monomial %r of size %s outside the "
                     "upper region" % ((i, j), mp.nstr(abs(v), 6)))
 
@@ -540,7 +537,7 @@ def infinity_return_map(params, w, trunc):
                                           "point")
             worbit.append(line_map(params, cur))
         if abs(worbit[0] - line_map(params, worbit[-1])) > 1000 * tol:
-            raise ConsistencyError("line orbit failed to close after n steps")
+            raise RsadynError("line orbit failed to close after n steps")
 
         floor = tolerance_for(params.precision_bits)
         t = BivariateSeries.variable(trunc, 0)
@@ -570,7 +567,7 @@ def infinity_return_map(params, w, trunc):
                 low_res = max(low_res, abs(v))
         id_res = abs(h2[(0, 1)] - 1)
         if mult_res > check_tol or low_res > check_tol or id_res > check_tol:
-            raise ConsistencyError(
+            raise RsadynError(
                 "line return map lacks the (lambda t + O(t^2), xi + O(t^2)) "
                 "structure: multiplier %s, low-order %s"
                 % (mp.nstr(mult_res, 6), mp.nstr(low_res, 6)))

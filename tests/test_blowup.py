@@ -3,12 +3,11 @@
 import pytest
 from mpmath import mp, mpc, mpf, workprec
 
-from rsadyn import blowup, family
+from rsadyn import blowup, family, series
 from rsadyn.blowup import (blowup_multipliers, build_linear_model,
                            fiber_map_level1, fiber_map_level2,
                            fiber_orbit_check, landing_condition, level2_step)
-from rsadyn.errors import (ConsistencyError, IndeterminatePointError,
-                           PatternViolationError, ValidationError)
+from rsadyn.errors import RsadynError, ValidationError
 
 TOL30 = mpf(10) ** -30
 
@@ -67,14 +66,13 @@ def test_level1_origin_chain(params411):
     # the level-2 centers (0,0)_s march forward for s < n-1; the final
     # origin is where the inverse-exceptional line is born, so the level-1
     # chart map is genuinely singular there (resolved only at level 2)
-    from rsadyn.errors import ChartEscapeError
     p = params411
     with workprec(256):
         pt = (mpc(0), mpc(0))
         for s in range(p.n - 1):
             pt = fiber_map_level1(p, s, *pt)
             assert abs(pt[0]) < TOL30 and abs(pt[1]) < TOL30
-        with pytest.raises(ChartEscapeError):
+        with pytest.raises(RsadynError, match="left its domain near the"):
             fiber_map_level1(p, p.n - 1, *pt)
 
 
@@ -150,7 +148,8 @@ def test_level2_last_chart_fixes_x(params411):
 
 def test_level2_denominator_guard(params411):
     p = params411
-    with pytest.raises(IndeterminatePointError):
+    with pytest.raises(RsadynError,
+                       match="level-2 chart denominator vanished"):
         fiber_map_level2(p, 0, p.delta, mpc(0))
 
 
@@ -185,7 +184,8 @@ def test_fiber_orbit_check_reads_level1_map(params411, monkeypatch):
     # the transverse multiplier lambda is measured on fiber_map_level1
     monkeypatch.setattr(blowup, "fiber_map_level1",
                         _scaled(fiber_map_level1, 0))
-    with pytest.raises(PatternViolationError):
+    with pytest.raises(RsadynError,
+                       match="level-1 transverse factor is not lambda"):
         fiber_orbit_check(params411)
 
 
@@ -201,7 +201,7 @@ def test_fiber_orbit_check_catches_mutants(params411, monkeypatch, name,
     # off 0) is caught on the level-1 cycle
     monkeypatch.setattr(blowup, name,
                         _perturbed(getattr(blowup, name), axis, term))
-    with pytest.raises(PatternViolationError, match=message):
+    with pytest.raises(RsadynError, match=message):
         fiber_orbit_check(params411)
 
 
@@ -211,24 +211,29 @@ def test_fiber_orbit_check_catches_mutants(params411, monkeypatch, name,
 ], ids=["delta-scaled", "delta-xy-sign"])
 def test_fiber_orbit_check_reads_homogeneous_step(params411, monkeypatch,
                                                   wrong):
-    # check (c) maps [1 : x : y] by family.step: a map whose -delta x y
+    # check (b) maps [1 : x : y] by family.step: a map whose -delta x y
     # term is scaled by 1 + 1e-6, or has its sign flipped, enters the
     # level-2 chart along the wrong direction
     step = family.step
     monkeypatch.setattr(family, "step", lambda t, x, y, delta, c, n:
                         step(t, x, y, *wrong(delta, c), n))
-    with pytest.raises(PatternViolationError,
+    with pytest.raises(RsadynError,
                        match="contracted-line entry direction mismatch"):
         fiber_orbit_check(params411)
 
 
 def test_linear_model_reads_level2_map(params411, monkeypatch):
-    # both corner multipliers are measured on fiber_map_level2: lambda^2 on
-    # the fiber coordinate xi (axis 0), 1/lambda transverse to it (axis 1)
+    # both corner multipliers are read off the corner return map, n steps
+    # of level2_step on series: lambda^2 on the fiber coordinate xi (axis
+    # 0), 1/lambda transverse to it (axis 1)
     for axis in (0, 1):
-        monkeypatch.setattr(blowup, "fiber_map_level2",
-                            _scaled(fiber_map_level2, axis))
-        with pytest.raises(ConsistencyError):
+        def scaled(params, s, xi, x2, div, axis=axis):
+            out = list(level2_step(params, s, xi, x2, div))
+            out[axis] = out[axis] * (1 + mpf(10) ** -6)
+            return tuple(out)
+
+        monkeypatch.setattr(series, "level2_step", scaled)
+        with pytest.raises(RsadynError, match="corner multipliers disagree"):
             build_linear_model(params411)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from rsadyn.cli import build_parser
+from rsadyn.errors import NotSalemError, RsadynError, ValidationError
 
 CLI = [sys.executable, "-m", "rsadyn.cli"]
 
@@ -51,6 +52,9 @@ def test_salem_out_of_range_exit_2():
 
 # pass thresholds follow --precision: 2^(-precision/2)
 PRECISIONS = ["64", "96", "256"]
+FIBER_ORBIT_RESIDUALS = ("level1_cycle_residual", "level1_transverse_residual",
+                         "entry_direction_residual",
+                         "last_step_jacobian_residual")
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -61,6 +65,15 @@ def test_verify_default_passes(precision):
     report = json.loads(out.stdout)
     assert report["pass"] is True
     assert report["checks"]["charpoly_equal"] is True
+    # fiber_orbit prints what it computes, each residual below the
+    # check's 2^(-precision/4)
+    entry = report["checks"]["fiber_orbit"]
+    assert set(entry) == {"pass", *FIBER_ORBIT_RESIDUALS,
+                          "last_step_jacobian"}
+    bound = 2.0 ** -(int(precision) / 4)
+    for key in FIBER_ORBIT_RESIDUALS:
+        assert float(entry[key]) < bound, key
+    assert float(entry["last_step_jacobian"]) > 0.5
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -94,6 +107,27 @@ def test_verify_failing_fiber_orbit_exit_4(monkeypatch, capsys):
     assert "1/lambda" in entry["error"]
     assert report["pass"] is False
     assert "verification failed at check: fiber_orbit" in out.err
+
+
+@pytest.mark.parametrize("error,rc,prefix,stdout", [
+    (ValidationError("bad"), 2, "invalid arguments:", None),
+    (NotSalemError("bad"), 3, "not a Salem polynomial:",
+     {"salem": False, "reason": "bad"}),
+    (RsadynError("bad"), 4, "verification failure:", None),
+], ids=["validation", "not-salem", "rsadyn"])
+def test_exit_code_per_error_class(monkeypatch, capsys, error, rc, prefix,
+                                   stdout):
+    # main tells the three error classes apart by exit code alone
+    from rsadyn import cli, family
+
+    def fail(*args, **kw):
+        raise error
+
+    monkeypatch.setattr(family, "build_params", fail)
+    assert cli.main(["verify", "--n", "4", "--m", "1", "--j", "1"]) == rc
+    out = capsys.readouterr()
+    assert out.err.startswith(prefix)
+    assert (json.loads(out.out) if out.out else None) == stdout
 
 
 # degree >= 35: at 64 bits lambda^nm * 2^-64 alone is above the absolute

@@ -19,8 +19,7 @@ from mpmath import mp, mpc, mpf, polyroots, sqrt, workprec
 
 from rsadyn import (IntPolynomial, NotSalemError, find_roots,
                     salem_certificate, salem_polynomial)
-from rsadyn.errors import (InternalConsistencyError, NumericFailureError,
-                           ValidationError)
+from rsadyn.errors import RsadynError, ValidationError
 from rsadyn.numeric import GaussianFixed, unconditional_cyclotomic_bound
 from rsadyn.salem import _aberth, cyclotomic, cyclotomic_part
 
@@ -79,7 +78,7 @@ def test_invalid_range_rejected():
 
 
 def test_inexact_division_raises():
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(RsadynError, match="division is not exact"):
         IntPolynomial([1, 0, 1]).divmod_exact(IntPolynomial([1, 1]))
 
 
@@ -146,7 +145,7 @@ def test_divides_matches_fraction_division(a, q, r, scale, exact):
     if want:
         assert p.divmod_exact(divisor) * divisor == p
     else:
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(RsadynError, match="division is not exact"):
             p.divmod_exact(divisor)
 
 
@@ -328,7 +327,8 @@ def test_aberth_on_fixed_point_from_degenerate_starts():
 def test_float_overflow_fails_as_numeric_failure(coeffs):
     # a coefficient beyond the float range starts the fixed-point run from
     # the circle, which does not converge in its step budget
-    with pytest.raises(NumericFailureError):
+    with pytest.raises(RsadynError,
+                       match="Aberth iteration missed residual target"):
         find_roots(IntPolynomial(coeffs), 256)
 
 
