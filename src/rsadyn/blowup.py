@@ -32,7 +32,7 @@ from mpmath import mpc, mpf, sqrt, workprec
 
 from . import family, salem
 from .errors import RsadynError, ValidationError
-from .numeric import (check_precision, mat2_mul, mat2_pow, mpc_to_json,
+from .numeric import (check_precision, mat_mul, mat_pow, mpc_to_json,
                       tolerance_for)
 
 
@@ -58,11 +58,11 @@ def landing_condition(n, m, delta, precision_bits=256):
     precision_bits = check_precision(precision_bits)
     with workprec(precision_bits):
         d = mpc(delta)
-        m1 = ((mpc(1), mpc(0)), (mpc(1), d))
-        m2 = ((mpc(1), mpc(0)), (mpc(1), -d))
-        cycle = mat2_pow(m1, n - 2)
-        cycle = mat2_mul(cycle, mat2_mul(m2, m2))
-        total = mat2_pow(cycle, m)
+        one = mpc(1)
+        m1 = [[one, mpc(0)], [one, d]]
+        m2 = [[one, mpc(0)], [one, -d]]
+        cycle = mat_mul(mat_pow(m1, n - 2, one), mat_mul(m2, m2))
+        total = mat_pow(cycle, m, one)
         v = (total[0][0], total[1][0])          # total @ (1, 0)^T
         if max(abs(v[0]), abs(v[1])) < tolerance_for(precision_bits):
             raise RsadynError("landing vector collapsed to zero")

@@ -11,13 +11,13 @@ codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A non-finite
 `--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` outside
 2^(-precision/4) <= |mismatch| < 1, `--demo-resonant` with a `--degree`
-below 3, and a raster with an unparseable or non-finite window,
-resolution or base point, a negative budget, fewer than one thread, an
-eps outside (0, 1), or a base point with the line chart, are argument
-errors (exit 2), each reported once through `main`. Only `linearize`,
-whose Birkhoff average draws samples, takes `--seed`. Only `raster` needs
-numpy (the `raster` extra); without it the command exits 2 and names the
-extra.
+below 3, and a raster with an unparseable window, resolution or base
+point, a window and base point that give a non-finite grid point, a
+negative budget, fewer than one thread, an eps outside (0, 1), or a base
+point with the line chart, are argument errors (exit 2), each reported
+once through `main`. Only `linearize`, whose Birkhoff average draws
+samples, takes `--seed`. Only `raster` needs numpy (the `raster` extra);
+without it the command exits 2 and names the extra.
 A negative value in exponent notation, or a window list that starts with
 a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
 separated by a space, the parser reads it as an option name.
@@ -112,8 +112,8 @@ def build_parser():
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads over the raster rows; the lockstep "
                         "numpy loop holds the interpreter lock between its "
-                        "many small array calls, so more than one thread "
-                        "does not pay")
+                        "many small array calls, so threads slow small grids "
+                        "and pay from about 256x256")
     p.add_argument("--basepoint", default=None,
                    help="re1,im1,re2,im2 base point for the affine chart")
     return ap

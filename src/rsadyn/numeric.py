@@ -49,22 +49,25 @@ def mpc_to_json(z, bits):
                 "im": mp.nstr(zz.imag, d, strip_zeros=False)}
 
 
-def mat2_mul(a, b):
-    """Product of two 2x2 matrices given as nested row tuples."""
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
+def mat_mul(a, b):
+    """Product of two matrices given as lists of rows, over any ring."""
+    n, k, m = len(a), len(b), len(b[0])
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
 
 
-def mat2_pow(m, k):
-    """m^k for k >= 0 by binary powering (mpc identity for k = 0)."""
-    out = ((mpc(1), mpc(0)), (mpc(0), mpc(1)))
+def identity(n, one=1):
+    return [[one if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_pow(m, k, one):
+    """m^k for k >= 0 by binary powering from identity(len(m), one)."""
+    out = identity(len(m), one)
     base = m
     while k:
         if k & 1:
-            out = mat2_mul(out, base)
-        base = mat2_mul(base, base)
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
         k >>= 1
     return out
 

@@ -13,7 +13,6 @@ is mpmath at the parameter pack's precision, or plain complex where
 hardware precision demonstrably suffices (documented per function).
 """
 
-import cmath
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -201,6 +200,7 @@ class RasterGrid:
                                      int(self.return_steps[r, cidx])])
 
 
+@np.errstate(all="ignore")
 def _chart_states(chart, window, resolution, basepoint=None):
     """Complex homogeneous start coordinates for every grid point.
 
@@ -208,6 +208,8 @@ def _chart_states(chart, window, resolution, basepoint=None):
     at 0 places a full row exactly on the invariant line. Charts:
     "line": (u, v) -> [v : 1 : u] (u along the line, v transverse; the
     row v = 0 is the line itself); "affine": (u, v) -> [1 : b1+u : b2+v].
+    Every coordinate must come out finite: a non-finite window or base
+    point, or finite ones whose grid overflows, raise ValidationError.
     """
     x0, x1, y0, y1 = window
     w, h = resolution
@@ -228,6 +230,9 @@ def _chart_states(chart, window, resolution, basepoint=None):
         Y = b2 + vv.astype(np.complex128)
     else:
         raise ValidationError("unknown chart %r" % (chart,))
+    if not all(np.isfinite(a).all() for a in (T, X, Y)):
+        raise ValidationError("window %r and basepoint %r give non-finite "
+                              "grid coordinates" % (tuple(window), basepoint))
     return T, X, Y
 
 
@@ -242,21 +247,16 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
     byte-identical rasters for any thread count (cells are independent pure
     functions). eps must lie in (0, 1): only eps^2 reaches the kernels, so
     a negative eps would silently act as |eps|, and the projective distance
-    never exceeds 1, so eps >= 1 would pass every cell. The window and
-    base point must be finite, a base point is only read by the affine
-    chart, and threads must be at least 1.
+    never exceeds 1, so eps >= 1 would pass every cell. Every grid
+    coordinate the window and base point give must be finite, a base
+    point is only read by the affine chart, and threads must be at least 1.
     """
     if not 0 < eps < 1:
         raise ValidationError("eps must lie in (0, 1), got %r" % (eps,))
-    if not all(math.isfinite(v) for v in window):
-        raise ValidationError("window must be finite, got %r" % (window,))
+    T, X, Y = _chart_states(chart, window, resolution, basepoint)
     if basepoint is not None and chart != "affine":
         raise ValidationError("basepoint applies to the affine chart only, "
                               "not %r" % (chart,))
-    if basepoint is not None and not all(
-            cmath.isfinite(complex(v)) for v in basepoint):
-        raise ValidationError("basepoint must be finite, got %r"
-                              % (basepoint,))
     threads = int(threads)
     if threads < 1:
         raise ValidationError("threads must be >= 1, got %r" % (threads,))
@@ -264,7 +264,6 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
         budget = default_budget(params.lam, params.precision_bits)
     cands = np.array(candidate_times(params.lam, budget,
                                      params.precision_bits), dtype=np.int64)
-    T, X, Y = _chart_states(chart, window, resolution, basepoint)
     h, w = T.shape
     delta = complex(params.delta)
     c = complex(params.c)

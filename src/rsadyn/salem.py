@@ -104,6 +104,7 @@ class IntPolynomial:
                 out[i + j] += a * b
         return IntPolynomial(out)
 
+    __radd__ = __add__
     __rmul__ = __mul__
 
     def divmod_exact(self, divisor):
@@ -118,13 +119,6 @@ class IntPolynomial:
             raise RsadynError(
                 "polynomial division is not exact over the integers")
         return IntPolynomial(q)
-
-    def divides(self, other):
-        """True when self divides other exactly over Z (integer long
-        division with no fractional quotient coefficient and no remainder)."""
-        if not self:
-            return not other
-        return _exact_quotient(other.coeffs, self.coeffs) is not None
 
     def derivative(self):
         return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -361,8 +355,8 @@ def cyclotomic_part(poly, k_max=None):
         if phi.degree() > core.degree():
             continue
         mult = 0
-        while phi.divides(core):
-            core = core.divmod_exact(phi)
+        while (q := _exact_quotient(core.coeffs, phi.coeffs)) is not None:
+            core = IntPolynomial(q)
             mult += 1
         if mult:
             factors.append((d, mult))

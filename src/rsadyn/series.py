@@ -333,90 +333,6 @@ def classify_monomial(i, j, rc, k=1):
     return MONOMIAL_OUTSIDE
 
 
-def closure_property_check(rc, samples=200, seed=0):
-    """Sampled verification of the multiplicative closure laws.
-
-    Checks on random monomials of coordinate 1 (coordinate 2 mirrors it):
-    products of p main-region elements satisfy the bound shifted by p;
-    products of p upper-region elements satisfy the bound relaxed by p;
-    and the binomial memberships of mixed powers
-    (x + main)^(j1) (y + upper)^(j2). Region membership is read from
-    `classify_monomial`; only the p-shifted bounds are written out here.
-    Raises RsadynError on any failure.
-    """
-    import random
-    rng = random.Random(seed)
-    degree_cap = 18                     # sampled y-degrees stay below this
-    a, b = rc.a, rc.b
-
-    def is_main(i, j):
-        return classify_monomial(i, j, rc, 1) == MONOMIAL_MAIN
-
-    def is_upper(i, j):
-        return classify_monomial(i, j, rc, 1) != MONOMIAL_OUTSIDE
-
-    def sample_main():
-        while True:
-            j = rng.randrange(0, degree_cap)
-            lo = a * j // b + 1                 # floor(r j + 1)
-            i = rng.randrange(lo + 1, lo + 6)
-            if is_main(i, j):
-                return (i, j)
-
-    def sample_upper():
-        while True:
-            j = rng.randrange(0, degree_cap)
-            lo = -(-a * (j - 1) // b)           # ceil(r (j - 1))
-            i = rng.randrange(max(0, lo), max(1, lo) + 6)
-            if is_upper(i, j):
-                return (i, j)
-
-    checked = {"main_power": 0, "upper_power": 0, "mixed_main": 0,
-               "mixed_upper": 0}
-    for _ in range(samples):
-        p = rng.randrange(1, 5)
-        acc = (0, 0)
-        for _ in range(p):
-            mi, mj = sample_main()
-            acc = (acc[0] + mi, acc[1] + mj)
-        if not acc[0] * b > a * acc[1] + p * b:       # i > r j + p
-            raise RsadynError("main-region power bound failed")
-        checked["main_power"] += 1
-
-        acc = (0, 0)
-        for _ in range(p):
-            ui, uj = sample_upper()
-            acc = (acc[0] + ui, acc[1] + uj)
-        if not acc[0] * b >= a * (acc[1] - p):        # i >= r (j - p)
-            raise RsadynError("upper-region power bound failed")
-        checked["upper_power"] += 1
-
-        # mixed binomials (x + main)^(j1) (y + upper)^(j2)
-        j1 = rng.randrange(0, 7)
-        j2 = rng.randrange(0, 7)
-        s = sample_main()
-        u = sample_upper()
-        in_main = is_main(j1, j2)
-        in_upper = is_upper(j1, j2)
-        for alpha in range(j1 + 1):
-            beta = j1 - alpha
-            for gamma in range(j2 + 1):
-                delta = j2 - gamma
-                i = alpha + beta * s[0] + delta * u[0]
-                j = gamma + beta * s[1] + delta * u[1]
-                if in_main:
-                    if not is_main(i, j):
-                        raise RsadynError(
-                            "mixed binomial left the main region")
-                    checked["mixed_main"] += 1
-                if in_upper:
-                    if not is_upper(i, j):
-                        raise RsadynError(
-                            "mixed binomial left the upper region")
-                    checked["mixed_upper"] += 1
-    return checked
-
-
 # ---------------------------------------------------------------------------
 # return maps of the automorphism
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from rsadyn.blowup import (blowup_multipliers, build_linear_model,
                            fiber_map_level1, fiber_map_level2,
                            fiber_orbit_check, landing_condition, level2_step)
 from rsadyn.errors import RsadynError, ValidationError
+from rsadyn.numeric import identity, mat_mul, mat_pow
+from rsadyn.salem import IntPolynomial, salem_polynomial
 
 TOL30 = mpf(10) ** -30
 
@@ -31,7 +33,6 @@ def test_landing_m1_reduction(params411):
 def test_landing_41_is_family_polynomial_condition(params411):
     # oracle: expanding M1^2 (1, 1-d)^T and cross-multiplying yields
     # 1 - d - d^2 - d^3 + d^4, the family polynomial at d
-    from rsadyn import salem_polynomial
     p = salem_polynomial(4, 1)
     with workprec(256):
         d = params411.delta
@@ -58,6 +59,44 @@ def test_landing_iff_root_on_grid(params721):
 def test_landing_validates_range():
     with pytest.raises(ValidationError):
         landing_condition(2, 1, mpc(1))
+
+
+CENSUS = [(n, m) for n in range(3, 11) for m in range(1, 40 // n + 1)]
+T = IntPolynomial([0, 1])
+ONE = IntPolynomial([1])
+
+
+def landing_polynomial(n, m, sign=-1):
+    # the landing product over Z[t]: v = (M1^(n-2) M2^2)^m (1, 0)^T with
+    # M1 = [[1,0],[1,t]], M2 = [[1,0],[1,sign t]]; parallel to (t, 1)^T
+    # exactly when v0 - t v1 vanishes
+    m1 = [[ONE, 0], [ONE, T]]
+    m2 = [[ONE, 0], [ONE, sign * T]]
+    cycle = mat_mul(mat_pow(m1, n - 2, ONE), mat_mul(m2, m2))
+    total = mat_pow(cycle, m, ONE)
+    return total[0][0] - T * total[1][0]
+
+
+def test_landing_power_over_int_polynomials():
+    # the power landing_condition takes at delta, taken over Z[t] by the
+    # same mat_pow, is the closed-form family polynomial on every member
+    assert len(CENSUS) == 55
+    for n, m in CENSUS:
+        assert landing_polynomial(n, m) == salem_polynomial(n, m), (n, m)
+
+
+def test_landing_polynomial_catches_sign_flip():
+    assert landing_polynomial(5, 2, sign=1) != salem_polynomial(5, 2)
+
+
+def test_mat_pow_matches_repeated_product():
+    a = [[2, -1, 0], [1, 3, 1], [0, -2, 1]]
+    assert mat_pow(a, 0, 1) == identity(3) == [[1, 0, 0], [0, 1, 0],
+                                               [0, 0, 1]]
+    power = identity(3)
+    for k in range(1, 6):
+        power = mat_mul(power, a)
+        assert mat_pow(a, k, 1) == power, k
 
 
 # -- level-1 chart maps ----------------------------------------------------------
@@ -276,7 +315,6 @@ def test_linear_model_json_keeps_full_precision(params411):
 
 def test_landing_matches_polynomial_on_circle_grid(params411):
     # landing residual ~ 0 iff |family polynomial| ~ 0, tested both ways
-    from rsadyn import salem_polynomial
     from mpmath import exp, pi
     p = salem_polynomial(4, 1)
     with workprec(256):

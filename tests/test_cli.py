@@ -412,6 +412,7 @@ def test_raster_negative_eps_exit_2(tmp_path):
     ["--threads", "-3", "--budget", "16"],
     ["--window", "0,1,0,nan", "--budget", "16"],
     ["--window", "0,inf,0,1", "--budget", "16"],
+    ["--window", "1e308,-1e308,0,1", "--budget", "16"],
     ["--chart", "affine", "--basepoint", "nan,0,0,0", "--budget", "16"],
     ["--basepoint", "5,0,5,0", "--budget", "16"],
     ["--eps", "2", "--budget", "16"],
@@ -420,11 +421,12 @@ def test_raster_negative_eps_exit_2(tmp_path):
     ["--chart", "affine", "--basepoint", "1,2", "--budget", "16"],
     ["--seed", "1", "--budget", "16"],
 ], ids=["budget-negative", "threads-negative", "window-nan", "window-inf",
-        "basepoint-nan", "basepoint-line-chart", "eps-2", "eps-1e300",
-        "res-unparsed", "basepoint-unparsed", "seed"])
+        "window-overflow", "basepoint-nan", "basepoint-line-chart", "eps-2",
+        "eps-1e300", "res-unparsed", "basepoint-unparsed", "seed"])
 def test_raster_malformed_input_exit_2(flags, tmp_path):
     # only --budget 0 means "default"; a non-finite window or base point
-    # would put a bare NaN into the JSON report; the line chart has no
+    # would put a bare NaN into the JSON report, and a finite window whose
+    # grid overflows would classify NaN start points; the line chart has no
     # base point, so one given there would be silently ignored; eps >= 1
     # passes every cell, and a huge eps overflowed eps^2; a raster draws
     # no random samples, so it takes no --seed

@@ -1,5 +1,7 @@
 """Return times, near-identity returns, rasters, slice radii, Birkhoff sums."""
 
+import warnings
+
 import numpy as np
 import pytest
 from mpmath import exp, mp, mpf, pi, sqrt, workprec
@@ -184,13 +186,21 @@ NAN, INF = float("nan"), float("inf")
     ("line", WINDOW, None, 0),
     ("line", WINDOW, None, -3),
     ("line", WINDOW, (5 + 0j, 5 + 0j), 1),
+    ("line", (1e308, -1e308, 0.0, 1.0), None, 1),
+    ("affine", (0.0, 1e308, 0.0, 1e308), (1e308 + 0j, 1e308 + 0j), 1),
 ], ids=["window-nan", "window-inf", "basepoint-nan", "threads-0",
-        "threads-negative", "basepoint-line-chart"])
+        "threads-negative", "basepoint-line-chart", "window-overflow",
+        "basepoint-overflow"])
 def test_raster_rejects_bad_input(params411, chart, window, basepoint,
                                   threads):
-    with pytest.raises(ValidationError):
-        siegel_raster(params411, chart, window, (4, 2), budget=16,
-                      threads=threads, basepoint=basepoint)
+    # finite windows and base points can still overflow the grid to inf
+    # or NaN; that is rejected like a non-finite one, without a numpy
+    # overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError):
+            siegel_raster(params411, chart, window, (4, 2), budget=16,
+                          threads=threads, basepoint=basepoint)
 
 
 def test_raster_budget_monotone(params411):

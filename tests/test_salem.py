@@ -21,7 +21,8 @@ from rsadyn import (IntPolynomial, NotSalemError, find_roots,
                     salem_certificate, salem_polynomial)
 from rsadyn.errors import RsadynError, ValidationError
 from rsadyn.numeric import GaussianFixed, unconditional_cyclotomic_bound
-from rsadyn.salem import _aberth, cyclotomic, cyclotomic_part
+from rsadyn.salem import (_aberth, _exact_quotient, cyclotomic,
+                          cyclotomic_part)
 
 
 # -- construction ------------------------------------------------------------
@@ -139,7 +140,7 @@ def test_divides_matches_fraction_division(a, q, r, scale, exact):
     divisor = q * scale
     p = a * q if exact else a * q + r
     want = fraction_divides(divisor, p)
-    assert divisor.divides(p) == want
+    assert (_exact_quotient(p.coeffs, divisor.coeffs) is not None) == want
     if exact and scale in (1, -1):
         assert want
     if want:

@@ -13,8 +13,7 @@ from rsadyn.blowup import fiber_map_level2, level2_step
 from rsadyn.errors import RsadynError, ValidationError
 from rsadyn.series import (MONOMIAL_MAIN, MONOMIAL_OUTSIDE, MONOMIAL_RESONANT,
                            MONOMIAL_UPPER, BivariateSeries, ResonanceClass,
-                           classify_monomial, closure_property_check,
-                           compose_pair, corner_return_map,
+                           classify_monomial, compose_pair, corner_return_map,
                            infinity_return_map, inverse_unit,
                            linearize_diagonal, series_compose,
                            verify_conjugacy)
@@ -428,14 +427,6 @@ def test_resonance_class_validation():
         ResonanceClass(2, 4)
     with pytest.raises(ValidationError):
         ResonanceClass(0, 1)
-
-
-def test_closure_properties():
-    report = closure_property_check(ResonanceClass(1, 2), samples=150, seed=1)
-    assert report["main_power"] == 150
-    assert report["mixed_main"] > 0 and report["mixed_upper"] > 0
-    closure_property_check(ResonanceClass(1, 1), samples=80, seed=2)
-    closure_property_check(ResonanceClass(2, 3), samples=80, seed=3)
 
 
 # -- return maps -------------------------------------------------------------------
