@@ -11,19 +11,22 @@ codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A non-finite
 `--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` outside
 2^(-precision/4) <= |mismatch| < 1, `--demo-resonant` with a `--degree`
-below 3, and a raster with an unparseable window, resolution or base
-point, a window and base point that give a non-finite grid point, a
-negative budget, fewer than one thread, an eps outside (0, 1), or a base
-point with the line chart, are argument errors (exit 2), each reported
-once through `main`. Only `linearize`, whose Birkhoff average draws
-samples, takes `--seed`. Only `raster` needs numpy (the `raster` extra);
-without it the command exits 2 and names the extra.
+below 3 or with a `--mismatch-c`, and a raster with an unparseable window,
+resolution or base point, a window and base point that give a non-finite
+grid point, a negative budget, fewer than one thread, an eps outside
+(0, 1), or a base point with the line chart, are argument errors (exit 2),
+each reported once through `main`. Only `linearize`, whose Birkhoff
+average draws samples, takes `--seed`. Only `raster` needs numpy (the
+`raster` extra); without it the command exits 2 and names the extra.
 A negative value in exponent notation, or a window list that starts with
 a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
 separated by a space, the parser reads it as an option name.
 `verify` passes a residual below 2^(-precision/2); its multiplier residuals
 come from the Jacobian of `family.map_affine` by central differences. c
 takes the principal sqrt(delta): the other square-root branch is `--j` n-j.
+`linearize` solves the line-point conjugacy at the fixed point
+sqrt(delta) e^(i pi j/n) of the line map, where the multipliers are exactly
+(lambda, 1).
 """
 
 import argparse
@@ -31,7 +34,7 @@ import json
 import math
 import sys
 
-from mpmath import mp, mpf, workprec
+from mpmath import expjpi, mp, mpf, workprec
 
 from . import blowup, family, picard, salem, series
 from .errors import NotSalemError, RsadynError, ValidationError
@@ -87,7 +90,8 @@ def build_parser():
     p.add_argument("--degree", type=int, default=12)
     p.add_argument("--demo-resonant", action="store_true",
                    help="run the synthetic obstruction fixture instead; its "
-                        "resonant monomial x^2 y needs --degree >= 3")
+                        "resonant monomial x^2 y needs --degree >= 3, and it "
+                        "takes no --mismatch-c")
     p.add_argument("--mismatch-c", type=float, default=0.0,
                    help="relative scaling of c by 1 + mismatch: a nonzero "
                         "value leaves the parameter locus and must produce "
@@ -223,6 +227,9 @@ def cmd_linearize(args):
             raise ValidationError(
                 "--demo-resonant needs --degree >= 3 (its resonant monomial "
                 "x^2 y has degree 3), got %d" % args.degree)
+        if args.mismatch_c:
+            raise ValidationError("--demo-resonant takes no --mismatch-c: "
+                                  "the synthetic map has no c to mismatch")
         params = family.build_params(args.n, args.m, args.j, args.root_index,
                                      bits)
         with workprec(bits):
@@ -270,15 +277,18 @@ def cmd_linearize(args):
                   "corner": corner_entry}
 
         if not args.mismatch_c:
-            w0 = _line_basepoint(params)
+            # the fixed point of the line map g(w) = c - delta/w: its orbit
+            # is itself, and the blown-up points lie on the real line
+            # through sqrt(delta), |delta| = 1, sin(pi j/n) or more away
+            w0 = params.sqrt_delta * expjpi(mpf(args.j) / args.n)
             h_line, line_rep = series.infinity_return_map(params, w0, d)
             line_entry = {
                 "basepoint": mp.nstr(w0, 12),
                 "multiplier_residual":
                     mp.nstr(line_rep["multiplier_residual"], 8),
             }
-            _solve_return_map(line_entry, h_line, params.lam, 1, d, None,
-                              bits)
+            _solve_return_map(line_entry, h_line, *line_rep["eta"], d,
+                              line_rep["resonance"], bits)
             report["line_point"] = line_entry
 
             md = family.multipliers_at_fixed(
@@ -314,26 +324,6 @@ def _solve_return_map(entry, h, eta1, eta2, d, rc, bits):
                                       precision_bits=bits)
         entry["conjugacy_residual"] = mp.nstr(res, 8)
     return lin
-
-
-def _line_basepoint(params):
-    """A deterministic base point on the invariant line away from the
-    blown-up points."""
-    with workprec(params.precision_bits):
-        for cand in (mpf("0.37") + mpf("0.11") * 1j,
-                     mpf("0.53") - mpf("0.21") * 1j,
-                     mpf("1.23") + mpf("0.31") * 1j):
-            good = abs(cand) > mpf("0.1")
-            w = cand
-            for _ in range(params.n):
-                if min(abs(w - ws) for ws in params.orbit) < mpf("0.05") \
-                        or abs(w) < mpf("0.05"):
-                    good = False
-                    break
-                w = family.line_map(params, w)
-            if good:
-                return cand
-    raise ValidationError("no clean base point found on the invariant line")
 
 
 def cmd_raster(args):

@@ -280,14 +280,16 @@ def compose_pair(f_pair, g_pair):
 
 @dataclass(frozen=True)
 class ResonanceClass:
-    """Primitive multiplicative relation eta1^a eta2^b = 1, a, b > 0 coprime."""
+    """Primitive multiplicative relation eta1^a eta2^b = 1, a >= 0, b >= 1
+    coprime. (0, 1) is eta2 = 1, the relation at a point of the invariant
+    line."""
 
     a: int
     b: int
 
     def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValidationError("resonance exponents must be positive")
+        if self.a < 0 or self.b < 1:
+            raise ValidationError("resonance exponents need a >= 0 and b >= 1")
         if math.gcd(self.a, self.b) != 1:
             raise ValidationError("resonance exponents must be coprime")
 
@@ -428,7 +430,8 @@ def infinity_return_map(params, w, trunc):
 
     Coordinates (t, xi) with the point at the origin; the line is {t = 0}
     and is fixed pointwise, so H(t, xi) = (lambda t + O(t^2), xi + O(t^2)).
-    The report records the residuals of that structure.
+    The report records the residuals of that structure, the multipliers
+    "eta" = (lambda, 1) and their exact relation "resonance" = eta2 = 1.
     """
     if trunc < 2:
         raise ValidationError("need truncation degree >= 2")
@@ -492,6 +495,7 @@ def infinity_return_map(params, w, trunc):
             "low_order_residual": low_res,
             "line_identity_residual": id_res,
             "eta": (lam, mpc(1)),
+            "resonance": ResonanceClass(0, 1),
         }
         return (h1, h2), report
 
@@ -535,13 +539,12 @@ class LinearizationResult:
         }
 
 
-def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
-                       precision_bits=256):
+def linearize_diagonal(h_pair, eta1, eta2, trunc, rc, precision_bits=256):
     """Solve Phi o H = L o Phi order by order for diagonal L.
 
     H must fix the origin with linear part diag(eta1, eta2). Where the
-    divisor eta1^i eta2^j - eta_k vanishes (exact resonance per rc, or
-    numerically when rc is None): a forcing term below vanish_floor =
+    divisor eta1^i eta2^j - eta_k vanishes (exact resonance per the
+    ResonanceClass rc): a forcing term below vanish_floor =
     2^(-precision_bits/4) sets the coefficient to zero (normal-form
     freedom); a larger forcing term is returned in-band as the obstruction.
     Non-resonant divisors below divisor_floor = 1e-40 are attached as
@@ -586,10 +589,8 @@ def linearize_diagonal(h_pair, eta1, eta2, trunc, rc=None,
                 for k in (1, 2):
                     etak = eta1 if k == 1 else eta2
                     divisor = etapow[key] - etak
-                    resonant = (rc.resonant_for(i, j, k) if rc is not None
-                                else abs(divisor) < divisor_floor)
                     rhs = comp[k - 1][key]
-                    if resonant:
+                    if rc.resonant_for(i, j, k):
                         if abs(rhs) >= vanish_floor:
                             if obstruction is None:
                                 obstruction = (k, key, rhs)

@@ -1,6 +1,8 @@
 """CLI contract: exit codes, JSON reports, file outputs, determinism."""
 
+import cmath
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from rsadyn import build_params
 from rsadyn.cli import build_parser
 from rsadyn.errors import NotSalemError, RsadynError, ValidationError
 
@@ -240,6 +243,30 @@ def test_linearize_default():
     assert birk[-1] < birk[0]
 
 
+@pytest.mark.parametrize("n,m,j", [(11, 2, 1), (12, 1, 1), (13, 3, 5),
+                                   (40, 1, 1)])
+def test_linearize_beyond_n_10(n, m, j):
+    # the line point is the fixed point sqrt(delta) e^(i pi j/n) of the line
+    # map, clear of the blown-up points on every member
+    out = run("linearize", "--n", str(n), "--m", str(m), "--j", str(j),
+              "--degree", "6")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    for part in ("corner", "line_point"):
+        assert float(report[part]["conjugacy_residual"]) < 1e-20
+    got = complex(report["line_point"]["basepoint"].replace(" ", ""))
+    want = (cmath.sqrt(complex(build_params(n, m, j).delta))
+            * cmath.exp(1j * math.pi * j / n))
+    assert abs(got - want) < 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("n,m,j", [(12, 3, 5), (40, 1, 1)])
+def test_verify_beyond_n_10(n, m, j):
+    out = run("verify", "--n", str(n), "--m", str(m), "--j", str(j))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["pass"] is True
+
+
 def test_linearize_demo_resonant_exit_5():
     out = run("linearize", "--n", "4", "--m", "1", "--j", "1",
               "--demo-resonant")
@@ -443,9 +470,13 @@ def test_raster_malformed_input_exit_2(flags, tmp_path):
     ["raster", "--n", "4", "--m", "1", "--window", "oops"],
     ["raster", "--n", "4", "--m", "1", "--chart", "affine",
      "--basepoint", "1,2"],
-], ids=["salem-range", "raster-window", "raster-basepoint"])
+    ["linearize", "--n", "4", "--m", "1", "--demo-resonant",
+     "--mismatch-c", "0.01"],
+], ids=["salem-range", "raster-window", "raster-basepoint",
+        "demo-resonant-mismatch-c"])
 def test_argument_errors_share_one_report(args, tmp_path):
-    # every argument error leaves through main's one exit-2 diagnostic
+    # every argument error leaves through main's one exit-2 diagnostic; the
+    # synthetic demo map has no c, so a mismatch given with it is refused
     pgm = tmp_path / "x.pgm"
     if args[0] == "raster":
         args = args + ["--out", str(pgm)]

@@ -423,10 +423,25 @@ def test_classify_matches_region_definitions(ab, i, j, k):
 
 
 def test_resonance_class_validation():
-    with pytest.raises(ValidationError):
-        ResonanceClass(2, 4)
-    with pytest.raises(ValidationError):
-        ResonanceClass(0, 1)
+    # (0, 1) is eta2 = 1, the line-point relation; (1, 0) would be eta1 = 1
+    for a, b in ((2, 4), (1, 0), (0, 2), (-1, 1)):
+        with pytest.raises(ValidationError):
+            ResonanceClass(a, b)
+
+
+@pytest.mark.parametrize("n,m,j", [(4, 1, 1), (7, 2, 1), (40, 1, 1)])
+def test_line_resonance_matches_numeric_rule(n, m, j):
+    # oracle: the numeric rule the exact class replaced, a divisor
+    # lam^i 1^j - eta_k below 1e-40 at the line multipliers (lam, 1)
+    p = build_params(n, m, j)
+    rc = ResonanceClass(0, 1)
+    with workprec(256):
+        eta = (p.lam, mpc(1))
+        for deg in range(2, 17):
+            for i in range(deg + 1):
+                for k in (1, 2):
+                    numeric = abs(p.lam ** i - eta[k - 1]) < mpf(10) ** -40
+                    assert rc.resonant_for(i, deg - i, k) == numeric
 
 
 # -- return maps -------------------------------------------------------------------
@@ -604,8 +619,10 @@ def test_linearize_infinity_pipeline(params411):
     p = params411
     with workprec(256):
         w0 = mpf("0.53") - mpf("0.21") * 1j
-        h, _ = infinity_return_map(p, w0, 10)
-        res = linearize_diagonal(h, p.lam, 1, 10, rc=None, precision_bits=256)
+        h, rep = infinity_return_map(p, w0, 10)
+        assert rep["resonance"] == ResonanceClass(0, 1)
+        res = linearize_diagonal(h, p.lam, 1, 10, rc=rep["resonance"],
+                                 precision_bits=256)
         assert res.obstruction is None
         conj = verify_conjugacy(h, res.phi, p.lam, 1, 10, precision_bits=256)
         assert conj < mpf(10) ** -20
