@@ -219,7 +219,7 @@ def fiber_orbit_check(params):
             xi, x2 = s1 / e1, e1
             worst3 = max(worst3, abs((xi - 1) / x2 - d * x))
         report["entry_direction_residual"] = worst3
-        if worst3 > mpf(2) ** (-(params.precision_bits // 4)):
+        if worst3 > check_tol:
             raise RsadynError("contracted-line entry direction mismatch")
 
         # (c) last step to the inverse-exceptional line: fiber_map_level2 on
@@ -308,10 +308,10 @@ def build_linear_model(params):
     three blowups down the radial line applies blowup_multipliers to the
     ray node. The rule runs on exact powers 2^e standing in for lambda^e, so
     it yields the integer exponents, and each multiplier is lambda^e. The
-    corner of the level-1 and level-2 fibers carries {lambda^2, 1/lambda},
-    compared with the diagonal of `series.corner_return_map`'s linear part;
-    the deeper corner carries {lambda^3, lambda^-2}. Raises RsadynError on
-    a mismatch.
+    root gives `series.infinity_return_map` its (lambda, 1), and the corner
+    of the level-1 and level-2 fibers gives `series.corner_return_map` its
+    (lambda^2, 1/lambda), each checked there against the computed linear
+    part; the deeper corner carries {lambda^3, lambda^-2}.
     """
     with workprec(params.precision_bits):
         lam = params.lam
@@ -337,19 +337,4 @@ def build_linear_model(params):
             ray.children = [node(lb, exponent(along), exponent(normal))
                             for lb, (normal, along) in zip(labels, pairs)]
             ray = ray.children[1]
-        corner = root.find("e1_x_e2")
-        check_tol = tolerance_for(params.precision_bits // 2)
-
-        # corner cross-check against the nonlinear side: the diagonal of
-        # the corner return map's linear part (series imports this module)
-        from .series import corner_return_map
-        _, corner_rep = corner_return_map(params, 4, strict_linear=False)
-        eta_xi, eta_x = corner_rep["eta"]
-        res_xi = abs(eta_xi - corner.mult_along)
-        res_x = abs(eta_x - corner.mult_normal)
-        if res_xi > check_tol or res_x > check_tol:
-            raise RsadynError(
-                "corner multipliers disagree with the level-2 cycle: "
-                "(%s, %s)" % (salem.mp_str(res_xi), salem.mp_str(res_x)))
-
         return root

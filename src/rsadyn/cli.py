@@ -11,13 +11,15 @@ codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A non-finite
 `--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` outside
 2^(-precision/4) <= |mismatch| < 1, `--demo-resonant` with a `--degree`
-below 3 or with a `--mismatch-c`, and a raster with an unparseable window,
-resolution or base point, a window and base point that give a non-finite
-grid point, a negative budget, fewer than one thread, an eps outside
-(0, 1), or a base point with the line chart, are argument errors (exit 2),
-each reported once through `main`. Only `linearize`, whose Birkhoff
-average draws samples, takes `--seed`. Only `raster` needs numpy (the
-`raster` extra); without it the command exits 2 and names the extra.
+below 3 or with a `--mismatch-c`, a `--seed` with the demo or a nonzero
+`--mismatch-c` (neither draws Birkhoff samples), and a raster with an
+unparseable window, resolution or base point, a window and base point
+that give a non-finite grid point, a negative budget, fewer than one
+thread, an eps outside (0, 1), a base point with the line chart, or a
+grid too large for memory, are argument errors (exit 2), each reported
+once through `main`; `raster` checks its options and strings before it
+builds the parameter pack. Only `raster` needs numpy (the `raster`
+extra); without it the command exits 2 and names the extra.
 A negative value in exponent notation, or a window list that starts with
 a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
 separated by a space, the parser reads it as an option name.
@@ -85,8 +87,9 @@ def build_parser():
 
     p = sub.add_parser("linearize", help="return maps and conjugacy solve")
     _add_family_flags(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the Birkhoff-average samples")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the Birkhoff-average samples, default 0; "
+                        "the demo and a mismatched c draw none")
     p.add_argument("--degree", type=int, default=12)
     p.add_argument("--demo-resonant", action="store_true",
                    help="run the synthetic obstruction fixture instead; its "
@@ -218,34 +221,33 @@ def cmd_verify(args):
 
 def cmd_linearize(args):
     _check_finite("--mismatch-c", args.mismatch_c)
-    bits = args.precision
+    if args.seed is not None and (args.demo_resonant or args.mismatch_c):
+        raise ValidationError("--demo-resonant and a nonzero --mismatch-c "
+                              "draw no Birkhoff samples to --seed")
+    if args.demo_resonant and args.degree < 3:
+        raise ValidationError(
+            "--demo-resonant needs --degree >= 3 (its resonant monomial "
+            "x^2 y has degree 3), got %d" % args.degree)
+    if args.demo_resonant and args.mismatch_c:
+        raise ValidationError("--demo-resonant takes no --mismatch-c: "
+                              "the synthetic map has no c to mismatch")
+    bits, d = args.precision, args.degree
+    params = family.build_params(args.n, args.m, args.j, args.root_index,
+                                 bits)
     if args.demo_resonant:
         # synthetic resonant map (lam x + x^2 y, y/lam) with the (1,1)
         # relation: the (2,1) coefficient sits on the resonant line with
         # nonvanishing forcing, so no formal conjugacy exists
-        if args.degree < 3:
-            raise ValidationError(
-                "--demo-resonant needs --degree >= 3 (its resonant monomial "
-                "x^2 y has degree 3), got %d" % args.degree)
-        if args.mismatch_c:
-            raise ValidationError("--demo-resonant takes no --mismatch-c: "
-                                  "the synthetic map has no c to mismatch")
-        params = family.build_params(args.n, args.m, args.j, args.root_index,
-                                     bits)
         with workprec(bits):
             lam = params.lam
-            d = args.degree
             h1 = series.BivariateSeries(d, {(1, 0): lam, (2, 1): 1})
             h2 = series.BivariateSeries(d, {(0, 1): 1 / lam})
-            result = series.linearize_diagonal(
-                (h1, h2), lam, 1 / lam, d, rc=series.ResonanceClass(1, 1),
-                precision_bits=bits)
-        _emit({"demo_resonant": True,
-               "linearization": result.to_json(bits)})
+            report = {"demo_resonant": True}
+            result = _solve_return_map(report, (h1, h2), lam, 1 / lam, d,
+                                       series.ResonanceClass(1, 1), bits)
+        _emit(report)
         return EXIT_OBSTRUCTION if result.obstruction else EXIT_OK
 
-    params = family.build_params(args.n, args.m, args.j, args.root_index,
-                                 bits)
     if args.mismatch_c:
         with workprec(bits):
             # the factor is formed at working precision (in float, 1 + a
@@ -254,16 +256,14 @@ def cmd_linearize(args):
             # modulus 1 on the factor can vanish, give -c (the member j ->
             # n-j) or push the forcing under that floor
             mismatch = mpf(args.mismatch_c)
-            if not mpf(2) ** (-(bits // 4)) <= abs(mismatch) < 1:
+            if not tolerance_for(bits // 2) <= abs(mismatch) < 1:
                 raise ValidationError(
                     "a nonzero --mismatch-c must be at least 2^-%d and below "
                     "1 in modulus at --precision %d, got %r"
                     % (bits // 4, bits, args.mismatch_c))
             params = family.with_mismatched_c(params, 1 + mismatch)
-    d = args.degree
     with workprec(bits):
-        h_corner, corner_rep = series.corner_return_map(
-            params, d, strict_linear=not args.mismatch_c)
+        h_corner, corner_rep = series.corner_return_map(params, d)
         eta1, eta2 = corner_rep["eta"]
         corner_entry = {
             "linear_residual": mp.nstr(corner_rep["linear_residual"], 8),
@@ -294,7 +294,8 @@ def cmd_linearize(args):
             md = family.multipliers_at_fixed(
                 params, family.fixed_points(params)[0])
             if md.rank2_criterion and md.unit_modulus:
-                birk = family.birkhoff_linearize(params, md, seed=args.seed)
+                birk = family.birkhoff_linearize(params, md,
+                                                 seed=args.seed or 0)
                 report["birkhoff"] = {
                     "n_values": birk["n_values"],
                     "residuals": birk["residuals"],
@@ -334,8 +335,6 @@ def cmd_raster(args):
             raise
         _diag("raster needs numpy: pip install rsadyn[raster]")
         return EXIT_ARGS
-    params = family.build_params(args.n, args.m, args.j, args.root_index,
-                                 args.precision)
     try:
         x0, x1, y0, y1 = (float(v) for v in args.window.split(","))
         w, h = (int(v) for v in args.res.lower().split("x"))
@@ -350,10 +349,16 @@ def cmd_raster(args):
             raise ValidationError("--basepoint needs re1,im1,re2,im2, got %r"
                                   % args.basepoint)
         basepoint = (complex(re1, im1), complex(re2, im2))
+    probes.check_raster_options(args.chart, args.eps, args.threads, basepoint)
+    params = family.build_params(args.n, args.m, args.j, args.root_index,
+                                 args.precision)
     budget = args.budget or None      # 0 = default; negatives are rejected
-    grid = probes.siegel_raster(params, args.chart, (x0, x1, y0, y1), (w, h),
-                                budget=budget, eps=args.eps,
-                                threads=args.threads, basepoint=basepoint)
+    try:
+        grid = probes.siegel_raster(params, args.chart, (x0, x1, y0, y1),
+                                    (w, h), budget=budget, eps=args.eps,
+                                    threads=args.threads, basepoint=basepoint)
+    except MemoryError:
+        raise ValidationError("--res %s does not fit in memory" % args.res)
     try:
         grid.write_pgm(args.out)
         if args.csv:

@@ -236,6 +236,23 @@ def _chart_states(chart, window, resolution, basepoint=None):
     return T, X, Y
 
 
+def check_raster_options(chart, eps, threads, basepoint=None):
+    """Raise ValidationError on a raster option, before pack or grid.
+
+    eps must lie in (0, 1): only eps^2 reaches the kernels, so a negative
+    eps would act as |eps|, and the projective distance never exceeds 1,
+    so eps >= 1 would pass every cell. Only the affine chart reads a base
+    point, and threads must be at least 1.
+    """
+    if not 0 < eps < 1:
+        raise ValidationError("eps must lie in (0, 1), got %r" % (eps,))
+    if basepoint is not None and chart != "affine":
+        raise ValidationError("basepoint applies to the affine chart only, "
+                              "not %r" % (chart,))
+    if int(threads) < 1:
+        raise ValidationError("threads must be >= 1, got %r" % (threads,))
+
+
 def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
                   threads=1, basepoint=None):
     """Classify every grid point as recurrent / non-recurrent / indeterminate.
@@ -245,25 +262,15 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
     non-recurrent-within-budget -- an honest budgeted statement, no escape
     claim. Deterministic: same window, resolution, budget and eps give
     byte-identical rasters for any thread count (cells are independent pure
-    functions). eps must lie in (0, 1): only eps^2 reaches the kernels, so
-    a negative eps would silently act as |eps|, and the projective distance
-    never exceeds 1, so eps >= 1 would pass every cell. Every grid
-    coordinate the window and base point give must be finite, a base
-    point is only read by the affine chart, and threads must be at least 1.
+    functions). Options and budget are checked before the grid is built.
     """
-    if not 0 < eps < 1:
-        raise ValidationError("eps must lie in (0, 1), got %r" % (eps,))
-    T, X, Y = _chart_states(chart, window, resolution, basepoint)
-    if basepoint is not None and chart != "affine":
-        raise ValidationError("basepoint applies to the affine chart only, "
-                              "not %r" % (chart,))
+    check_raster_options(chart, eps, threads, basepoint)
     threads = int(threads)
-    if threads < 1:
-        raise ValidationError("threads must be >= 1, got %r" % (threads,))
     if budget is None:
         budget = default_budget(params.lam, params.precision_bits)
     cands = np.array(candidate_times(params.lam, budget,
                                      params.precision_bits), dtype=np.int64)
+    T, X, Y = _chart_states(chart, window, resolution, basepoint)
     h, w = T.shape
     delta = complex(params.delta)
     c = complex(params.c)

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import from_man_exp
 
-from .blowup import level2_step
+from .blowup import build_linear_model, level2_step
 from .family import line_map
 from .errors import RsadynError, ValidationError
 from .numeric import (exact_parts, fit_slope, fixed_parts, mpc_to_json,
@@ -349,7 +349,7 @@ def _assert_small_const(f, floor, what):
     return out
 
 
-def corner_return_map(params, trunc, strict_linear=True):
+def corner_return_map(params, trunc):
     """The n-step return map at the corner of the level-1/level-2 fibers.
 
     Runs `blowup.level2_step` n times on truncated series in the corner
@@ -361,15 +361,14 @@ def corner_return_map(params, trunc, strict_linear=True):
     class inventory of the remainder, which must lie in
     (main + resonant-line) x upper for the (1, 2) resonance.
 
-    strict_linear=False skips the consistency error against the ideal
-    multipliers and reports the computed diagonal instead; the
-    mismatched-c sharpness probe needs this, since off the parameter locus
-    the orbit product identity (hence the second multiplier) moves.
+    The ideal pair is the blowup tree's corner (lambda^2, 1/lambda). On the
+    parameter locus (|w_{n-1}| within tolerance, as `build_params` demands)
+    the linear part must match it and "eta" reports it; off the locus the
+    second multiplier moves, so "eta" is the computed diagonal.
     """
     if trunc < 4:
         raise ValidationError("need truncation degree >= 4")
     with workprec(params.precision_bits):
-        lam = params.lam
         floor = tolerance_for(params.precision_bits)
         cur = (BivariateSeries.variable(trunc, 0),
                BivariateSeries.variable(trunc, 1))
@@ -380,28 +379,28 @@ def corner_return_map(params, trunc, strict_linear=True):
                    _assert_small_const(cur[1], floor, "corner chart step"))
 
         h1, h2 = cur
-        ideal = (lam * lam, 1 / lam)
+        corner = build_linear_model(params).find("e1_x_e2")
+        ideal = (corner.mult_along, corner.mult_normal)
+        on_locus = abs(params.orbit[-1]) <= params.tolerance
         check_tol = tolerance_for(params.precision_bits // 2)
         off_res = max(abs(h1[(0, 1)]), abs(h2[(1, 0)]))
         lin_res = max(abs(h1[(1, 0)] - ideal[0]), abs(h2[(0, 1)] - ideal[1]),
                       off_res)
-        if off_res > check_tol or (strict_linear and lin_res > check_tol):
+        if off_res > check_tol or (on_locus and lin_res > check_tol):
             raise RsadynError(
                 "corner linear part differs from diag(lambda^2, 1/lambda) "
                 "by %s" % mp.nstr(lin_res, 6))
-        eta1 = h1[(1, 0)] if not strict_linear else ideal[0]
-        eta2 = h2[(0, 1)] if not strict_linear else ideal[1]
+        eta1, eta2 = ideal if on_locus else (h1[(1, 0)], h2[(0, 1)])
 
         rc = ResonanceClass(1, 2)
         resonant_max = mpf(0)
-        assert_floor = check_tol
         for (i, j), v in h1.coeffs.items():
             if (i, j) in ((1, 0), (0, 1)):
                 continue
             cls = classify_monomial(i, j, rc, 1)
             if cls == MONOMIAL_RESONANT:
                 resonant_max = max(resonant_max, abs(v))
-            elif cls != MONOMIAL_MAIN and abs(v) > assert_floor:
+            elif cls != MONOMIAL_MAIN and abs(v) > check_tol:
                 raise RsadynError(
                     "first coordinate monomial %r of size %s outside "
                     "main+resonant" % ((i, j), mp.nstr(abs(v), 6)))
@@ -411,7 +410,7 @@ def corner_return_map(params, trunc, strict_linear=True):
             if classify_monomial(i, j, rc, 1) not in (MONOMIAL_MAIN,
                                                       MONOMIAL_UPPER,
                                                       MONOMIAL_RESONANT) \
-                    and abs(v) > assert_floor:
+                    and abs(v) > check_tol:
                 raise RsadynError(
                     "second coordinate monomial %r of size %s outside the "
                     "upper region" % ((i, j), mp.nstr(abs(v), 6)))
@@ -430,16 +429,17 @@ def infinity_return_map(params, w, trunc):
 
     Coordinates (t, xi) with the point at the origin; the line is {t = 0}
     and is fixed pointwise, so H(t, xi) = (lambda t + O(t^2), xi + O(t^2)).
-    The report records the residuals of that structure, the multipliers
-    "eta" = (lambda, 1) and their exact relation "resonance" = eta2 = 1.
+    The report records the residuals of that structure against the
+    multipliers "eta", the blowup tree's root (lambda, 1), and their exact
+    relation "resonance" = eta2 = 1.
     """
     if trunc < 2:
         raise ValidationError("need truncation degree >= 2")
     n = params.n
     with workprec(params.precision_bits):
-        d, c, lam = params.delta, params.c, params.lam
+        d, c = params.delta, params.c
         tol = params.tolerance
-        margin = mpf(2) ** (-(params.precision_bits // 4))
+        margin = tolerance_for(params.precision_bits // 2)
         w = mpc(w)
 
         # the forward line orbit of w must stay away from the blown-up points
@@ -458,7 +458,6 @@ def infinity_return_map(params, w, trunc):
         if abs(worbit[0] - line_map(params, worbit[-1])) > 1000 * tol:
             raise RsadynError("line orbit failed to close after n steps")
 
-        floor = tolerance_for(params.precision_bits)
         t = BivariateSeries.variable(trunc, 0)
         xi = BivariateSeries.variable(trunc, 1)
         cur = (t, xi)
@@ -471,12 +470,13 @@ def infinity_return_map(params, w, trunc):
             new_t = a * iy
             new_xi = (iy * (-d) + (a * a) * (iy * iy)
                       + BivariateSeries.constant(trunc, c - wnext))
-            cur = (_assert_small_const(new_t, floor, "line chart step"),
-                   _assert_small_const(new_xi, floor, "line chart step"))
+            cur = (_assert_small_const(new_t, tol, "line chart step"),
+                   _assert_small_const(new_xi, tol, "line chart step"))
 
         h1, h2 = cur
+        root = build_linear_model(params)
         check_tol = tolerance_for(params.precision_bits // 2)
-        mult_res = abs(h1[(1, 0)] - lam)
+        mult_res = abs(h1[(1, 0)] - root.mult_normal)
         low_res = mpf(0)
         for (i, j), v in h1.coeffs.items():
             if i <= 1 and (i, j) != (1, 0):
@@ -484,7 +484,7 @@ def infinity_return_map(params, w, trunc):
         for (i, j), v in h2.coeffs.items():
             if i <= 1 and (i, j) != (0, 1):
                 low_res = max(low_res, abs(v))
-        id_res = abs(h2[(0, 1)] - 1)
+        id_res = abs(h2[(0, 1)] - root.mult_along)
         if mult_res > check_tol or low_res > check_tol or id_res > check_tol:
             raise RsadynError(
                 "line return map lacks the (lambda t + O(t^2), xi + O(t^2)) "
@@ -494,7 +494,7 @@ def infinity_return_map(params, w, trunc):
             "multiplier_residual": mult_res,
             "low_order_residual": low_res,
             "line_identity_residual": id_res,
-            "eta": (lam, mpc(1)),
+            "eta": (root.mult_normal, root.mult_along),
             "resonance": ResonanceClass(0, 1),
         }
         return (h1, h2), report
@@ -553,7 +553,7 @@ def linearize_diagonal(h_pair, eta1, eta2, trunc, rc, precision_bits=256):
     degree, so the solve does no work past the degree of an obstruction.
     """
     with workprec(precision_bits):
-        vanish_floor = mpf(2) ** (-(precision_bits // 4))
+        vanish_floor = tolerance_for(precision_bits // 2)
         divisor_floor = mpf(10) ** -40
         eta1, eta2 = mpc(eta1), mpc(eta2)
         h1, h2 = h_pair

@@ -108,7 +108,7 @@ def test_criterion_06_linearization_pipeline():
         conj_ok = conj < mpf(10) ** -20
 
         bad = with_mismatched_c(p, 1 + mpf(10) ** -2)
-        hb, repb = corner_return_map(bad, 8, strict_linear=False)
+        hb, repb = corner_return_map(bad, 8)
         solb = linearize_diagonal(hb, repb["eta"][0], repb["eta"][1], 8,
                                   rc=repb["resonance"], precision_bits=256)
         obstructed = solb.obstruction is not None

@@ -262,9 +262,9 @@ def test_fiber_orbit_check_reads_homogeneous_step(params411, monkeypatch,
 
 
 def test_linear_model_reads_level2_map(params411, monkeypatch):
-    # both corner multipliers are read off the corner return map, n steps
-    # of level2_step on series: lambda^2 on the fiber coordinate xi (axis
-    # 0), 1/lambda transverse to it (axis 1)
+    # the corner return map, n steps of level2_step on series, checks its
+    # linear part against the tree's corner: lambda^2 on the fiber
+    # coordinate xi (axis 0), 1/lambda transverse to it (axis 1)
     for axis in (0, 1):
         def scaled(params, s, xi, x2, div, axis=axis):
             out = list(level2_step(params, s, xi, x2, div))
@@ -272,8 +272,8 @@ def test_linear_model_reads_level2_map(params411, monkeypatch):
             return tuple(out)
 
         monkeypatch.setattr(series, "level2_step", scaled)
-        with pytest.raises(RsadynError, match="corner multipliers disagree"):
-            build_linear_model(params411)
+        with pytest.raises(RsadynError, match="corner linear part differs"):
+            series.corner_return_map(params411, 4)
 
 
 def test_blowup_multiplier_rule():

@@ -472,11 +472,16 @@ def test_raster_malformed_input_exit_2(flags, tmp_path):
      "--basepoint", "1,2"],
     ["linearize", "--n", "4", "--m", "1", "--demo-resonant",
      "--mismatch-c", "0.01"],
+    ["linearize", "--n", "4", "--m", "1", "--demo-resonant", "--seed", "7"],
+    ["linearize", "--n", "4", "--m", "1", "--mismatch-c", "0.01",
+     "--seed", "7"],
 ], ids=["salem-range", "raster-window", "raster-basepoint",
-        "demo-resonant-mismatch-c"])
+        "demo-resonant-mismatch-c", "demo-resonant-seed", "mismatch-c-seed"])
 def test_argument_errors_share_one_report(args, tmp_path):
     # every argument error leaves through main's one exit-2 diagnostic; the
-    # synthetic demo map has no c, so a mismatch given with it is refused
+    # synthetic demo map has no c, so a mismatch given with it is refused;
+    # neither the demo nor a mismatched c draws Birkhoff samples, so a seed
+    # given with them would be dropped without a word
     pgm = tmp_path / "x.pgm"
     if args[0] == "raster":
         args = args + ["--out", str(pgm)]
@@ -485,6 +490,50 @@ def test_argument_errors_share_one_report(args, tmp_path):
     assert out.stdout == ""
     assert out.stderr.startswith("invalid arguments: ")
     assert out.stderr.count("\n") == 1
+    assert not pgm.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--threads", "0"],
+    ["--basepoint", "0,0,0,0"],
+], ids=["threads-0", "basepoint-line-chart"])
+def test_raster_refuses_options_before_pack_and_grid(monkeypatch, capsys,
+                                                     flags, tmp_path):
+    # in process: an option no grid can satisfy exits 2 before the
+    # certificate or the grid is built, whatever the resolution asks for
+    from rsadyn import cli, family, probes
+    calls = []
+    monkeypatch.setattr(family, "build_params",
+                        lambda *args: calls.append("pack"))
+    monkeypatch.setattr(probes, "_chart_states",
+                        lambda *args: calls.append("grid"))
+    pgm = tmp_path / "x.pgm"
+    rc = cli.main(["raster", "--n", "4", "--m", "1", "--res", "100000x100000",
+                   "--budget", "64", "--out", str(pgm), *flags])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == "" and out.err.startswith("invalid arguments: ")
+    assert calls == []
+    assert not pgm.exists()
+
+
+def test_raster_grid_out_of_memory_exit_2(monkeypatch, capsys, tmp_path):
+    # a grid too large to allocate is an argument error naming --res, not
+    # a numpy traceback; the allocation is simulated, never attempted
+    from rsadyn import cli, probes
+
+    def no_memory(*args):
+        raise MemoryError("simulated")
+
+    monkeypatch.setattr(probes, "_chart_states", no_memory)
+    pgm = tmp_path / "x.pgm"
+    rc = cli.main(["raster", "--n", "4", "--m", "1", "--res", "100000x100000",
+                   "--budget", "64", "--out", str(pgm)])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert out.err.startswith("invalid arguments: --res 100000x100000")
+    assert out.err.count("\n") == 1
     assert not pgm.exists()
 
 

@@ -12,7 +12,7 @@ from rsadyn.family import birkhoff_linearize, multipliers_at_fixed
 from rsadyn.probes import (candidate_times, classify_point_mp, default_budget,
                            near_identity_returns, return_times,
                            siegel_raster, slice_radius)
-from rsadyn import _kernels
+from rsadyn import _kernels, probes
 
 
 # -- return times ------------------------------------------------------------
@@ -201,6 +201,25 @@ def test_raster_rejects_bad_input(params411, chart, window, basepoint,
         with pytest.raises(ValidationError):
             siegel_raster(params411, chart, window, (4, 2), budget=16,
                           threads=threads, basepoint=basepoint)
+
+
+@pytest.mark.parametrize("basepoint, threads, budget", [
+    (None, 0, 16),
+    ((0j, 0j), 1, 16),
+    (None, 1, -5),
+], ids=["threads-0", "basepoint-line-chart", "budget-negative"])
+def test_raster_checks_options_before_the_grid(params411, monkeypatch,
+                                               basepoint, threads, budget):
+    # a bad option is refused before the grid is built, so a resolution
+    # far too large for memory never reaches the allocation; the spy
+    # stands in for the grid and records any call
+    calls = []
+    monkeypatch.setattr(probes, "_chart_states",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValidationError):
+        siegel_raster(params411, "line", WINDOW, (100000, 100000),
+                      budget=budget, threads=threads, basepoint=basepoint)
+    assert calls == []
 
 
 def test_raster_budget_monotone(params411):

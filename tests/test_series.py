@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import exp, mp, mpc, mpf, pi, sqrt, workprec
 
 from rsadyn import build_params, with_mismatched_c
-from rsadyn.blowup import fiber_map_level2, level2_step
+from rsadyn.blowup import build_linear_model, fiber_map_level2, level2_step
 from rsadyn.errors import RsadynError, ValidationError
 from rsadyn.series import (MONOMIAL_MAIN, MONOMIAL_OUTSIDE, MONOMIAL_RESONANT,
                            MONOMIAL_UPPER, BivariateSeries, ResonanceClass,
@@ -635,7 +635,7 @@ def test_linearize_infinity_pipeline(params411):
 def test_mismatched_c_obstruction(params411):
     with workprec(256):
         bad = with_mismatched_c(params411, 1 + mpf(10) ** -2)
-        h, rep = corner_return_map(bad, 8, strict_linear=False)
+        h, rep = corner_return_map(bad, 8)
         assert rep["max_resonant_coefficient"] > mpf(2) ** -64
         res = linearize_diagonal(h, rep["eta"][0], rep["eta"][1], 8,
                                  rc=rep["resonance"], precision_bits=256)
@@ -644,12 +644,35 @@ def test_mismatched_c_obstruction(params411):
         assert res.obstruction[1] == (2, 2)
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("n,m,j", [(4, 1, 1), (7, 2, 3)])
+def test_return_maps_take_eta_from_the_tree(n, m, j, bits):
+    # on the parameter locus both return maps report the blowup tree's
+    # multipliers exactly; the smallest mismatch `linearize` accepts,
+    # 2^-(bits/4), leaves the locus, and the corner map then reports its
+    # computed diagonal instead of refusing it
+    p = build_params(n, m, j, precision_bits=bits)
+    with workprec(bits):
+        tree = build_linear_model(p)
+        corner = tree.find("e1_x_e2")
+        _, rep = corner_return_map(p, 8)
+        assert rep["eta"] == (corner.mult_along, corner.mult_normal)
+        w0 = p.sqrt_delta * exp(1j * pi * mpf(j) / n)
+        _, line_rep = infinity_return_map(p, w0, 4)
+        assert line_rep["eta"] == (tree.mult_normal, tree.mult_along)
+
+        bad = with_mismatched_c(p, 1 + mpf(2) ** -(bits // 4))
+        hb, repb = corner_return_map(bad, 8)
+        assert repb["eta"] == (hb[0][(1, 0)], hb[1][(0, 1)])
+        assert repb["eta"] != rep["eta"]
+
+
 def test_obstruction_stops_the_solve(params411, monkeypatch):
     # the mismatched-c obstruction sits at degree 4: the solve does the
     # same series products at truncation 8 as at 16
     with workprec(256):
         bad = with_mismatched_c(params411, 1 + mpf(10) ** -2)
-        maps = {t: corner_return_map(bad, t, strict_linear=False)
+        maps = {t: corner_return_map(bad, t)
                 for t in (8, 16)}
     calls = []
     mul = BivariateSeries.__mul__
