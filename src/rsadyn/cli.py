@@ -9,7 +9,9 @@ Birkhoff curve), `raster` (recurrence rasters to PGM/CSV).
 Contract: a single JSON report on stdout, diagnostics on stderr. Exit
 codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
 failure, 5 linearization obstruction, 6 I/O failure. A non-finite
-`--perturb` or `--mismatch-c`, a nonzero `--mismatch-c` outside
+`--perturb` or `--mismatch-c`, a nonzero `--perturb` so small that
+1 + perturb rounds to 1 at `--precision` (it would probe the unperturbed
+delta), a nonzero `--mismatch-c` outside
 2^(-precision/4) <= |mismatch| < 1, `--demo-resonant` with a `--degree`
 below 3 or with a `--mismatch-c`, a `--seed` with the demo or a nonzero
 `--mismatch-c` (neither draws Birkhoff samples), and a raster with an
@@ -28,7 +30,8 @@ come from the Jacobian of `family.map_affine` by central differences. c
 takes the principal sqrt(delta): the other square-root branch is `--j` n-j.
 `linearize` solves the line-point conjugacy at the fixed point
 sqrt(delta) e^(i pi j/n) of the line map, where the multipliers are exactly
-(lambda, 1).
+(lambda, 1); `series.infinity_return_map` computes that point itself and
+the report prints it as `line_point.basepoint`.
 """
 
 import argparse
@@ -36,7 +39,7 @@ import json
 import math
 import sys
 
-from mpmath import expjpi, mp, mpf, workprec
+from mpmath import mp, mpf, workprec
 
 from . import blowup, family, picard, salem, series
 from .errors import NotSalemError, RsadynError, ValidationError
@@ -161,6 +164,11 @@ def cmd_verify(args):
     checks = {}
 
     with workprec(args.precision):
+        perturb = mpf(args.perturb)
+        if perturb and 1 + perturb == 1:
+            raise ValidationError(
+                "--perturb %r is lost at --precision %d: 1 + perturb "
+                "rounds to 1" % (args.perturb, args.precision))
         tol = tolerance_for(args.precision)
         idents = family.orbit_identities(params)
         checks["orbit_identities"] = {
@@ -168,8 +176,7 @@ def cmd_verify(args):
             "pass": idents["max_residual"] < tol,
         }
 
-        delta_probe = params.delta * (1 + mpf(args.perturb)) \
-            if args.perturb else params.delta
+        delta_probe = params.delta * (1 + perturb)
         landing = blowup.landing_condition(args.n, args.m, delta_probe,
                                            args.precision)
         checks["landing"] = {
@@ -277,13 +284,9 @@ def cmd_linearize(args):
                   "corner": corner_entry}
 
         if not args.mismatch_c:
-            # the fixed point of the line map g(w) = c - delta/w: its orbit
-            # is itself, and the blown-up points lie on the real line
-            # through sqrt(delta), |delta| = 1, sin(pi j/n) or more away
-            w0 = params.sqrt_delta * expjpi(mpf(args.j) / args.n)
-            h_line, line_rep = series.infinity_return_map(params, w0, d)
+            h_line, line_rep = series.infinity_return_map(params, trunc=d)
             line_entry = {
-                "basepoint": mp.nstr(w0, 12),
+                "basepoint": mp.nstr(line_rep["basepoint"], 12),
                 "multiplier_residual":
                     mp.nstr(line_rep["multiplier_residual"], 8),
             }

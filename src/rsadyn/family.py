@@ -19,10 +19,14 @@ complex, and the precision-doubling mirror on `numeric.GaussianFixed`.
 The numpy block kernels in `_kernels` repeat its arithmetic per cell.
 
 The restriction to the invariant line at infinity {t = 0} is the Moebius map
-g(w) = c - delta / w, elliptic of period n; its forward orbit of c vanishes
-at step n-1, which is the consistency check validating a (root index, j)
-pairing. sqrt(delta) is the principal square root; the other branch gives
-the member with j replaced by n - j.
+g(w) = c - delta / w, elliptic of period n, with fixed points
+sqrt(delta) e^(+-i pi j/n). Its forward orbit of c vanishes at step n-1 for
+every delta and every coprime j: with theta = j pi/n,
+w_k = sqrt(delta) U_k(cos theta) / U_(k-1)(cos theta), and U_(n-1)(cos theta)
+= 0. So the check |w_{n-1}| <= tolerance tests the rounding of c, not the
+(root index, j) pairing; it is also the parameter-locus test that
+`series.corner_return_map` reuses. sqrt(delta) is the principal square
+root; the other branch gives the member with j replaced by n - j.
 
 The Birkhoff average at a unit-modulus fixed point runs on Python complex,
 in the eigenbasis that the certified multipliers give in closed form.
@@ -99,8 +103,10 @@ def build_params(n, m, j, root_index=0, precision_bits=256):
     delta is chosen as nonunity_unit_roots[root_index] of the certified
     Salem polynomial (deterministic (argument, modulus) order) and
     c = 2 sqrt(delta) cos(j pi / n) with the principal square root; the
-    other branch is the member with j replaced by n - j. The pairing is
-    validated a posteriori by |w_{n-1}| falling below tolerance.
+    other branch is the member with j replaced by n - j. The pack is
+    accepted when |w_{n-1}| falls below tolerance: that holds for every
+    pairing in exact arithmetic, so the check tests the rounding of c, and
+    it is the locus test that `series.corner_return_map` reuses.
     """
     precision_bits = check_precision(precision_bits)
     if not ((n >= 4 and m >= 1) or (n == 3 and m >= 2)):
@@ -131,8 +137,8 @@ def build_params(n, m, j, root_index=0, precision_bits=256):
         orbit = _c_orbit(c, delta, n, tol)
         if abs(orbit[-1]) > tol:
             raise RsadynError(
-                "orbit value w_{n-1} = %s fails to vanish: wrong "
-                "(root_index, j) pairing" % salem.mp_str(orbit[-1]))
+                "orbit value w_{n-1} = %s fails to vanish: c is off the "
+                "parameter locus at this precision" % salem.mp_str(orbit[-1]))
 
         if n % 2 == 0:
             lam = -delta ** (-(n // 2))

@@ -17,7 +17,9 @@ nested Horner, f o g = sum_i g1^i (sum_j f_ij g2^j).
 The return maps of the automorphism at its distinguished fixed points are
 built by running the fiber-chart maps on series, every denominator
 inverted as a unit series; the corner map runs `blowup.level2_step`, the
-same chart arithmetic as the pointwise map. The conjugacy to the diagonal
+same chart arithmetic as the pointwise map, and the line-point map is
+centred at the fixed point sqrt(delta) e^(i pi j/n) of the line map, which
+f fixes, so it takes no base point. The conjugacy to the diagonal
 linear part is solved order by order on a running composition Phi o H,
 dividing each coefficient by eta1^i eta2^j - eta_k and treating
 exactly-resonant monomials by the vanishing-forcing/obstruction dichotomy;
@@ -29,11 +31,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
 
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import expjpi, mp, mpc, mpf, workprec
 from mpmath.libmp import from_man_exp
 
 from .blowup import build_linear_model, level2_step
-from .family import line_map
 from .errors import RsadynError, ValidationError
 from .numeric import (exact_parts, fit_slope, fixed_parts, mpc_to_json,
                       shift_round, tolerance_for)
@@ -424,52 +425,35 @@ def corner_return_map(params, trunc):
         return (h1, h2), report
 
 
-def infinity_return_map(params, w, trunc):
-    """The n-step return map at a point [0 : 1 : w] of the invariant line.
+def infinity_return_map(params, trunc):
+    """The n-step return map at the line point [0 : 1 : w0].
 
+    w0 = sqrt(delta) e^(i pi j/n) is the fixed point of the line map
+    g(w) = c - delta/w, so f fixes the point and each of the n chart steps
+    is centred at w0. The blown-up points lie on the real line through
+    sqrt(delta) and |delta| = 1, so w0 is at least sin(pi j/n) from each.
     Coordinates (t, xi) with the point at the origin; the line is {t = 0}
     and is fixed pointwise, so H(t, xi) = (lambda t + O(t^2), xi + O(t^2)).
-    The report records the residuals of that structure against the
-    multipliers "eta", the blowup tree's root (lambda, 1), and their exact
-    relation "resonance" = eta2 = 1.
+    The report records w0 as "basepoint" and the residuals of that
+    structure against the multipliers "eta", the blowup tree's root
+    (lambda, 1), and their exact relation "resonance" = eta2 = 1.
     """
     if trunc < 2:
         raise ValidationError("need truncation degree >= 2")
-    n = params.n
     with workprec(params.precision_bits):
-        d, c = params.delta, params.c
+        d = params.delta
         tol = params.tolerance
-        margin = tolerance_for(params.precision_bits // 2)
-        w = mpc(w)
+        w0 = params.sqrt_delta * expjpi(mpf(params.j) / params.n)
+        w0_const = BivariateSeries.constant(trunc, w0)
+        xi_const = BivariateSeries.constant(trunc, params.c - w0)
 
-        # the forward line orbit of w must stay away from the blown-up points
-        # (w-coordinates {0, orbit values, infinity})
-        worbit = [w]
-        for _ in range(n - 1):
-            cur = worbit[-1]
-            if abs(cur) < margin or abs(cur) > 1 / margin:
-                raise ValidationError("base point orbit passes too close to a "
-                                      "blown-up point")
-            for ws in params.orbit:
-                if abs(cur - ws) < margin:
-                    raise ValidationError("base point orbit hits a blown-up "
-                                          "point")
-            worbit.append(line_map(params, cur))
-        if abs(worbit[0] - line_map(params, worbit[-1])) > 1000 * tol:
-            raise RsadynError("line orbit failed to close after n steps")
-
-        t = BivariateSeries.variable(trunc, 0)
-        xi = BivariateSeries.variable(trunc, 1)
-        cur = (t, xi)
-        for s in range(n):
-            wk = worbit[s]
-            wnext = worbit[(s + 1) % n]
+        cur = (BivariateSeries.variable(trunc, 0),
+               BivariateSeries.variable(trunc, 1))
+        for _ in range(params.n):
             a, b = cur
-            y = b + BivariateSeries.constant(trunc, wk)
-            iy = inverse_unit(y)
+            iy = inverse_unit(b + w0_const)
             new_t = a * iy
-            new_xi = (iy * (-d) + (a * a) * (iy * iy)
-                      + BivariateSeries.constant(trunc, c - wnext))
+            new_xi = iy * (-d) + (a * a) * (iy * iy) + xi_const
             cur = (_assert_small_const(new_t, tol, "line chart step"),
                    _assert_small_const(new_xi, tol, "line chart step"))
 
@@ -496,6 +480,7 @@ def infinity_return_map(params, w, trunc):
             "line_identity_residual": id_res,
             "eta": (root.mult_normal, root.mult_along),
             "resonance": ResonanceClass(0, 1),
+            "basepoint": w0,
         }
         return (h1, h2), report
 

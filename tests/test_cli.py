@@ -89,6 +89,16 @@ def test_verify_perturbed_fails_landing(precision):
     assert "landing" in out.stderr
 
 
+def test_verify_perturb_above_the_rounding_floor_runs():
+    # 1 + 1e-60 differs from 1 at 256 bits, though 1e-60 lies below the
+    # --mismatch-c floor 2^-64: the landing residual is the perturbation's,
+    # not the unperturbed member's, and still passes
+    out = run("verify", "--n", "4", "--m", "1", "--perturb", "1e-60")
+    assert out.returncode == 0
+    residual = float(json.loads(out.stdout)["checks"]["landing"]["residual"])
+    assert 1e-61 < residual < 1e-59
+
+
 def test_verify_failing_fiber_orbit_exit_4(monkeypatch, capsys):
     # in process, with a level-1 chart map whose fiber coordinate is off by
     # 1 + 1e-6: fiber_orbit_check raises, and verify reports the failure
@@ -475,13 +485,16 @@ def test_raster_malformed_input_exit_2(flags, tmp_path):
     ["linearize", "--n", "4", "--m", "1", "--demo-resonant", "--seed", "7"],
     ["linearize", "--n", "4", "--m", "1", "--mismatch-c", "0.01",
      "--seed", "7"],
+    ["verify", "--n", "4", "--m", "1", "--perturb", "1e-100"],
 ], ids=["salem-range", "raster-window", "raster-basepoint",
-        "demo-resonant-mismatch-c", "demo-resonant-seed", "mismatch-c-seed"])
+        "demo-resonant-mismatch-c", "demo-resonant-seed", "mismatch-c-seed",
+        "perturb-below-precision"])
 def test_argument_errors_share_one_report(args, tmp_path):
     # every argument error leaves through main's one exit-2 diagnostic; the
     # synthetic demo map has no c, so a mismatch given with it is refused;
     # neither the demo nor a mismatched c draws Birkhoff samples, so a seed
-    # given with them would be dropped without a word
+    # given with them would be dropped without a word; at 256 bits
+    # 1 + 1e-100 is 1, so that perturbation would probe the unperturbed delta
     pgm = tmp_path / "x.pgm"
     if args[0] == "raster":
         args = args + ["--out", str(pgm)]

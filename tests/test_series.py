@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import exp, mp, mpc, mpf, pi, sqrt, workprec
+from mpmath import exp, expjpi, mp, mpc, mpf, pi, sin, sqrt, workprec
 
 from rsadyn import build_params, with_mismatched_c
 from rsadyn.blowup import build_linear_model, fiber_map_level2, level2_step
 from rsadyn.errors import RsadynError, ValidationError
+from rsadyn.family import line_map
 from rsadyn.series import (MONOMIAL_MAIN, MONOMIAL_OUTSIDE, MONOMIAL_RESONANT,
                            MONOMIAL_UPPER, BivariateSeries, ResonanceClass,
                            classify_monomial, compose_pair, corner_return_map,
@@ -546,8 +547,7 @@ def test_corner_series_matches_pointwise_map(params411):
 def test_infinity_return_map_structure(params411):
     p = params411
     with workprec(256):
-        w0 = mpf("0.37") + mpf("0.11") * 1j
-        h, rep = infinity_return_map(p, w0, 10)
+        h, rep = infinity_return_map(p, 10)
         assert rep["multiplier_residual"] < mpf(10) ** -60
         assert rep["low_order_residual"] < mpf(10) ** -60
         assert rep["line_identity_residual"] < mpf(10) ** -60
@@ -555,10 +555,30 @@ def test_infinity_return_map_structure(params411):
         assert abs(h[0][(1, 1)]) < mpf(10) ** -60
 
 
-def test_infinity_return_map_rejects_orbit_through_blownup(params411):
+@pytest.mark.parametrize("n,m,j", [(4, 1, 1), (7, 2, 3), (40, 1, 39)])
+def test_infinity_return_map_centres_at_the_line_fixed_point(n, m, j):
+    # the base point is the line map's fixed point sqrt(delta) e^(i pi j/n),
+    # and the blown-up points (0, the orbit of c, infinity) lie on the real
+    # line through sqrt(delta), |delta| = 1: none is nearer than
+    # sin(pi j/n), which is 0.078 on (40,1,39)
+    p = build_params(n, m, j)
     with workprec(256):
-        with pytest.raises(ValidationError):
-            infinity_return_map(params411, params411.orbit[0], 8)
+        _, rep = infinity_return_map(p, 2)
+        w0 = rep["basepoint"]
+        assert w0 == p.sqrt_delta * expjpi(mpf(j) / n)
+        assert abs(line_map(p, w0) - w0) <= p.tolerance
+        gap = min([abs(w0)] + [abs(w0 - w) for w in p.orbit])
+        assert gap >= sin(pi * mpf(j) / n) - p.tolerance
+
+
+def test_infinity_return_map_off_the_locus_fails_at_a_chart_step(params411):
+    # off the parameter locus w0 is no longer fixed by the line map, and the
+    # first chart step keeps a constant term; the factor is formed at
+    # working precision (at 53 bits 1 + 2^-64 would be exactly 1)
+    with workprec(256):
+        bad = with_mismatched_c(params411, 1 + mpf("0.01"))
+        with pytest.raises(RsadynError, match="line chart step"):
+            infinity_return_map(bad, trunc=4)
 
 
 # -- the linearization solver ---------------------------------------------------
@@ -618,8 +638,7 @@ def test_linearize_infinity_pipeline(params411):
     # i >= 2: solved conjugacy verifies and phi has t-degree >= 2 throughout
     p = params411
     with workprec(256):
-        w0 = mpf("0.53") - mpf("0.21") * 1j
-        h, rep = infinity_return_map(p, w0, 10)
+        h, rep = infinity_return_map(p, 10)
         assert rep["resonance"] == ResonanceClass(0, 1)
         res = linearize_diagonal(h, p.lam, 1, 10, rc=rep["resonance"],
                                  precision_bits=256)
@@ -657,8 +676,7 @@ def test_return_maps_take_eta_from_the_tree(n, m, j, bits):
         corner = tree.find("e1_x_e2")
         _, rep = corner_return_map(p, 8)
         assert rep["eta"] == (corner.mult_along, corner.mult_normal)
-        w0 = p.sqrt_delta * exp(1j * pi * mpf(j) / n)
-        _, line_rep = infinity_return_map(p, w0, 4)
+        _, line_rep = infinity_return_map(p, 4)
         assert line_rep["eta"] == (tree.mult_normal, tree.mult_along)
 
         bad = with_mismatched_c(p, 1 + mpf(2) ** -(bits // 4))
