@@ -8,7 +8,10 @@ Birkhoff curve), `raster` (recurrence rasters to PGM/CSV).
 
 Contract: a single JSON report on stdout, diagnostics on stderr. Exit
 codes: 0 success, 2 argument validation, 3 not-Salem, 4 verification
-failure, 5 linearization obstruction, 6 I/O failure. A non-finite
+failure, 5 linearization obstruction, 6 I/O failure. `main` is the one
+driver: each `cmd_*` returns (report, exit code), `main` runs it under one
+`workprec(--precision)`, maps every error it raises to its exit code and
+prints the report after the working precision is restored. A non-finite
 `--perturb` or `--mismatch-c`, a nonzero `--perturb` so small that
 1 + perturb rounds to 1 at `--precision` (it would probe the unperturbed
 delta), a nonzero `--mismatch-c` outside
@@ -21,7 +24,8 @@ thread, an eps outside (0, 1), a base point with the line chart, or a
 grid too large for memory, are argument errors (exit 2), each reported
 once through `main`; `raster` checks its options and strings before it
 builds the parameter pack. Only `raster` needs numpy (the `raster`
-extra); without it the command exits 2 and names the extra.
+extra); without it the command exits 2 and names the extra. A raster
+that cannot write its output exits 6.
 A negative value in exponent notation, or a window list that starts with
 a negative value, is given in the `--flag=value` form (`--perturb=-1e-3`):
 separated by a space, the parser reads it as an option name.
@@ -55,11 +59,6 @@ EXIT_IO = 6
 
 def _diag(msg):
     print(msg, file=sys.stderr)
-
-
-def _emit(report):
-    json.dump(report, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
 
 
 def _add_family_flags(p):
@@ -136,20 +135,16 @@ def cmd_salem(args):
     try:
         cert = salem.salem_certificate(poly, args.precision)
     except NotSalemError as exc:
-        _emit({"n": args.n, "m": args.m, "coefficients": poly.to_json(),
-               "salem": False, "reason": exc.reason})
-        return EXIT_NOT_SALEM
-    with workprec(args.precision):
-        ent = picard.entropy(args.n, args.m, args.precision)
-        report = {
-            "n": args.n, "m": args.m,
-            "coefficients": poly.to_json(),
-            "salem": True,
-            "certificate": cert.to_json(),
-            "entropy": mp.nstr(ent, 40),
-        }
-    _emit(report)
-    return EXIT_OK
+        return ({"n": args.n, "m": args.m, "coefficients": poly.to_json(),
+                 "salem": False, "reason": exc.reason}, EXIT_NOT_SALEM)
+    ent = picard.entropy(args.n, args.m, args.precision)
+    return {
+        "n": args.n, "m": args.m,
+        "coefficients": poly.to_json(),
+        "salem": True,
+        "certificate": cert.to_json(),
+        "entropy": mp.nstr(ent, 40),
+    }, EXIT_OK
 
 
 def _check_finite(flag, value):
@@ -161,69 +156,64 @@ def cmd_verify(args):
     _check_finite("--perturb", args.perturb)
     params = family.build_params(args.n, args.m, args.j, args.root_index,
                                  args.precision)
+    perturb = mpf(args.perturb)
+    if perturb and 1 + perturb == 1:
+        raise ValidationError(
+            "--perturb %r is lost at --precision %d: 1 + perturb "
+            "rounds to 1" % (args.perturb, args.precision))
+    tol = tolerance_for(args.precision)
     checks = {}
+    idents = family.orbit_identities(params)
+    checks["orbit_identities"] = {
+        "max_residual": mp.nstr(idents["max_residual"], 8),
+        "pass": idents["max_residual"] < tol,
+    }
 
-    with workprec(args.precision):
-        perturb = mpf(args.perturb)
-        if perturb and 1 + perturb == 1:
-            raise ValidationError(
-                "--perturb %r is lost at --precision %d: 1 + perturb "
-                "rounds to 1" % (args.perturb, args.precision))
-        tol = tolerance_for(args.precision)
-        idents = family.orbit_identities(params)
-        checks["orbit_identities"] = {
-            "max_residual": mp.nstr(idents["max_residual"], 8),
-            "pass": idents["max_residual"] < tol,
-        }
+    delta_probe = params.delta * (1 + perturb)
+    landing = blowup.landing_condition(args.n, args.m, delta_probe,
+                                       args.precision)
+    checks["landing"] = {
+        "residual": mp.nstr(landing, 8),
+        "log2_residual": float_log2(landing),
+        "pass": landing < tol,
+    }
 
-        delta_probe = params.delta * (1 + perturb)
-        landing = blowup.landing_condition(args.n, args.m, delta_probe,
-                                           args.precision)
-        checks["landing"] = {
-            "residual": mp.nstr(landing, 8),
-            "log2_residual": float_log2(landing),
-            "pass": landing < tol,
-        }
+    try:
+        orbit_rep = blowup.fiber_orbit_check(params)
+        checks["fiber_orbit"] = {key: mp.nstr(value, 8)
+                                 for key, value in orbit_rep.items()}
+        checks["fiber_orbit"]["pass"] = True
+    except RsadynError as exc:
+        checks["fiber_orbit"] = {"pass": False, "error": str(exc)}
 
-        try:
-            orbit_rep = blowup.fiber_orbit_check(params)
-            checks["fiber_orbit"] = {key: mp.nstr(value, 8)
-                                     for key, value in orbit_rep.items()}
-            checks["fiber_orbit"]["pass"] = True
-        except RsadynError as exc:
-            checks["fiber_orbit"] = {"pass": False, "error": str(exc)}
+    chi = salem.salem_polynomial(args.n, args.m)
+    char = picard.berkowitz_charpoly(picard.t_action_matrix(args.n, args.m))
+    checks["charpoly_equal"] = (char == chi)
 
-        chi = salem.salem_polynomial(args.n, args.m)
-        char = picard.berkowitz_charpoly(
-            picard.t_action_matrix(args.n, args.m))
-        checks["charpoly_equal"] = (char == chi)
-
-        fps = family.fixed_points(params)
-        mult_entries = []
-        mult_ok = True
-        for fp in fps:
-            md = family.multipliers_at_fixed(params, fp)
-            prod_res = abs(md.jacobian_det - params.delta)
-            ok = prod_res < tol and md.jacobian_residual < tol
-            mult_ok = mult_ok and ok
-            mult_entries.append({
-                "product_residual": mp.nstr(prod_res, 8),
-                "jacobian_residual": mp.nstr(md.jacobian_residual, 8),
-                "unit_modulus": md.unit_modulus,
-                "rank2_criterion": md.rank2_criterion,
-                "pass": ok,
-            })
-        checks["multipliers"] = {"fixed_points": mult_entries,
-                                 "pass": mult_ok}
+    fps = family.fixed_points(params)
+    mult_entries = []
+    mult_ok = True
+    for fp in fps:
+        md = family.multipliers_at_fixed(params, fp)
+        prod_res = abs(md.jacobian_det - params.delta)
+        ok = prod_res < tol and md.jacobian_residual < tol
+        mult_ok = mult_ok and ok
+        mult_entries.append({
+            "product_residual": mp.nstr(prod_res, 8),
+            "jacobian_residual": mp.nstr(md.jacobian_residual, 8),
+            "unit_modulus": md.unit_modulus,
+            "rank2_criterion": md.rank2_criterion,
+            "pass": ok,
+        })
+    checks["multipliers"] = {"fixed_points": mult_entries, "pass": mult_ok}
 
     # charpoly_equal is a bare bool, every other check a dict with "pass"
     failed = [name for name, entry in checks.items()
               if not (entry["pass"] if isinstance(entry, dict) else entry)]
-    _emit({"params": params.to_json(), "checks": checks, "pass": not failed})
     if failed:
         _diag("verification failed at check: %s" % failed[0])
-        return EXIT_VERIFY
-    return EXIT_OK
+    return ({"params": params.to_json(), "checks": checks, "pass": not failed},
+            EXIT_VERIFY if failed else EXIT_OK)
 
 
 def cmd_linearize(args):
@@ -245,75 +235,70 @@ def cmd_linearize(args):
         # synthetic resonant map (lam x + x^2 y, y/lam) with the (1,1)
         # relation: the (2,1) coefficient sits on the resonant line with
         # nonvanishing forcing, so no formal conjugacy exists
-        with workprec(bits):
-            lam = params.lam
-            h1 = series.BivariateSeries(d, {(1, 0): lam, (2, 1): 1})
-            h2 = series.BivariateSeries(d, {(0, 1): 1 / lam})
-            report = {"demo_resonant": True}
-            result = _solve_return_map(report, (h1, h2), lam, 1 / lam, d,
-                                       series.ResonanceClass(1, 1), bits)
-        _emit(report)
-        return EXIT_OBSTRUCTION if result.obstruction else EXIT_OK
+        lam = params.lam
+        h1 = series.BivariateSeries(d, {(1, 0): lam, (2, 1): 1})
+        h2 = series.BivariateSeries(d, {(0, 1): 1 / lam})
+        report = {"demo_resonant": True}
+        result = _solve_return_map(report, (h1, h2), lam, 1 / lam, d,
+                                   series.ResonanceClass(1, 1), bits)
+        return report, EXIT_OBSTRUCTION if result.obstruction else EXIT_OK
 
     if args.mismatch_c:
-        with workprec(bits):
-            # the factor is formed at working precision (in float, 1 + a
-            # mismatch below about 1e-16 is exactly 1); below the solver's
-            # vanish floor the forcing it leaves would read as zero; from
-            # modulus 1 on the factor can vanish, give -c (the member j ->
-            # n-j) or push the forcing under that floor
-            mismatch = mpf(args.mismatch_c)
-            if not tolerance_for(bits // 2) <= abs(mismatch) < 1:
-                raise ValidationError(
-                    "a nonzero --mismatch-c must be at least 2^-%d and below "
-                    "1 in modulus at --precision %d, got %r"
-                    % (bits // 4, bits, args.mismatch_c))
-            params = family.with_mismatched_c(params, 1 + mismatch)
-    with workprec(bits):
-        h_corner, corner_rep = series.corner_return_map(params, d)
-        eta1, eta2 = corner_rep["eta"]
-        corner_entry = {
-            "linear_residual": mp.nstr(corner_rep["linear_residual"], 8),
-            "max_resonant_coefficient":
-                mp.nstr(corner_rep["max_resonant_coefficient"], 8),
+        # the factor is formed at working precision (in float, 1 + a
+        # mismatch below about 1e-16 is exactly 1); below the solver's
+        # vanish floor the forcing it leaves would read as zero; from
+        # modulus 1 on the factor can vanish, give -c (the member j ->
+        # n-j) or push the forcing under that floor
+        mismatch = mpf(args.mismatch_c)
+        if not tolerance_for(bits // 2) <= abs(mismatch) < 1:
+            raise ValidationError(
+                "a nonzero --mismatch-c must be at least 2^-%d and below "
+                "1 in modulus at --precision %d, got %r"
+                % (bits // 4, bits, args.mismatch_c))
+        params = family.with_mismatched_c(params, 1 + mismatch)
+
+    h_corner, corner_rep = series.corner_return_map(params, d)
+    eta1, eta2 = corner_rep["eta"]
+    corner_entry = {
+        "linear_residual": mp.nstr(corner_rep["linear_residual"], 8),
+        "max_resonant_coefficient":
+            mp.nstr(corner_rep["max_resonant_coefficient"], 8),
+    }
+    corner_lin = _solve_return_map(corner_entry, h_corner, eta1, eta2, d,
+                                   corner_rep["resonance"], bits)
+
+    report = {"params": params.to_json(), "degree": d,
+              "corner": corner_entry}
+
+    if not args.mismatch_c:
+        h_line, line_rep = series.infinity_return_map(params, trunc=d)
+        line_entry = {
+            "basepoint": mp.nstr(line_rep["basepoint"], 12),
+            "multiplier_residual":
+                mp.nstr(line_rep["multiplier_residual"], 8),
         }
-        corner_lin = _solve_return_map(corner_entry, h_corner, eta1, eta2,
-                                       d, corner_rep["resonance"], bits)
+        _solve_return_map(line_entry, h_line, *line_rep["eta"], d,
+                          line_rep["resonance"], bits)
+        report["line_point"] = line_entry
 
-        report = {"params": params.to_json(), "degree": d,
-                  "corner": corner_entry}
-
-        if not args.mismatch_c:
-            h_line, line_rep = series.infinity_return_map(params, trunc=d)
-            line_entry = {
-                "basepoint": mp.nstr(line_rep["basepoint"], 12),
-                "multiplier_residual":
-                    mp.nstr(line_rep["multiplier_residual"], 8),
+        md = family.multipliers_at_fixed(
+            params, family.fixed_points(params)[0])
+        if md.rank2_criterion and md.unit_modulus:
+            birk = family.birkhoff_linearize(params, md, seed=args.seed or 0)
+            report["birkhoff"] = {
+                "n_values": birk["n_values"],
+                "residuals": birk["residuals"],
+                "dropped_samples": birk["dropped_samples"],
             }
-            _solve_return_map(line_entry, h_line, *line_rep["eta"], d,
-                              line_rep["resonance"], bits)
-            report["line_point"] = line_entry
+        else:
+            report["birkhoff"] = {"skipped":
+                                  "fixed point is not rank-2/unit-modulus"}
 
-            md = family.multipliers_at_fixed(
-                params, family.fixed_points(params)[0])
-            if md.rank2_criterion and md.unit_modulus:
-                birk = family.birkhoff_linearize(params, md,
-                                                 seed=args.seed or 0)
-                report["birkhoff"] = {
-                    "n_values": birk["n_values"],
-                    "residuals": birk["residuals"],
-                    "dropped_samples": birk["dropped_samples"],
-                }
-            else:
-                report["birkhoff"] = {"skipped":
-                                      "fixed point is not rank-2/unit-modulus"}
-
-    _emit(report)
     if corner_lin.obstruction:
         _diag("linearization obstruction at %r" %
               (corner_lin.obstruction[1],))
-        return EXIT_OBSTRUCTION
-    return EXIT_OK
+        return report, EXIT_OBSTRUCTION
+    return report, EXIT_OK
 
 
 def _solve_return_map(entry, h, eta1, eta2, d, rc, bits):
@@ -336,8 +321,7 @@ def cmd_raster(args):
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
-        _diag("raster needs numpy: pip install rsadyn[raster]")
-        return EXIT_ARGS
+        raise ValidationError("raster needs numpy: pip install rsadyn[raster]")
     try:
         x0, x1, y0, y1 = (float(v) for v in args.window.split(","))
         w, h = (int(v) for v in args.res.lower().split("x"))
@@ -362,22 +346,16 @@ def cmd_raster(args):
                                     threads=args.threads, basepoint=basepoint)
     except MemoryError:
         raise ValidationError("--res %s does not fit in memory" % args.res)
-    try:
-        grid.write_pgm(args.out)
-        if args.csv:
-            grid.write_csv(args.csv)
-    except OSError as exc:
-        _diag("cannot write output: %s" % exc)
-        return EXIT_IO
-    counts = grid.counts()
-    _emit({
+    grid.write_pgm(args.out)
+    if args.csv:
+        grid.write_csv(args.csv)
+    return {
         "chart": grid.chart, "window": list(grid.window),
         "resolution": list(grid.resolution), "budget": grid.budget,
         "eps": grid.eps, "candidates": list(grid.candidates),
-        "counts": counts, "out": args.out, "csv": args.csv,
+        "counts": grid.counts(), "out": args.out, "csv": args.csv,
         "threads": args.threads,
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
 COMMANDS = {"salem": cmd_salem, "verify": cmd_verify,
@@ -386,21 +364,26 @@ COMMANDS = {"salem": cmd_salem, "verify": cmd_verify,
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    report = None
     try:
-        return COMMANDS[args.command](args)
+        with workprec(args.precision):
+            report, code = COMMANDS[args.command](args)
     except NotSalemError as exc:
         _diag("not a Salem polynomial: %s" % exc.reason)
-        _emit({"salem": False, "reason": exc.reason})
-        return EXIT_NOT_SALEM
+        report, code = {"salem": False, "reason": exc.reason}, EXIT_NOT_SALEM
     except ValidationError as exc:
         _diag("invalid arguments: %s" % exc)
-        return EXIT_ARGS
+        code = EXIT_ARGS
     except OSError as exc:
         _diag("i/o failure: %s" % exc)
-        return EXIT_IO
+        code = EXIT_IO
     except RsadynError as exc:
         _diag("verification failure: %s" % exc)
-        return EXIT_VERIFY
+        code = EXIT_VERIFY
+    if report is not None:
+        json.dump(report, sys.stdout, indent=2, default=str)
+        sys.stdout.write("\n")
+    return code
 
 
 if __name__ == "__main__":

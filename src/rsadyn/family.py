@@ -47,9 +47,9 @@ from .numeric import check_precision, mpc_to_json, tolerance_for
 class FamilyParams:
     """Validated, immutable parameter pack for one family member.
 
-    orbit holds w_1..w_{n-1} with w_s = g^{s-1}(c); orbit_mid is the orbit
-    midpoint w_{(n-1)/2} (present only for odd n, where its square is delta).
-    lam is the common multiplier of the n-fold return map transverse to the
+    orbit holds w_1..w_{n-1} with w_s = g^{s-1}(c); orbit_mid reads the
+    orbit midpoint w_{(n-1)/2} off it (present only for odd n, where its
+    square is delta). lam is the common multiplier of the n-fold return map transverse to the
     line at infinity.
     """
 
@@ -63,8 +63,11 @@ class FamilyParams:
     c: object
     lam: object
     orbit: tuple
-    orbit_mid: object
     tolerance: object
+
+    @property
+    def orbit_mid(self):
+        return self.orbit[(self.n - 1) // 2 - 1] if self.n % 2 else None
 
     def to_json(self):
         bits = self.precision_bits
@@ -142,7 +145,6 @@ def build_params(n, m, j, root_index=0, precision_bits=256):
 
         if n % 2 == 0:
             lam = -delta ** (-(n // 2))
-            orbit_mid = None
         else:
             orbit_mid = orbit[(n - 1) // 2 - 1]
             if abs(orbit_mid ** 2 - delta) > tol:
@@ -152,7 +154,7 @@ def build_params(n, m, j, root_index=0, precision_bits=256):
         return FamilyParams(
             n=n, m=m, j=j, root_index=root_index,
             precision_bits=precision_bits, delta=delta, sqrt_delta=sqrt_delta,
-            c=c, lam=lam, orbit=orbit, orbit_mid=orbit_mid, tolerance=tol)
+            c=c, lam=lam, orbit=orbit, tolerance=tol)
 
 
 def with_mismatched_c(params, factor):

@@ -15,6 +15,7 @@ hardware precision demonstrably suffices (documented per function).
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, takewhile
@@ -263,9 +264,11 @@ def siegel_raster(params, chart, window, resolution, budget=None, eps=1e-3,
     claim. Deterministic: same window, resolution, budget and eps give
     byte-identical rasters for any thread count (cells are independent pure
     functions). Options and budget are checked before the grid is built.
+    At most os.cpu_count() workers run: the lockstep loop holds the
+    interpreter lock between its small numpy calls, so more gain nothing.
     """
     check_raster_options(chart, eps, threads, basepoint)
-    threads = int(threads)
+    threads = min(int(threads), os.cpu_count() or 1)
     if budget is None:
         budget = default_budget(params.lam, params.precision_bits)
     cands = np.array(candidate_times(params.lam, budget,

@@ -1,8 +1,16 @@
 import functools
+import os
+from pathlib import Path
 
 import pytest
 
 from rsadyn import build_params
+
+# pytest's `pythonpath` setting reaches this process only: the CLI children
+# the tests start would import an installed rsadyn, or none, without this
+SRC = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,6 +22,17 @@ def run(*args, **kw):
                           **kw)
 
 
+def test_children_import_this_tree():
+    # the CLI children these tests start import this checkout's src, not
+    # an installed rsadyn, with or without PYTHONPATH set by the caller
+    out = subprocess.run([sys.executable, "-c",
+                          "import rsadyn; print(rsadyn.__file__)"],
+                         capture_output=True, text=True)
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert out.returncode == 0, out.stderr
+    assert Path(out.stdout.strip()).resolve().is_relative_to(src)
+
+
 def test_public_names_resolve():
     # a stale __all__ entry makes `from rsadyn import *` raise AttributeError
     import rsadyn
@@ -408,6 +419,8 @@ def test_raster_unwritable_exit_6(tmp_path):
               "--window", "0.2,1.3,0.0,0.03", "--res", "8x8",
               "--budget", "64", "--out", str(tmp_path / "missing" / "x.pgm"))
     assert out.returncode == 6
+    assert out.stdout == ""
+    assert out.stderr.startswith("i/o failure: ")
 
 
 def test_raster_bad_window_exit_2(tmp_path):

@@ -327,3 +327,13 @@ def test_mismatched_c_moves_orbit(params411):
     bad = with_mismatched_c(params411, mpf(1) + mpf(10) ** -2)
     with workprec(256):
         assert abs(bad.orbit[-1]) > mpf(10) ** -6
+
+
+def test_mismatched_c_moves_orbit_mid(params411, params511):
+    # the midpoint w_{(n-1)/2} is read off the recomputed orbit, not copied
+    # from the member: (5,1,1) at mismatch 0.01 moves it by about 0.02
+    bad = with_mismatched_c(params511, mpf(1) + mpf(10) ** -2)
+    assert bad.orbit_mid == bad.orbit[1]
+    with workprec(256):
+        assert abs(bad.orbit_mid - params511.orbit_mid) > mpf(10) ** -3
+    assert with_mismatched_c(params411, 2).orbit_mid is None

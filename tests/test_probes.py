@@ -1,5 +1,6 @@
 """Return times, near-identity returns, rasters, slice radii, Birkhoff sums."""
 
+import os
 import warnings
 
 import numpy as np
@@ -240,6 +241,35 @@ def test_raster_threads_and_reruns_identical(params411):
     c = siegel_raster(params411, "line", WINDOW, (40, 20), budget=128,
                       eps=1e-3, threads=1)
     assert a.to_pgm_bytes() == b.to_pgm_bytes() == c.to_pgm_bytes()
+
+
+def test_raster_workers_capped_at_cpu_count(params411, monkeypatch):
+    # a --threads past the core count opens no more workers than cores;
+    # the fake pool records its size and runs the row spans in this thread
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans):
+            spans = list(spans)
+            sizes.append(len(spans))
+            return map(fn, spans)
+
+    sizes = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(probes, "ThreadPoolExecutor", SerialPool)
+    grid = siegel_raster(params411, "line", WINDOW, (8, 16), budget=64,
+                         eps=1e-3, threads=2 + 5)
+    assert sizes == [2, 2]
+    ref = siegel_raster(params411, "line", WINDOW, (8, 16), budget=64,
+                        eps=1e-3, threads=1)
+    assert grid.to_pgm_bytes() == ref.to_pgm_bytes()
 
 
 def test_raster_pgm_format(params411, tmp_path):

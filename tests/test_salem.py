@@ -484,10 +484,22 @@ def test_certificate_json_keeps_full_precision():
     assert Fraction(lam["im"]) == 0
 
 
-def test_certificate_rejects_t2_plus_1():
+# one polynomial per refusal, in the certificate's order; coefficients run
+# from the constant term up
+@pytest.mark.parametrize("coeffs, reason", [
+    ([1, 1], "degree < 2 cannot carry a Salem distribution"),
+    ([1, 0, 1], "no root of modulus > 1; all roots are roots of unity"),
+    ([1, 0, 2], "no root of modulus > 1"),
+    ([6, -5, 1], "more than one root of modulus > 1"),
+    ([-2, 1, -2, 1], "expected exactly one root inside the unit circle"),
+    ([2, -7, 3], "1/lambda is not a root"),
+    ([-1, 5, -5, 1], "coefficients are not palindromic"),
+], ids=["t+1", "t2+1", "2t2+1", "(t-2)(t-3)", "(t-2)(t2+1)", "3t2-7t+2",
+        "(t2-4t+1)(t-1)"])
+def test_certificate_refusal_reasons(coeffs, reason):
     with pytest.raises(NotSalemError) as err:
-        salem_certificate(IntPolynomial([1, 0, 1]), 256)
-    assert "no root of modulus > 1" in str(err.value)
+        salem_certificate(IntPolynomial(coeffs), 256)
+    assert err.value.reason == reason
 
 
 def test_certificate_rejects_31_naming_roots_of_unity():
