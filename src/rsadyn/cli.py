@@ -15,9 +15,10 @@ prints the report after the working precision is restored. A non-finite
 `--perturb` or `--mismatch-c`, a nonzero `--perturb` so small that
 1 + perturb rounds to 1 at `--precision` (it would probe the unperturbed
 delta), a nonzero `--mismatch-c` outside
-2^(-precision/4) <= |mismatch| < 1, `--demo-resonant` with a `--degree`
-below 3 or with a `--mismatch-c`, a `--seed` with the demo or a nonzero
-`--mismatch-c` (neither draws Birkhoff samples), and a raster with an
+2^(-precision/4) <= |mismatch| < 1, a `linearize --degree` below 4,
+`--demo-resonant` with a `--degree` below 3 or with a `--mismatch-c`, a
+`--seed` with the demo or a nonzero `--mismatch-c` (neither draws
+Birkhoff samples), and a raster with an
 unparseable window, resolution or base point, a window and base point
 that give a non-finite grid point, a negative budget, fewer than one
 thread, an eps outside (0, 1), a base point with the line chart, or a
@@ -92,7 +93,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="seed of the Birkhoff-average samples, default 0; "
                         "the demo and a mismatched c draw none")
-    p.add_argument("--degree", type=int, default=12)
+    p.add_argument("--degree", type=int, default=12,
+                   help="truncation degree of the return maps and the "
+                        "conjugacy solve, at least 4 (the demo: 3); below "
+                        "that the command exits 2")
     p.add_argument("--demo-resonant", action="store_true",
                    help="run the synthetic obstruction fixture instead; its "
                         "resonant monomial x^2 y needs --degree >= 3, and it "

@@ -444,11 +444,14 @@ def birkhoff_linearize(params, mult, n_values=(1, 4, 16, 64, 256), seed=0):
     unit-normalised eigenbasis (1, lambda_k) of the multipliers that
     multipliers_at_fixed certified in mult, so they are not derived again.
     Samples whose orbit leaves a guard ball are dropped and reported; all
-    dropping is an inconclusive error.
+    dropping is an inconclusive error. Each N in n_values averages N
+    iterates, so an empty n_values or an N < 1 raises ValidationError.
 
     Hardware precision: A is unitary up to rounding, the orbit is bounded,
     and residuals of interest are ~ ball_radius / N >> 1e-13.
     """
+    if not n_values or min(n_values) < 1:
+        raise ValidationError("n_values must be nonempty and positive")
     rng = random.Random(seed)
     n_samples, ball_radius = 24, 1e-3
     if not mult.rank2_criterion:

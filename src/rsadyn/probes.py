@@ -119,6 +119,8 @@ def near_identity_returns(params, n_candidates=5, n_samples=100, seed=0):
     expected to decrease along candidates (near-identity returns).
     """
     import random
+    if n_samples < 1:
+        raise ValidationError("n_samples must be positive")
     rng = random.Random(seed)
     qs = return_times(params.lam, n_candidates, params.precision_bits)
     delta = complex(params.delta)

@@ -1,43 +1,46 @@
 """Truncated bivariate series, resonance bookkeeping, and linearization.
 
-Series are dicts (i, j) -> coefficient, truncated at a total degree; absent
-keys are zero. Each coefficient is a Gaussian integer (re, im) at a binary
-scale 2^-F carried by the series, and every operation runs on Python
-integers. At creation F = max(mp.prec + 64, the fractional bits each given
-coefficient needs to be held exactly), so no given coefficient is lost;
-an operation runs at the largest of its operands' scales and mp.prec + 64,
-lifting a lower-scale operand exactly. Sums are exact; each coefficient of
-a product is summed exactly and rounded once to the nearest multiple of
-2^-F, and a scalar is taken to the scale once per operation. Reading a
-coefficient (`s[key]`, the `coeffs` view, `to_json`) gives an mpc rounded
-to mp.prec. 1/f of a unit is one pass of the coefficient recurrence
-g_k = -(1/f_0) sum_{0<a<=k} f_a g_(k-a) in degree order. Composition is
+Series are immutable dicts (i, j) -> coefficient, truncated at a total
+degree; absent keys are zero. No operation writes into a series, so series
+share coefficient dicts freely. Each coefficient is a Gaussian integer
+(re, im) at a binary scale 2^-F carried by the series, and every operation
+runs on Python integers. At creation F = max(mp.prec + 64, the fractional
+bits each given coefficient needs to be held exactly), so no given
+coefficient is lost; an operation runs at the largest of its operands'
+scales and mp.prec + 64, lifting a lower-scale operand exactly. Sums are
+exact; each coefficient of a product is summed exactly and rounded once to
+the nearest multiple of 2^-F, and a scalar is taken to the scale once per
+operation. Reading a coefficient (`s[key]`, the `coeffs` view, `to_json`)
+gives the mpc of its `GaussianFixed`, rounded to mp.prec. 1/f of a unit is
+one pass of the coefficient recurrence g_k = -(1/f_0) sum_{0<a<=k} f_a
+g_(k-a) in degree order, 1/f_0 being `GaussianFixed`'s. Composition is
 nested Horner, f o g = sum_i g1^i (sum_j f_ij g2^j).
 
-The return maps of the automorphism at its distinguished fixed points are
-built by running the fiber-chart maps on series, every denominator
-inverted as a unit series; the corner map runs `blowup.level2_step`, the
-same chart arithmetic as the pointwise map, and the line-point map is
-centred at the fixed point sqrt(delta) e^(i pi j/n) of the line map, which
-f fixes, so it takes no base point. The conjugacy to the diagonal
-linear part is solved order by order on a running composition Phi o H,
-dividing each coefficient by eta1^i eta2^j - eta_k and treating
-exactly-resonant monomials by the vanishing-forcing/obstruction dichotomy;
-the solve stops at the degree of the first obstruction.
+The return maps of the automorphism at its distinguished fixed points run
+n fiber-chart steps on series in one driver, `_chart_steps`, every
+denominator inverted as a unit series; the corner map steps with
+`blowup.level2_step`, the same chart arithmetic as the pointwise map, and
+the line-point map is centred at the fixed point sqrt(delta) e^(i pi j/n)
+of the line map, which f fixes, so it takes no base point. The conjugacy
+to the diagonal linear part is solved order by order on a running
+composition Phi o H, dividing each coefficient by eta1^i eta2^j - eta_k
+and treating exactly-resonant monomials by the vanishing-forcing/
+obstruction dichotomy; the solve stops at the degree of the first
+obstruction.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from types import MappingProxyType
 
 from mpmath import expjpi, mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp
 
 from .blowup import build_linear_model, level2_step
 from .errors import RsadynError, ValidationError
-from .numeric import (exact_parts, fit_slope, fixed_parts, mpc_to_json,
-                      shift_round, tolerance_for)
+from .numeric import (GaussianFixed, exact_parts, fit_slope, fixed_parts,
+                      mpc_to_json, shift_round, tolerance_for)
 
 
 def _guard_scale():
@@ -47,7 +50,12 @@ def _guard_scale():
 
 class BivariateSeries:
     """Truncated power series in two variables on fixed-point Gaussian
-    integers: the coefficient of x^i y^j is (re + i im) 2^-scale."""
+    integers: the coefficient of x^i y^j is (re + i im) 2^-scale.
+
+    Immutable: no item assignment, a read-only `coeffs` view, and no
+    write to `trunc`, `scale` or `_c` after `__init__` or `_raw`, which
+    keeps the dict it is given uncopied.
+    """
 
     __slots__ = ("trunc", "scale", "_c")
 
@@ -82,34 +90,17 @@ class BivariateSeries:
         return {k: (re << s, im << s) for k, (re, im) in self._c.items()}
 
     def _value(self, pair):
-        re, im = pair
-        prec = mp.prec
-        return mp.make_mpc((from_man_exp(re, -self.scale, prec, "n"),
-                            from_man_exp(im, -self.scale, prec, "n")))
+        return mpc(GaussianFixed(*pair, self.scale))
 
     def __getitem__(self, key):
         pair = self._c.get(key)
         return mpc(0) if pair is None else self._value(pair)
-
-    def __setitem__(self, key, value):
-        re, im, e = exact_parts(value)
-        if e > self.scale:
-            self._c = self._at(e)
-            self.scale = e
-        pair = (re << (self.scale - e), im << (self.scale - e))
-        if key[0] + key[1] > self.trunc or not (pair[0] or pair[1]):
-            self._c.pop(key, None)
-        else:
-            self._c[key] = pair
 
     @property
     def coeffs(self):
         """Read-only view {(i, j): mpc}, each rounded to mp.prec."""
         return MappingProxyType({k: self._value(v)
                                  for k, v in self._c.items()})
-
-    def copy(self):
-        return BivariateSeries._raw(self.trunc, self.scale, dict(self._c))
 
     def __add__(self, other):
         if not isinstance(other, BivariateSeries):
@@ -210,11 +201,8 @@ def inverse_unit(f):
     coeffs = f._at(scale)
     if (0, 0) not in coeffs:
         raise RsadynError("cannot invert a series with zero constant term")
-    cr, ci = coeffs[(0, 0)]
-    norm = cr * cr + ci * ci
-    # 1/c at the scale: 2^(2 scale) conj(c) / |c|^2, rounded
-    inv_r = (2 * (cr << 2 * scale) + norm) // (2 * norm)
-    inv_i = (2 * (-ci << 2 * scale) + norm) // (2 * norm)
+    inv = 1 / GaussianFixed(*coeffs[(0, 0)], scale)
+    inv_r, inv_i = inv.re, inv.im
     rest = sorted((a + b, a, b, re, im) for (a, b), (re, im) in coeffs.items()
                   if (a, b) != (0, 0) and a + b <= f.trunc)
     g = {(0, 0): (inv_r, inv_i)}
@@ -264,7 +252,7 @@ def series_compose(f, g_pair):
     for i in range(top, -1, -1):
         # acc is known through degree trunc - i - 1; times g1 (no constant
         # term) its unknown part lands above trunc - i
-        acc.trunc = trunc - i
+        acc = BivariateSeries._raw(trunc - i, acc.scale, acc._c)
         acc = acc * g1
         for j, v in rows.get(i, ()):
             acc = acc + pow2[j] * v
@@ -345,9 +333,21 @@ def _assert_small_const(f, floor, what):
     if abs(c) >= floor:
         raise RsadynError("%s picked up a constant term %s"
                           % (what, mp.nstr(abs(c), 6)))
-    out = f.copy()
-    out[(0, 0)] = 0
-    return out
+    return BivariateSeries._raw(f.trunc, f.scale, {
+        k: v for k, v in f._c.items() if k != (0, 0)})
+
+
+def _chart_steps(params, trunc, step, what):
+    """The image of the identity pair under the n chart steps
+    step(s, a, b), s = 0 .. n-1. Each image must fix the origin up to
+    params.tolerance; its constant term is checked, then dropped.
+    """
+    cur = (BivariateSeries.variable(trunc, 0),
+           BivariateSeries.variable(trunc, 1))
+    for s in range(params.n):
+        cur = tuple(_assert_small_const(f, params.tolerance, what)
+                    for f in step(s, *cur))
+    return cur
 
 
 def corner_return_map(params, trunc):
@@ -370,16 +370,9 @@ def corner_return_map(params, trunc):
     if trunc < 4:
         raise ValidationError("need truncation degree >= 4")
     with workprec(params.precision_bits):
-        floor = tolerance_for(params.precision_bits)
-        cur = (BivariateSeries.variable(trunc, 0),
-               BivariateSeries.variable(trunc, 1))
-        for s in range(params.n):
-            cur = level2_step(params, s, *cur,
-                              div=lambda a, b: a * inverse_unit(b))
-            cur = (_assert_small_const(cur[0], floor, "corner chart step"),
-                   _assert_small_const(cur[1], floor, "corner chart step"))
-
-        h1, h2 = cur
+        h1, h2 = _chart_steps(params, trunc, partial(
+            level2_step, params, div=lambda a, b: a * inverse_unit(b)),
+            "corner chart step")
         corner = build_linear_model(params).find("e1_x_e2")
         ideal = (corner.mult_along, corner.mult_normal)
         on_locus = abs(params.orbit[-1]) <= params.tolerance
@@ -442,22 +435,15 @@ def infinity_return_map(params, trunc):
         raise ValidationError("need truncation degree >= 2")
     with workprec(params.precision_bits):
         d = params.delta
-        tol = params.tolerance
         w0 = params.sqrt_delta * expjpi(mpf(params.j) / params.n)
         w0_const = BivariateSeries.constant(trunc, w0)
         xi_const = BivariateSeries.constant(trunc, params.c - w0)
 
-        cur = (BivariateSeries.variable(trunc, 0),
-               BivariateSeries.variable(trunc, 1))
-        for _ in range(params.n):
-            a, b = cur
+        def line_step(_, a, b):
             iy = inverse_unit(b + w0_const)
-            new_t = a * iy
-            new_xi = iy * (-d) + (a * a) * (iy * iy) + xi_const
-            cur = (_assert_small_const(new_t, tol, "line chart step"),
-                   _assert_small_const(new_xi, tol, "line chart step"))
+            return a * iy, iy * (-d) + (a * a) * (iy * iy) + xi_const
 
-        h1, h2 = cur
+        h1, h2 = _chart_steps(params, trunc, line_step, "line chart step")
         root = build_linear_model(params)
         check_tol = tolerance_for(params.precision_bits // 2)
         mult_res = abs(h1[(1, 0)] - root.mult_normal)

@@ -499,15 +499,17 @@ def test_raster_malformed_input_exit_2(flags, tmp_path):
     ["linearize", "--n", "4", "--m", "1", "--mismatch-c", "0.01",
      "--seed", "7"],
     ["verify", "--n", "4", "--m", "1", "--perturb", "1e-100"],
+    ["linearize", "--n", "4", "--m", "1", "--degree", "3"],
 ], ids=["salem-range", "raster-window", "raster-basepoint",
         "demo-resonant-mismatch-c", "demo-resonant-seed", "mismatch-c-seed",
-        "perturb-below-precision"])
+        "perturb-below-precision", "linearize-degree-3"])
 def test_argument_errors_share_one_report(args, tmp_path):
     # every argument error leaves through main's one exit-2 diagnostic; the
     # synthetic demo map has no c, so a mismatch given with it is refused;
     # neither the demo nor a mismatched c draws Birkhoff samples, so a seed
     # given with them would be dropped without a word; at 256 bits
-    # 1 + 1e-100 is 1, so that perturbation would probe the unperturbed delta
+    # 1 + 1e-100 is 1, so that perturbation would probe the unperturbed
+    # delta; the corner return map needs degree 4, the demo only 3
     pgm = tmp_path / "x.pgm"
     if args[0] == "raster":
         args = args + ["--out", str(pgm)]

@@ -1,4 +1,5 @@
-"""Source hygiene: no module-level import of the package goes unused."""
+"""Source hygiene: no module-level import of the package goes unused, and
+no function assigns a local it never reads."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,41 @@ def test_no_unused_module_imports():
                 continue
             unused.append("%s:%d %s" % (path.name, line, name))
     assert unused == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _unread_locals(func):
+    """(line, name) of each name the function assigns in its own scope and
+    never reads, its nested functions' reads included; names starting with
+    `_` and names declared global or nonlocal are exempt."""
+    stores, declared = {}, set()
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _SCOPES):
+            continue
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores.setdefault(node.id, node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    read = {node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in stores.items()
+                  if name not in read and name not in declared
+                  and not name.startswith("_"))
+
+
+def test_no_unread_locals():
+    # a deletion that leaves the local feeding it behind fails here
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unread += ["%s:%d %s in %s" % (path.name, line, name,
+                                               func.name)
+                           for line, name in _unread_locals(func)]
+    assert unread == []

@@ -115,7 +115,25 @@ def test_near_identity_returns_pinned(params411):
     assert np.abs(np.array(rep["sup_distances"]) - pinned).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_near_identity_returns_needs_a_sample(params411, n_samples):
+    # with no samples there is no sup to take
+    with pytest.raises(ValidationError, match="n_samples must be positive"):
+        near_identity_returns(params411, n_samples=n_samples)
+
+
 # -- Birkhoff averaging ------------------------------------------------------------
+
+@pytest.mark.parametrize("n_values", [(), (0, 4), (4, -1)],
+                         ids=["empty", "zero", "negative"])
+def test_birkhoff_needs_positive_averaging_lengths(params411, n_values):
+    # r(N) averages N iterates: none to average at N = 0, and an empty
+    # curve has no largest N to iterate to
+    mult = multipliers_at_fixed(params411, fixed_points(params411)[0])
+    with pytest.raises(ValidationError,
+                       match="n_values must be nonempty and positive"):
+        birkhoff_linearize(params411, mult, n_values=n_values)
+
 
 def test_birkhoff_residuals(params411):
     mult = multipliers_at_fixed(params411, fixed_points(params411)[0])

@@ -1,6 +1,7 @@
 """Series ring operations, resonance classes, return maps, linearization."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -162,8 +163,7 @@ UNIT = COEFF.filter(lambda z: abs(z) >= 0.5)
 def test_inverse_unit(unit):
     f, f0 = unit
     with workprec(PROP_BITS):
-        f = f.copy()
-        f[(0, 0)] = mpc(f0)
+        f = BivariateSeries(f.trunc, {**f.coeffs, (0, 0): mpc(f0)})
         one = BivariateSeries.constant(f.trunc, 1)
         assert close(f * inverse_unit(f), one)
 
@@ -173,6 +173,34 @@ def test_inverse_unit_rejects_zero_constant():
         with pytest.raises(RsadynError,
                            match="cannot invert a series with zero constant"):
             inverse_unit(BivariateSeries(4, {(1, 0): 1}))
+
+
+def test_series_refuses_writes():
+    s = BivariateSeries(4, {(0, 0): 1, (1, 0): 2})
+    with pytest.raises(TypeError):
+        s[(0, 0)] = 1
+    with pytest.raises(TypeError):
+        s.coeffs[(0, 0)] = 1
+    assert s[(0, 0)] == 1
+
+
+def test_operations_leave_their_inputs_unchanged(corner411):
+    # series share coefficient dicts, so no operation may write into one
+    _, (h, rep) = corner411
+
+    def state(series):
+        return [(f.trunc, dict(f.coeffs)) for f in series]
+
+    with workprec(256):
+        f = BivariateSeries(6, {(0, 0): 2 + 1j, (1, 0): 1, (0, 2): -1j})
+        g = (BivariateSeries(5, {(1, 0): 1, (1, 1): 3}),
+             BivariateSeries(6, {(0, 1): 1j, (2, 0): 1}))
+        before = state((f, *g, *h))
+        inverse_unit(f)
+        series_compose(f, g)
+        linearize_diagonal(h, *rep["eta"], 8, rc=rep["resonance"],
+                           precision_bits=256)
+        assert state((f, *g, *h)) == before
 
 
 # -- the fixed-point engine against an mpc oracle -----------------------------
@@ -555,6 +583,27 @@ def test_infinity_return_map_structure(params411):
         assert abs(h[0][(1, 1)]) < mpf(10) ** -60
 
 
+def _diagonal_map(p, const=0, gap=0):
+    """(lam x + const, y): H for linearize_diagonal against (lam, 1)."""
+    return (BivariateSeries(4, {(0, 0): const, (1, 0): p.lam + gap}),
+            BivariateSeries.variable(4, 1))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p: infinity_return_map(p, 1), "need truncation degree >= 2"),
+    (lambda p: linearize_diagonal(_diagonal_map(p, const=mpf(2) ** -200),
+                                  p.lam, 1, 4, ResonanceClass(0, 1)),
+     "return map must fix the origin"),
+    # the linear part may differ by 2^-64 at 256 bits, not by 2^-60
+    (lambda p: linearize_diagonal(_diagonal_map(p, gap=mpf(2) ** -60),
+                                  p.lam, 1, 4, ResonanceClass(0, 1)),
+     "linear part of H is not diag(eta1, eta2)"),
+], ids=["line-degree-1", "constant-term", "linear-part-off"])
+def test_return_map_and_solver_refusals(params411, call, message):
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+        call(params411)
+
+
 @pytest.mark.parametrize("n,m,j", [(4, 1, 1), (7, 2, 3), (40, 1, 39)])
 def test_infinity_return_map_centres_at_the_line_fixed_point(n, m, j):
     # the base point is the line map's fixed point sqrt(delta) e^(i pi j/n),
@@ -752,13 +801,10 @@ def test_verify_conjugacy_perturbation_lower_bound(corner411):
         eta1, eta2 = rep["eta"]
         res = linearize_diagonal(h, eta1, eta2, 12, rc=rep["resonance"],
                                  precision_bits=256)
-        phi1 = res.phi[0].copy()
-        phi2 = res.phi[1].copy()
-        key = (2, 0)
         eps = mpf(10) ** -6
-        phi1[key] = phi1[key] + eps
+        phi1 = res.phi[0] + BivariateSeries(12, {(2, 0): eps})
         divisor = abs(eta1 ** 2 - eta1)
-        resid = verify_conjugacy(h, (phi1, phi2), eta1, eta2, 12,
+        resid = verify_conjugacy(h, (phi1, res.phi[1]), eta1, eta2, 12,
                                  precision_bits=256)
         assert resid >= eps * divisor * (1 - mpf(10) ** -6)
 
