@@ -90,7 +90,8 @@ class BivariateSeries:
         return {k: (re << s, im << s) for k, (re, im) in self._c.items()}
 
     def _value(self, pair):
-        return mpc(GaussianFixed(*pair, self.scale))
+        # mpc(x) would evaluate the x._mpc_ property twice
+        return mp.make_mpc(GaussianFixed(*pair, self.scale)._mpc_)
 
     def __getitem__(self, key):
         pair = self._c.get(key)
