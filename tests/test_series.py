@@ -600,8 +600,10 @@ def _diagonal_map(p, const=0, gap=0):
      "linear part of H is not diag(eta1, eta2)"),
 ], ids=["line-degree-1", "constant-term", "linear-part-off"])
 def test_return_map_and_solver_refusals(params411, call, message):
-    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
-        call(params411)
+    with workprec(256):
+        with pytest.raises(ValidationError,
+                           match="^%s$" % re.escape(message)):
+            call(params411)
 
 
 @pytest.mark.parametrize("n,m,j", [(4, 1, 1), (7, 2, 3), (40, 1, 39)])
