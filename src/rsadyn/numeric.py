@@ -178,8 +178,9 @@ class GaussianFixed:
     of the type at the same scale. `==`, and `<` and `>` between real
     values, compare exactly, never rounding the other operand: against the
     type, int, float (through `float.as_integer_ratio`) and any number
-    `exact_parts` reads. `abs` gives an mpf and `mpc(value)` an mpc, each
-    rounded once at mp.prec. Values are not hashable; treat them as
+    `exact_parts` reads. `abs` gives an mpf and `mp.make_mpc(value._mpc_)`
+    an mpc, each rounded once at mp.prec (`mpc(value)` gives the same mpc
+    but evaluates `_mpc_` twice). Values are not hashable; treat them as
     immutable. Root isolation in `salem` and the precision-doubling mirror
     `probes.classify_point_mp` (the kernels' cell classifier, unchanged)
     compute on it.
@@ -290,7 +291,8 @@ class GaussianFixed:
 
     def __pow__(self, e):
         """self ** e through mpc at mp.prec, rounded back to the scale."""
-        return GaussianFixed.from_number(mpc(self) ** e, self.scale)
+        return GaussianFixed.from_number(mp.make_mpc(self._mpc_) ** e,
+                                         self.scale)
 
     def __abs__(self):
         norm = from_man_exp(self.re * self.re + self.im * self.im,

@@ -1,8 +1,8 @@
 """Exact lattice arithmetic: intersection form, push-forward action, entropy.
 
-Everything here is integer or rational arithmetic with no floating point,
-except `entropy` (which logs a certified Salem root) and the growth-slope
-measurement inside the quadratic-growth fixture.
+Everything here is integer arithmetic, with no rationals and no floating
+point, except `entropy` (which logs a certified Salem root). One
+fraction-free elimination gives both `rank` and `bareiss_det`.
 
 Basis conventions. The invariant sublattice S is spanned by the strict
 transforms of the line at infinity and the level-1/level-2 fibers; in the
@@ -27,53 +27,81 @@ quadratic-growth fixture's push-forward is that rule at lengths (2, 4, 4).
 """
 
 import math
-from fractions import Fraction
 
 from mpmath import log, workprec
 
 from . import salem
 from .errors import RsadynError, ValidationError
-from .numeric import check_precision, fit_slope, identity, mat_mul
+from .numeric import check_precision, mat_mul, mat_pow
 
 
 # ---------------------------------------------------------------------------
-# exact matrix helpers (lists of lists; int or Fraction entries)
+# exact matrix helpers (lists of lists of integers)
 # ---------------------------------------------------------------------------
 
 def mat_vec(a, v):
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
-def mat_sub(a, b):
-    return [[a[i][j] - b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
-
-
 def transpose(a):
     return [list(row) for row in zip(*a)]
 
 
-def bareiss_det(matrix):
-    """Fraction-free determinant of an integer matrix."""
+def _check_shape(matrix, square=False):
+    """ValidationError when the rows of `matrix` differ in length or, with
+    `square`, their length is not the number of rows."""
+    width = len(matrix[0]) if len(matrix) else 0
+    if any(len(row) != width for row in matrix):
+        raise ValidationError("ragged matrix")
+    if square and width != len(matrix):
+        raise ValidationError("matrix is %dx%d, not square"
+                              % (len(matrix), width))
+
+
+def _eliminate(matrix):
+    """The fraction-free elimination of an integer matrix (Bareiss, Math.
+    Comp. 22, 1968), on a copy: returns (rank, sign, last pivot).
+
+    Column by column, a row with a nonzero entry is swapped up as the pivot
+    row (flipping the sign) and a column with none is skipped. Each step
+    updates the rows below as 2x2 determinants with the pivot row, divided
+    by the previous pivot; by Sylvester's identity every entry is a minor
+    of the input, so each division is exact.
+    """
     m = [list(map(int, row)) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    ncols = len(m[0]) if m else 0
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top, p = m[r], m[r][c]
+        for row in m[r + 1:]:
+            x = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - x * top[j]) // prev
+        prev = p
+        r += 1
+    return r, sign, prev
+
+
+def rank(matrix):
+    """Rank of an integer matrix, exactly."""
+    _check_shape(matrix)
+    return _eliminate(matrix)[0]
+
+
+def bareiss_det(matrix):
+    """Determinant of a square integer matrix, exactly: the sign of the row
+    swaps times the last pivot at full rank, else 0."""
+    _check_shape(matrix, square=True)
+    r, sign, last = _eliminate(matrix)
+    return sign * last if r == len(matrix) else 0
 
 
 def leading_principal_minors(matrix):
@@ -90,59 +118,6 @@ def is_negative_definite(matrix):
     return True
 
 
-def frac_rref(rows):
-    """Reduced row echelon form over Fraction; returns (rref, pivot_cols)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def frac_rank(rows):
-    _, pivots = frac_rref(rows)
-    return len(pivots)
-
-
-def nullspace_int(rows):
-    """Integer basis (primitive vectors) of the rational nullspace."""
-    from math import gcd
-    rref, pivots = frac_rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in v]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        basis.append([x // g for x in ints])
-    return basis
-
-
 def berkowitz_charpoly(matrix):
     """Characteristic polynomial det(tI - M) of an integer matrix, as an
     IntPolynomial, division-free (Berkowitz). The products with the leading
@@ -150,6 +125,7 @@ def berkowitz_charpoly(matrix):
     k = len(matrix)
     if k == 0:
         raise ValidationError("empty matrix")
+    _check_shape(matrix, square=True)
     nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
     vec = [1, -matrix[0][0]]           # descending coefficients
     for r in range(1, k):
@@ -300,23 +276,53 @@ def _fixture_s_generators():
     ]
 
 
+def _minus_identity(m):
+    return [[x - (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+def growth_degree(k, orders):
+    """Degree d of the polynomial growth ||K^j|| ~ j^d of an integer matrix
+    whose eigenvalues are roots of unity of the given orders.
+
+    With N the lcm of the orders, U = K^N is unipotent and has Jordan blocks
+    of the same sizes as K, so d is the nilpotency index of U - I minus 1
+    (Diller-Favre, Amer. J. Math. 123, 2001). RsadynError when U - I is not
+    nilpotent, that is when the orders miss an eigenvalue of K.
+    """
+    n = math.lcm(*orders)
+    step = _minus_identity(mat_pow(k, n, 1))
+    power, index = step, 1
+    while any(any(row) for row in power):
+        if index >= len(k):
+            raise RsadynError("K^%d is not unipotent" % n)
+        power = mat_mul(power, step)
+        index += 1
+    return index - 1
+
+
 def quadratic_growth_fixture():
-    """Push-forward of the zero-entropy comparison map, with spectral gates.
+    """Push-forward of the zero-entropy comparison map, with exact gates.
 
-    Builds the full 11x11 push-forward from the blowup orbit data of
+    Builds the full 11x11 push-forward K from the blowup orbit data of
     k(x, y) = (y, -x + 1 + a/y) (two level-1 fibers, a level-2 4-cycle, a
-    level-3 orbit of length 4) by the orbit-data rule, and verifies the
-    three gate facts on it: all eigenvalues of modulus 1, a size-3 Jordan block at eigenvalue 1
-    (exact rank test on powers of K - I), and log-log growth slope 2 of
-    ||K^k|| over 100 <= k <= 1000.
+    level-3 orbit of length 4) by the orbit-data rule, and decides three
+    gate facts on it with integer arithmetic only: every eigenvalue is a
+    root of unity (the characteristic polynomial is all cyclotomic
+    factors), there is a size-3 Jordan block at eigenvalue 1 (ranks of the
+    integer powers (K - I)^p), and the growth degree of ||K^j|| is 2
+    (`growth_degree` at the cyclotomic orders).
 
-    The form on the span S of the line and level-1/2 fibers is only
-    semidefinite here (one-dimensional kernel), so S + S-perp is a proper
-    sublattice and the size-3 block does not survive restriction to S-perp
-    alone: the restriction and the quotient action both carry a size-2
-    block, and are reported as supplementary data. Structural gates: the
-    push-forward preserves the intersection form, is unimodular, and
-    permutes the S generators.
+    Structural gates: K preserves the intersection form, is unimodular,
+    and permutes the S generators. The form on the span S of the line and
+    level-1/2 fibers is only semidefinite here (7 - rank of its Gram matrix
+    is 1), so S + S-perp is a proper sublattice. T = S-perp is the kernel
+    of the matrix P of pairings with the S generators, of dimension
+    11 - rank P. An isometry that permutes the generators of S maps T onto
+    itself, so the restriction to T needs no basis: (K - I)^p(T) has
+    dimension rank((K - I)^p stacked over P) - rank P. Those ranks show the
+    size-3 block does not survive in T (a size-2 block there); they are
+    reported as supplementary data.
     """
     k = _fixture_pushforward()
     gram = [[0] * 11 for _ in range(11)]
@@ -334,7 +340,7 @@ def quadratic_growth_fixture():
     sgens = _fixture_s_generators()
     s_gram = [[sum(u[i] * gram[i][i] * v[i] for i in range(11))
                for v in sgens] for u in sgens]
-    if len(nullspace_int(s_gram)) != 1:
+    if 7 - rank(s_gram) != 1:
         raise RsadynError("form on S should have a 1-dim kernel")
 
     # K must permute the S generators (line fixed, E1 swap, E2 4-cycle)
@@ -343,29 +349,13 @@ def quadratic_growth_fixture():
         if mat_vec(k, sgens[src]) != sgens[dst]:
             raise RsadynError("push-forward does not permute S")
 
-    # supplementary: restriction to T = S-perp (dimension 4: the full form
-    # is nondegenerate, dim T = 11 - dim span S; the kernel line of S sits
-    # in S and T both)
+    # T = S-perp = ker P (dimension 4: the full form is nondegenerate; the
+    # kernel line of S sits in S and T both)
     pair_rows = [[u[j] * gram[j][j] for j in range(11)] for u in sgens]
-    tbasis = nullspace_int(pair_rows)
-    tdim = len(tbasis)
+    pair_rank = rank(pair_rows)
+    tdim = 11 - pair_rank
     if tdim != 4:
         raise RsadynError("T should have dimension 4, got %d" % tdim)
-    tmat = transpose(tbasis)
-    image = mat_mul(k, tmat)
-    aug_rows = [[Fraction(tmat[i][j]) for j in range(tdim)]
-                + [Fraction(image[i][j]) for j in range(tdim)]
-                for i in range(11)]
-    rref, pivots = frac_rref(aug_rows)
-    if pivots[:tdim] != list(range(tdim)):
-        raise RsadynError("restriction to T is inconsistent")
-    for row in rref[tdim:]:
-        if any(x != 0 for x in row):
-            raise RsadynError("push-forward does not preserve T")
-    restricted = [[rref[i][tdim + j] for j in range(tdim)]
-                  for i in range(tdim)]
-    if all(x.denominator == 1 for row in restricted for x in row):
-        restricted = [[int(x) for x in row] for row in restricted]
 
     # gate 1: all eigenvalues on the unit circle, exactly: a monic integer
     # polynomial has all roots of modulus 1 iff it is a product of
@@ -377,37 +367,22 @@ def quadratic_growth_fixture():
                           "(non-cyclotomic factor %r)" % core)
 
     # gate 2: a size-3 Jordan block at eigenvalue 1, exactly
-    ki = [[Fraction(x) for x in row] for row in k]
-    kmi = mat_sub(ki, identity(11, Fraction(1)))
-    powers = [identity(11, Fraction(1))]
-    for _ in range(4):
-        powers.append(mat_mul(powers[-1], kmi))
-    ranks = [frac_rank(p) for p in powers]
+    kmi = _minus_identity(k)
+    powers = [mat_pow(kmi, p, 1) for p in range(5)]
+    ranks = [rank(p) for p in powers]
     blocks_ge3 = ranks[2] - ranks[3]
     if blocks_ge3 < 1:
         raise RsadynError("no size-3 Jordan block at eigenvalue 1 "
                           "(ranks %r)" % (ranks,))
 
-    # gate 3: quadratic growth of ||K^k||
-    ks, norms = [], []
-    power = identity(11)
-    for kk in range(1, 1001):
-        power = mat_mul(power, k)
-        if kk >= 100 and kk % 25 == 0:
-            ks.append(kk)
-            norms.append(max(abs(float(x)) for row in power for x in row))
-    slope = fit_slope([math.log(kk) for kk in ks],
-                      [math.log(nm) for nm in norms])
-    if not 1.9 <= slope <= 2.1:
-        raise RsadynError("growth slope %.4f outside 2 +- 0.1" % slope)
+    # gate 3: quadratic growth of ||K^j||, exactly
+    degree = growth_degree(k, [d for d, _ in cyc_factors])
+    if degree != 2:
+        raise RsadynError("growth degree %d, not 2" % degree)
 
-    # supplementary: Jordan data of the restriction (size-2 block expected)
-    ri = [[Fraction(x) for x in row] for row in restricted]
-    rmi = mat_sub(ri, identity(tdim, Fraction(1)))
-    rpowers = [identity(tdim, Fraction(1))]
-    for _ in range(3):
-        rpowers.append(mat_mul(rpowers[-1], rmi))
-    restricted_ranks = [frac_rank(p) for p in rpowers]
+    # supplementary: dim (K - I)^p(T), a size-2 block expected
+    restricted_ranks = [rank(powers[p] + pair_rows) - pair_rank
+                        for p in range(4)]
 
     return {
         "pushforward": k,
@@ -415,8 +390,7 @@ def quadratic_growth_fixture():
         "cyclotomic_factors": cyc_factors,
         "jordan_ranks": ranks,
         "jordan_blocks_ge3": blocks_ge3,
-        "growth_slope": slope,
-        "restricted_to_perp": restricted,
+        "growth_degree": degree,
         "restricted_ranks": restricted_ranks,
         "perp_dimension": tdim,
     }

@@ -22,7 +22,7 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import arg, mpc, mpf, nstr, workprec
+from mpmath import arg, mp, mpc, mpf, nstr, workprec
 
 from .errors import NotSalemError, RsadynError, ValidationError
 from .numeric import (GaussianFixed, check_precision, fixed_scale,
@@ -271,7 +271,7 @@ def find_roots(poly, precision_bits):
     absolute = IntPolynomial([abs(c) for c in poly.coeffs])
     with workprec(precision_bits):
         tol = tolerance_for(precision_bits)
-        out = [mpc(0)] * nzero + [mpc(z) for z in roots]
+        out = [mpc(0)] * nzero + [mp.make_mpc(z._mpc_) for z in roots]
         check = fixed_scale(precision_bits + 64, out)
         bad = max(abs(poly(GaussianFixed.from_number(z, check)))
                   / max(1, absolute(abs(z))) for z in out)

@@ -167,9 +167,9 @@ def test_criterion_09_quadratic_growth_fixture():
     ok = (sum(totient(d) * mult for d, mult in rep["cyclotomic_factors"])
           == 11
           and rep["jordan_blocks_ge3"] >= 1
-          and 1.9 <= rep["growth_slope"] <= 2.1)
-    report(9, ok, "spectrum cyclotomic, size-3 Jordan block, growth slope "
-                  "%.4f" % rep["growth_slope"])
+          and rep["growth_degree"] == 2)
+    report(9, ok, "spectrum cyclotomic, size-3 Jordan block, growth degree "
+                  "%d" % rep["growth_degree"])
 
 
 def test_criterion_10_determinism(tmp_path):

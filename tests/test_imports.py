@@ -7,23 +7,26 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "rsadyn"
 
 
-def _module_imports(tree):
-    """(bound name, line) of each import at module level, also inside a
-    module-level if/try block."""
-    found = []
+def _module_statements(tree):
+    """Each statement at module level, also inside a module-level if/try
+    block."""
     stack = list(tree.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                found.append((name, node.lineno))
-        elif isinstance(node, (ast.If, ast.Try)):
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
             stack.extend(node.body + node.orelse
                          + getattr(node, "finalbody", []))
             for handler in getattr(node, "handlers", []):
                 stack.extend(handler.body)
-    return found
+
+
+def _module_imports(tree):
+    """(bound name, line) of each import at module level."""
+    return [(alias.asname or alias.name.split(".")[0], node.lineno)
+            for node in _module_statements(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names]
 
 
 def _exported(tree):
@@ -92,3 +95,59 @@ def test_no_unread_locals():
                                                func.name)
                            for line, name in _unread_locals(func)]
     assert unread == []
+
+
+ROOT = SRC.parent.parent
+
+
+def _module_definitions(tree):
+    """(name, line) of each function, class and assigned name defined at
+    module level."""
+    found = []
+    for node in _module_statements(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, ast.Assign):
+            found += [(n.id, n.lineno) for target in node.targets
+                      for n in ast.walk(target) if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            found.append((node.target.id, node.lineno))
+    return found
+
+
+def _references(tree):
+    """Every name the tree loads, reads as an attribute, imports by name or
+    spells in a string constant (each dotted part of it)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(node.value.split("."))
+    return refs
+
+
+def test_no_dead_definitions():
+    # a deletion that leaves a helper behind fails here: every module-level
+    # definition of the package is referenced somewhere in the package,
+    # its tests or the benchmark (perfbench/tracer.py names its targets in
+    # strings); dunder names are exempt
+    refs = set()
+    for folder in ("src/rsadyn", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            refs |= _references(ast.parse(path.read_text(),
+                                          filename=str(path)))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        dead += ["%s:%d %s" % (path.name, line, name)
+                 for name, line in sorted(_module_definitions(tree),
+                                          key=lambda d: d[1])
+                 if name not in refs
+                 and not (name.startswith("__") and name.endswith("__"))]
+    assert dead == []

@@ -1,17 +1,20 @@
 """Exact lattice arithmetic: intersection form, push-forward, entropy."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import log, mp, mpf, workprec
 
 from rsadyn import salem_polynomial
-from rsadyn.errors import ValidationError
-from rsadyn.numeric import totient
+from rsadyn.errors import RsadynError, ValidationError
+from rsadyn.numeric import fit_slope, mat_mul, totient
 from rsadyn.picard import (bareiss_det, berkowitz_charpoly, entropy,
-                           intersection_matrix_S, is_negative_definite,
-                           leading_principal_minors, orbit_data_pushforward,
-                           quadratic_growth_fixture, t_action_matrix)
+                           growth_degree, intersection_matrix_S,
+                           is_negative_definite, leading_principal_minors,
+                           orbit_data_pushforward, quadratic_growth_fixture,
+                           rank, t_action_matrix)
 from rsadyn.salem import IntPolynomial
 
 
@@ -34,6 +37,78 @@ def fraction_det(matrix):
             f = m[i][k] / m[k][k]
             m[i] = [a - f * b for a, b in zip(m[i], m[k])]
     return det
+
+
+def fraction_rank(matrix):
+    """Independent rank oracle: row reduction over Fraction."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def random_matrix(rng, rows, cols, lo=-5, hi=5):
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_rank_matches_fraction_oracle():
+    rng = random.Random(41)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        a = random_matrix(rng, rows, cols)
+        # some with a zero row, some with a zero column
+        if rng.random() < 0.3:
+            a[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+        assert rank(a) == fraction_rank(a)
+    for _ in range(100):
+        # low-rank products (rank <= inner) with large entries
+        rows, inner, cols = rng.randint(2, 9), rng.randint(1, 4), \
+            rng.randint(2, 9)
+        a = mat_mul(random_matrix(rng, rows, inner, -40, 40),
+                    random_matrix(rng, inner, cols, -40, 40))
+        assert rank(a) == fraction_rank(a) <= inner
+    assert rank([]) == rank([[]]) == rank([[0, 0], [0, 0]]) == 0
+
+
+def test_bareiss_det_matches_fraction_oracle():
+    rng = random.Random(42)
+    for _ in range(150):
+        size = rng.randint(1, 8)
+        a = random_matrix(rng, size, size)
+        if size >= 3 and rng.random() < 0.3:
+            # singular: the last row a combination of the first two
+            a[-1] = [2 * x - 3 * y for x, y in zip(a[0], a[1])]
+            assert fraction_det(a) == 0
+        assert bareiss_det(a) == fraction_det(a)
+    assert bareiss_det([]) == 1
+
+
+@pytest.mark.parametrize("call,matrix", [
+    (bareiss_det, [[1, 2]]),
+    (bareiss_det, [[1, 2], [3, 4], [5, 6]]),
+    (bareiss_det, [[1, 2], [3]]),
+    (berkowitz_charpoly, [[1, 2, 3], [4, 5, 6]]),
+    (berkowitz_charpoly, [[1, 2], [3]]),
+    (rank, [[1, 2], [3]]),
+], ids=["det-1x2", "det-3x2", "det-ragged", "charpoly-2x3",
+        "charpoly-ragged", "rank-ragged"])
+def test_misshapen_matrices_refused(call, matrix):
+    # bareiss_det([[1, 2]]) used to return 1 and the 2x3 charpoly
+    # t^2 - 6t - 3; the 3x2 determinant raised a bare IndexError
+    with pytest.raises(ValidationError):
+        call(matrix)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -153,7 +228,6 @@ def test_charpoly_cross_check_oracle(n, m):
 
 
 def test_charpoly_random_oracle_agreement():
-    import random
     rng = random.Random(7)
     for size in (3, 5, 7):
         a = [[rng.randrange(-4, 5) for _ in range(size)] for _ in range(size)]
@@ -298,8 +372,47 @@ def test_fixture_jordan_block(fixture_report):
     assert ranks[3] == ranks[4]     # nilpotency saturates at index 3
 
 
-def test_fixture_growth_slope(fixture_report):
-    assert 1.9 <= fixture_report["growth_slope"] <= 2.1
+def test_fixture_growth_degree(fixture_report):
+    assert fixture_report["growth_degree"] == 2
+
+
+def test_fixture_growth_slope_oracle(fixture_report):
+    # the measurement the exact degree replaced: the log-log slope of the
+    # sup norm of K^j over 100 <= j <= 1000
+    k = fixture_report["pushforward"]
+    js, norms = [], []
+    power = k
+    for j in range(2, 1001):
+        power = mat_mul(power, k)
+        if j >= 100 and j % 25 == 0:
+            js.append(math.log(j))
+            norms.append(math.log(max(abs(x) for row in power for x in row)))
+    assert 1.9 <= fit_slope(js, norms) <= 2.1
+
+
+def jordan_block(size):
+    return [[int(i == j or j == i + 1) for j in range(size)]
+            for i in range(size)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_growth_degree_of_jordan_block(size):
+    assert growth_degree(jordan_block(size), [1]) == size - 1
+
+
+def test_growth_degree_of_finite_order_maps():
+    three_cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    rotation = [[0, -1], [1, 0]]
+    assert growth_degree(three_cycle, [1, 3]) == 0
+    assert growth_degree(rotation, [4]) == 0
+
+
+def test_growth_degree_refuses_orders_missing_an_eigenvalue():
+    three_cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    with pytest.raises(RsadynError, match="not unipotent"):
+        growth_degree(three_cycle, [1])
+    with pytest.raises(RsadynError, match="not unipotent"):
+        growth_degree([[0, -1], [1, 0]], [2])
 
 
 def test_fixture_perp_restriction(fixture_report):
