@@ -1,10 +1,12 @@
-"""Source hygiene: no module-level import of the package goes unused, and
-no function assigns a local it never reads."""
+"""Source hygiene: no module-level import of the package goes unused, no
+function assigns a local it never reads, and no module-level definition
+goes unreferenced."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rsadyn"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rsadyn"
 
 
 def _module_statements(tree):
@@ -95,9 +97,6 @@ def test_no_unread_locals():
                                                func.name)
                            for line, name in _unread_locals(func)]
     assert unread == []
-
-
-ROOT = SRC.parent.parent
 
 
 def _module_definitions(tree):
